@@ -156,6 +156,19 @@ def _draw_estimated_channels(seed: Seed, m: int, betas: np.ndarray, rho_pilot: f
     return h, h_hat
 
 
+def _gram_batches(params: SystemParams, betas: np.ndarray, seed: Seed, n_draws: int, batch: int):
+    """Yield the stacked (draws, K, K) products G = H_hat^H H_hat and
+    C = H_hat^H H of each batch of draws; batch i draws from `seed.child(i)`."""
+    for index, done in enumerate(range(0, n_draws, batch)):
+        count = min(batch, n_draws - done)
+        h, h_hat = _draw_estimated_channels(seed.child(index), params.m, betas, params.pilot_snr, params.tau, count)
+        # (draws, M, K) copies, so that every matrix in the stack is a BLAS operand
+        h = np.ascontiguousarray(h.transpose(2, 0, 1))
+        h_hat = np.ascontiguousarray(h_hat.transpose(2, 0, 1))
+        h_hat_h = h_hat.conj().transpose(0, 2, 1)
+        yield h_hat_h @ h_hat, h_hat_h @ h
+
+
 def simulate_ul_rates(
     params: SystemParams,
     scheme: str,
@@ -165,35 +178,37 @@ def simulate_ul_rates(
     batch: int = 250,
 ) -> np.ndarray:
     """Ergodic per-terminal net uplink rate of the actual receiver, averaged
-    over channel and estimation noise. Upper-bounds the closed forms."""
+    over channel and estimation noise. Upper-bounds the closed forms.
+
+    With combiner columns a_k, terminal k's SINR is rho |a_k^H h_k|^2 /
+    (rho sum_{j != k} |a_k^H h_j|^2 + ||a_k||^2). Both terms are read from
+    G = H_hat^H H_hat and C = H_hat^H H: for MRC (A = H_hat), A^H H = C and
+    ||a_k||^2 = G_kk; for ZF (A = H_hat G^-1 = pinv(H_hat)^H at full column
+    rank), A^H H = G^-1 C and ||a_k||^2 = [G^-1]_kk. ZF raises `RankError`
+    unless K < M and every G is nonsingular.
+    """
     if scheme not in _SCHEMES:
         raise DomainError(f"scheme must be one of {_SCHEMES}")
     if params.rho_ul is None:
         raise DomainError("uplink simulation needs rho_ul")
     b = np.asarray(betas, dtype=float)
+    if scheme == "zf" and b.size >= params.m:
+        raise RankError(f"zero-forcing needs K < M, got K={b.size}, M={params.m}")
     rho = params.rho_ul
     total_rate = np.zeros(b.size)
-    done = 0
-    index = 0
-    while done < n_draws:
-        count = min(batch, n_draws - done)
-        h, h_hat = _draw_estimated_channels(seed.child(index), params.m, b, params.pilot_snr, params.tau, count)
-        if scheme == "mrc":
-            combiner = h_hat
-        else:
-            combiner = np.empty_like(h_hat)
-            for d in range(count):
-                # rows of pinv(H_hat^H)^H = combiner columns satisfying A^H H_hat = I
-                combiner[:, :, d] = np.linalg.pinv(h_hat[:, :, d]).conj().T
-        cross = np.einsum("mkd,mjd->kjd", combiner.conj(), h)
+    for gram, cross in _gram_batches(params, b, seed, n_draws, batch):
+        if scheme == "zf":
+            try:
+                gram = np.linalg.inv(gram)
+            except np.linalg.LinAlgError as exc:
+                raise RankError("zero-forcing: singular estimate Gram matrix") from exc
+            cross = gram @ cross
         powers = np.abs(cross) ** 2
-        signal = np.einsum("kkd->kd", powers)
-        interference = powers.sum(axis=1) - signal
-        combiner_norm = np.sum(np.abs(combiner) ** 2, axis=0)
+        signal = np.diagonal(powers, axis1=1, axis2=2)
+        interference = powers.sum(axis=2) - signal
+        combiner_norm = np.diagonal(gram, axis1=1, axis2=2).real
         sinr = rho * signal / (rho * interference + combiner_norm)
-        total_rate += np.sum(np.log2(1.0 + sinr), axis=1)
-        done += count
-        index += 1
+        total_rate += np.sum(np.log2(1.0 + sinr), axis=0)
     return params.overhead_prefactor * total_rate / n_draws
 
 
@@ -206,28 +221,24 @@ def simulate_dl_rates(
     batch: int = 250,
 ) -> np.ndarray:
     """Ergodic per-terminal net downlink rate under conjugate beamforming with
-    statistically normalised streams (the convention of `dl_mrt_sinr`)."""
+    statistically normalised streams (the convention of `dl_mrt_sinr`).
+
+    Stream j is sent on s_j conj(h_hat_j) with s_j^2 = rho_dl eta_j / (M gamma_j),
+    so terminal k hears it with power s_j^2 |C_jk|^2, C = H_hat^H H.
+    """
     if params.rho_dl is None:
         raise DomainError("downlink simulation needs rho_dl")
     b = np.asarray(betas, dtype=float)
     e = np.asarray(eta, dtype=float)
     g = estimate_quality(b, params.pilot_snr, params.tau)
-    stream_scale = np.sqrt(params.rho_dl * e / (params.m * g))
+    stream_power = (params.rho_dl * e / (params.m * g))[:, None]
     total_rate = np.zeros(b.size)
-    done = 0
-    index = 0
-    while done < n_draws:
-        count = min(batch, n_draws - done)
-        h, h_hat = _draw_estimated_channels(seed.child(index), params.m, b, params.pilot_snr, params.tau, count)
-        w = np.conj(h_hat) * stream_scale[None, :, None]
-        cross = np.einsum("mkd,mjd->kjd", h, w)
-        powers = np.abs(cross) ** 2
-        signal = np.einsum("kkd->kd", powers)
+    for _, cross in _gram_batches(params, b, seed, n_draws, batch):
+        powers = stream_power * np.abs(cross) ** 2
+        signal = np.diagonal(powers, axis1=1, axis2=2)
         interference = powers.sum(axis=1) - signal
         sinr = signal / (interference + 1.0)
-        total_rate += np.sum(np.log2(1.0 + sinr), axis=1)
-        done += count
-        index += 1
+        total_rate += np.sum(np.log2(1.0 + sinr), axis=0)
     return params.overhead_prefactor * total_rate / n_draws
 
 
@@ -450,6 +461,7 @@ class RuralResult:
     sinr: np.ndarray
     served: int
     n_terminals: int
+    bandwidth_hz: float
     pilot_quality_min: float  # min over drops of min_k gamma_k / beta_k
     sensitivity_mbps: dict
 
@@ -472,9 +484,7 @@ class RuralResult:
             "throughput_per_terminal_mbps_mean": float(np.mean(rate)),
             "throughput_per_terminal_mbps_median": float(np.median(rate)),
             "sum_throughput_gbps_mean": float(np.mean(self.sum_throughput_gbps)),
-            "sum_spectral_efficiency_bps_hz": float(
-                np.mean(self.sum_throughput_gbps) * 1e9 / 20e6
-            ),
+            "sum_spectral_efficiency_bps_hz": float(np.mean(self.sum_throughput_gbps) * 1e9 / self.bandwidth_hz),
             "pilot_quality_min": self.pilot_quality_min,
             "sensitivity_mbps": self.sensitivity_mbps,
         }
@@ -536,6 +546,7 @@ def rural_broadband(config: RuralConfig, seed: Seed, drops: int, workers: int = 
         sinr=sinrs,
         served=served_counts.pop(),
         n_terminals=config.n_terminals,
+        bandwidth_hz=config.bandwidth_hz,
         pilot_quality_min=float(min(r[3] for r in rows)),
         sensitivity_mbps={
             "pilot_power_x0.1_mean": float(np.mean([r[4] for r in rows])),

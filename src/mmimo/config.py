@@ -224,6 +224,8 @@ def parse_config(
             except ValueError as exc:
                 raise ConfigError(f"key '{section}.{key}': {exc}") from exc
 
+    if "k" in params and params["k"] < 1:
+        raise ConfigError(f"key '{name}.k' must be >= 1")
     if channels_path is not None and name not in ("svd-spread", "mrt-sumrate"):
         raise ConfigError(f"measured channels are only supported for svd-spread and mrt-sumrate, not {name!r}")
 
@@ -241,6 +243,6 @@ def parse_config(
         raise ConfigError("trials must be >= 1")
     if config.workers < 1:
         raise ConfigError("workers must be >= 1")
-    if config.seed < 0:
-        raise ConfigError("seed must be >= 0")
+    if not 0 <= config.seed < 2**64:
+        raise ConfigError("seed must be in [0, 2**64)")
     return config

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -227,6 +232,81 @@ class TestMaxMinPowerControl:
             cap.maxmin_power_control(np.array([]), np.array([]), 1.0, 4)
 
 
+def per_draw_reference_rates(params, betas, eta, seed, n_draws):
+    """MRC, ZF and downlink rates from an explicit loop over one batch of
+    draws, with the ZF combiner taken from `np.linalg.pinv`."""
+    h, h_hat = cap._draw_estimated_channels(seed.child(0), params.m, betas, params.pilot_snr, params.tau, n_draws)
+    gammas = cap.estimate_quality(betas, params.pilot_snr, params.tau)
+    stream_scale = np.sqrt(params.rho_dl * eta / (params.m * gammas))
+    rho = params.rho_ul
+    rates = {"mrc": 0.0, "zf": 0.0, "dl": 0.0}
+    for d in range(n_draws):
+        channel, estimate = h[:, :, d], h_hat[:, :, d]
+        for scheme, combiner in (("mrc", estimate), ("zf", np.linalg.pinv(estimate).conj().T)):
+            powers = np.abs(combiner.conj().T @ channel) ** 2
+            signal = np.diag(powers)
+            noise = np.sum(np.abs(combiner) ** 2, axis=0)
+            rates[scheme] = rates[scheme] + np.log2(1.0 + rho * signal / (rho * (powers.sum(axis=1) - signal) + noise))
+        heard = np.abs(channel.T @ (estimate.conj() * stream_scale)) ** 2  # [terminal, stream]
+        signal = np.diag(heard)
+        rates["dl"] = rates["dl"] + np.log2(1.0 + signal / (heard.sum(axis=1) - signal + 1.0))
+    return {key: params.overhead_prefactor * total / n_draws for key, total in rates.items()}
+
+
+_BLAS_THREADS_SCRIPT = """
+import sys
+import numpy as np
+from mmimo import capacity as cap
+from mmimo.numerics import Seed
+params = cap.SystemParams(m=100, k=40, tau=40, coherence_symbols=196, rho_ul=1.0, rho_dl=1.0)
+betas = np.linspace(0.5, 2.0, 40)
+zf = cap.simulate_ul_rates(params, "zf", betas, Seed(5), n_draws=500)
+dl = cap.simulate_dl_rates(params, betas, np.full(40, 1.0 / 40), Seed(6), n_draws=500)
+sys.stdout.write(np.concatenate([zf, dl]).tobytes().hex())
+"""
+
+
+class TestRateSimulators:
+    def test_matches_per_draw_reference(self):
+        params = cap.SystemParams(m=8, k=3, tau=3, coherence_symbols=196, rho_ul=2.0, rho_dl=2.0)
+        betas = np.array([0.5, 1.0, 1.7])
+        eta = np.array([0.2, 0.3, 0.5])
+        expected = per_draw_reference_rates(params, betas, eta, Seed(9), 20)
+        for scheme in ("mrc", "zf"):
+            simulated = cap.simulate_ul_rates(params, scheme, betas, Seed(9), n_draws=20)
+            np.testing.assert_allclose(simulated, expected[scheme], rtol=1e-12, atol=0.0)
+        simulated = cap.simulate_dl_rates(params, betas, eta, Seed(9), n_draws=20)
+        np.testing.assert_allclose(simulated, expected["dl"], rtol=1e-12, atol=0.0)
+
+    def test_zf_needs_fewer_terminals_than_antennas(self):
+        params = cap.SystemParams(m=4, k=4, tau=4, coherence_symbols=100, rho_ul=1.0)
+        with pytest.raises(RankError):
+            cap.simulate_ul_rates(params, "zf", np.ones(4), Seed(0), n_draws=10)
+
+    def test_zf_singular_gram_raises_rank_error(self):
+        # A terminal with no channel leaves an all-zero estimate column.
+        params = cap.SystemParams(m=4, k=2, tau=2, coherence_symbols=100, rho_ul=1.0)
+        with pytest.raises(RankError):
+            cap.simulate_ul_rates(params, "zf", np.array([1.0, 0.0]), Seed(0), n_draws=10)
+
+    def test_blas_threads_do_not_change_rates(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+            done = subprocess.run(
+                [sys.executable, "-c", _BLAS_THREADS_SCRIPT],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            )
+            outputs.append(done.stdout)
+        assert outputs[0] and outputs[0] == outputs[1]
+
+
 class TestDlBoundValidity:
     def test_dl_bound_below_simulation(self):
         m, k = 64, 8
@@ -262,6 +342,11 @@ class TestRuralBroadband:
         assert summary["served_per_drop"] == 950
         assert "throughput_95_likely_mbps" in summary
         assert "sensitivity_mbps" in summary
+
+    def test_summary_uses_configured_bandwidth(self):
+        config = cap.RuralConfig(allow_override=True, bandwidth_hz=10e6)
+        summary = cap.rural_broadband(config, Seed(5), drops=2).summary()
+        assert summary["sum_spectral_efficiency_bps_hz"] == summary["sum_throughput_gbps_mean"] * 1e9 / 10e6
 
     def test_workers_do_not_change_results(self):
         serial = cap.rural_broadband(cap.RuralConfig(), Seed(4), drops=6, workers=1)

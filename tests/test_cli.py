@@ -184,6 +184,31 @@ class TestCliProcess:
         )
         assert outcome.exit_code == 3
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize(
+        "experiment, seed, k",
+        [("svd-spread", 2**64, 4), ("svd-spread", 1, 0), ("mrt-sumrate", 1, 0)],
+    )
+    def test_invalid_value_rejected_before_run(self, tmp_path, command, experiment, seed, k):
+        body = f"[experiment]\nexperiment = {experiment}\ntrials = 2\nseed = {seed}\n\n[{experiment}]\nk = {k}\n"
+        path = write_config(tmp_path / "c.ini", body)
+        args = [command, "--config", path]
+        if command == "run":
+            args += ["--out", str(tmp_path / "o")]
+        outcome = CliRunner().invoke(main, args)
+        assert outcome.exit_code == 2
+        assert outcome.stderr.startswith("config error:")
+        assert "Traceback" not in outcome.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_seed_option_out_of_range_exit_code_2(self, tmp_path):
+        path = write_config(tmp_path / "c.ini", "[experiment]\nexperiment = svd-spread\ntrials = 2\n")
+        outcome = CliRunner().invoke(
+            main, ["run", "--config", path, "--seed", str(2**64), "--out", str(tmp_path / "o")]
+        )
+        assert outcome.exit_code == 2
+        assert "Traceback" not in outcome.stderr
+
     def test_run_emits_files(self, tmp_path):
         path = write_config(
             tmp_path / "c.ini",
