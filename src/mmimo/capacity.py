@@ -18,7 +18,6 @@ import numpy as np
 from .channel import build_large_scale_profile, place_terminals
 from .errors import ConfigError, DimensionError, DomainError, RankError
 from .numerics import Seed, draw_complex_gaussian
-from .parallel import ordered_trial_map
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 
@@ -156,17 +155,17 @@ def _draw_estimated_channels(seed: Seed, m: int, betas: np.ndarray, rho_pilot: f
     return h, h_hat
 
 
-def _gram_batches(params: SystemParams, betas: np.ndarray, seed: Seed, n_draws: int, batch: int):
-    """Yield the stacked (draws, K, K) products G = H_hat^H H_hat and
-    C = H_hat^H H of each batch of draws; batch i draws from `seed.child(i)`."""
+def _channel_batches(params: SystemParams, betas: np.ndarray, seed: Seed, n_draws: int, batch: int):
+    """Yield the stacked (draws, M, K) true channels H and estimates H_hat of
+    each batch of draws; batch i draws from `seed.child(i)`."""
     for index, done in enumerate(range(0, n_draws, batch)):
         count = min(batch, n_draws - done)
         h, h_hat = _draw_estimated_channels(seed.child(index), params.m, betas, params.pilot_snr, params.tau, count)
-        # (draws, M, K) copies, so that every matrix in the stack is a BLAS operand
+        # (draws, M, K) copies, so that every matrix in the stack is a BLAS operand;
+        # rebinding frees the originals before the batch is used
         h = np.ascontiguousarray(h.transpose(2, 0, 1))
         h_hat = np.ascontiguousarray(h_hat.transpose(2, 0, 1))
-        h_hat_h = h_hat.conj().transpose(0, 2, 1)
-        yield h_hat_h @ h_hat, h_hat_h @ h
+        yield h, h_hat
 
 
 def simulate_ul_rates(
@@ -196,7 +195,9 @@ def simulate_ul_rates(
         raise RankError(f"zero-forcing needs K < M, got K={b.size}, M={params.m}")
     rho = params.rho_ul
     total_rate = np.zeros(b.size)
-    for gram, cross in _gram_batches(params, b, seed, n_draws, batch):
+    for h, h_hat in _channel_batches(params, b, seed, n_draws, batch):
+        h_hat_h = h_hat.conj().transpose(0, 2, 1)
+        gram, cross = h_hat_h @ h_hat, h_hat_h @ h
         if scheme == "zf":
             try:
                 gram = np.linalg.inv(gram)
@@ -233,7 +234,8 @@ def simulate_dl_rates(
     g = estimate_quality(b, params.pilot_snr, params.tau)
     stream_power = (params.rho_dl * e / (params.m * g))[:, None]
     total_rate = np.zeros(b.size)
-    for _, cross in _gram_batches(params, b, seed, n_draws, batch):
+    for h, h_hat in _channel_batches(params, b, seed, n_draws, batch):
+        cross = h_hat.conj().transpose(0, 2, 1) @ h
         powers = stream_power * np.abs(cross) ** 2
         signal = np.diagonal(powers, axis1=1, axis2=2)
         interference = powers.sum(axis=1) - signal
@@ -505,7 +507,7 @@ def _rural_equal_rate(config: RuralConfig, betas: np.ndarray, pilot_scale: float
     return rate_mbps, control, quality
 
 
-def rural_broadband(config: RuralConfig, seed: Seed, drops: int, workers: int = 1) -> RuralResult:
+def rural_broadband(config: RuralConfig, seed: Seed, drops: int) -> RuralResult:
     """Monte Carlo over terminal placement and shadow fading.
 
     Each drop re-places the terminals, rebuilds the slow-fading profile, runs
@@ -535,7 +537,7 @@ def rural_broadband(config: RuralConfig, seed: Seed, drops: int, workers: int = 
         stronger, _, _ = _rural_equal_rate(config, profile.beta, pilot_scale=10.0)
         return rate, control.sinr, len(control.served), quality, weaker, stronger
 
-    rows = list(ordered_trial_map(one_drop, drops, workers))
+    rows = [one_drop(index) for index in range(drops)]
     rates = np.array([r[0] for r in rows])
     sinrs = np.array([r[1] for r in rows])
     served_counts = {r[2] for r in rows}

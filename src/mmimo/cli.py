@@ -40,7 +40,7 @@ def _load_config(config_path, seed, trials, paper_scale, out_dir, channels, work
 @click.option("--paper-scale", is_flag=True, help="Use full-scale run parameters as defaults.")
 @click.option("--out", "out_dir", type=click.Path(), default=None, help="Output directory.")
 @click.option("--channels", type=click.Path(), default=None, help="Measured-channel CFCSV file.")
-@click.option("--workers", type=int, default=None, help="Worker threads for independent trials.")
+@click.option("--workers", type=int, default=None, help="Worker threads for focusing-map trials; others run in order.")
 def run_command(config_path, seed, trials, paper_scale, out_dir, channels, workers):
     """Run one experiment and emit its CSV tables and JSON summary."""
     try:

@@ -10,9 +10,10 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-from dataclasses import dataclass
-from typing import Any, Callable
+from dataclasses import dataclass, fields
+from typing import Any, Callable, get_type_hints
 
+from .capacity import RuralConfig
 from .errors import ConfigError
 
 EXPERIMENTS = (
@@ -45,15 +46,26 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _parse_scheme(text: str) -> str:
+    if text not in ("mrt", "zf", "both"):
+        raise ValueError(f"must be mrt, zf, or both, got {text!r}")
+    return text
+
+
 @dataclass(frozen=True)
 class Option:
     parse: Callable[[str], Any]
     default: Any
-    paper_scale: Any = None  # replaces default under --paper-scale when set
 
 
-# Per-experiment parameter schemas. Defaults are desk-scale; the paper_scale
-# column holds the full-scale run parameters where they differ.
+def _dataclass_schema(cls) -> dict[str, Option]:
+    """One option per field of `cls`, parsed by its int, float or bool type."""
+    parsers, hints = {int: int, float: float, bool: _parse_bool}, get_type_hints(cls)
+    return {f.name: Option(parsers[hints[f.name]], f.default) for f in fields(cls)}
+
+
+# Per-experiment parameter schemas; the defaults are the same at desk and
+# paper scale, which differ only in trial counts.
 SCHEMAS: dict[str, dict[str, Option]] = {
     "svd-spread": {
         "m_list": Option(_parse_int_list, [4, 32, 128]),
@@ -67,7 +79,7 @@ SCHEMAS: dict[str, dict[str, Option]] = {
     "focusing-map": {
         "m": Option(int, 64),
         "n_scatterers": Option(int, 400),
-        "scheme": Option(str, "both"),
+        "scheme": Option(_parse_scheme, "both"),
         "region_side_lambda": Option(float, 800.0),
         "bs_distance_lambda": Option(float, 1600.0),
         "antenna_spacing_lambda": Option(float, 4.0),
@@ -92,24 +104,7 @@ SCHEMAS: dict[str, dict[str, Option]] = {
         "rho_pilot": Option(float, 1.0),
         "tau": Option(int, 16),
     },
-    "rural-broadband": {
-        "m": Option(int, 6400),
-        "n_terminals": Option(int, 1000),
-        "total_power_w": Option(float, 120.0),
-        "bandwidth_hz": Option(float, 20e6),
-        "carrier_hz": Option(float, 1.9e9),
-        "radius_km": Option(float, 6.0),
-        "exclusion_km": Option(float, 0.035),
-        "pilot_fraction": Option(float, 0.25),
-        "coherence_s": Option(float, 0.164),
-        "noise_figure_db": Option(float, 9.0),
-        "terminal_gain_db": Option(float, 8.0),
-        "base_gain_db": Option(float, 0.0),
-        "shadow_sigma_db": Option(float, 8.0),
-        "drop_fraction": Option(float, 0.05),
-        "terminal_pilot_power_w": Option(float, 0.1),
-        "allow_override": Option(_parse_bool, False),
-    },
+    "rural-broadband": _dataclass_schema(RuralConfig),
 }
 
 # (desk-scale default, paper-scale) trial counts per experiment.
@@ -154,7 +149,8 @@ class ExperimentConfig:
         return out
 
     def config_hash(self) -> str:
-        canonical = json.dumps(self.resolved(), sort_keys=True)
+        # output_dir names where results go, not what is computed.
+        canonical = json.dumps({k: v for k, v in self.resolved().items() if k != "output_dir"}, sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -206,10 +202,7 @@ def parse_config(
     file_trials = common_int("trials", paper_trials if paper_scale else desk_trials)
 
     schema = SCHEMAS[name]
-    params: dict[str, Any] = {}
-    for key, option in schema.items():
-        default = option.paper_scale if (paper_scale and option.paper_scale is not None) else option.default
-        params[key] = default
+    params: dict[str, Any] = {key: option.default for key, option in schema.items()}
 
     for section in parser.sections():
         if section == "experiment":

@@ -17,9 +17,7 @@ import numpy as np
 
 from . import __version__, capacity, channel, pilots, transceiver
 from .config import ExperimentConfig
-from .errors import ConfigError
 from .numerics import EmpiricalCdf, Seed, singular_value_spread_db
-from .parallel import ordered_trial_map
 
 
 @dataclass(frozen=True)
@@ -94,27 +92,33 @@ def emit_tables(result: ExperimentResult, output_dir) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+def _channel_groups(config: ExperimentConfig):
+    """Yield (M, K, matrices) per antenna count for svd-spread and mrt-sumrate:
+    the measured CFCSV set as one group, or for each `m_list` entry its i.i.d.
+    draws in trial order, drawn one matrix at a time."""
+    if config.channels_path is not None:
+        measured = channel.load_measured_channels(config.channels_path)
+        yield measured.m, measured.k, iter(measured.matrices)
+        return
+    k = config.params["k"]
+    seed = Seed(config.seed)
+    for mi, m in enumerate(config.params["m_list"]):
+        yield m, k, _iid_draws(seed.child(mi), m, k, config.trials)
+
+
+def _iid_draws(seed: Seed, m: int, k: int, trials: int):
+    # A function, not a generator expression, so that each group binds its own seed and m.
+    for t in range(trials):
+        yield channel.gen_iid_channel(seed.child(t), m, k)
+
+
 def _run_svd_spread(config: ExperimentConfig):
     rows: list[tuple] = []
     medians: dict[str, float] = {}
-    if config.channels_path is not None:
-        measured = channel.load_measured_channels(config.channels_path)
-        spreads = [
-            singular_value_spread_db(measured.matrices[f]) for f in range(measured.f)
-        ]
-        rows.extend((measured.m, measured.k, f, s) for f, s in enumerate(spreads))
-        medians[str(measured.m)] = EmpiricalCdf.from_samples(spreads, unit="dB").median
-    else:
-        k = config.params["k"]
-        seed = Seed(config.seed)
-        for mi, m in enumerate(config.params["m_list"]):
-            def one_trial(t: int, mi=mi, m=m) -> float:
-                h = channel.gen_iid_channel(seed.child(mi, t), m, k)
-                return singular_value_spread_db(h)
-
-            spreads = list(ordered_trial_map(one_trial, config.trials, config.workers))
-            rows.extend((m, k, t, s) for t, s in enumerate(spreads))
-            medians[str(m)] = EmpiricalCdf.from_samples(spreads, unit="dB").median
+    for m, k, matrices in _channel_groups(config):
+        spreads = [singular_value_spread_db(h) for h in matrices]
+        rows.extend((m, k, t, s) for t, s in enumerate(spreads))
+        medians[str(m)] = EmpiricalCdf.from_samples(spreads, unit="dB").median
     summary = {"median_spread_db": medians}
     return summary, {"spread": Table(("M", "K", "trial", "spread_db"), rows)}
 
@@ -132,25 +136,12 @@ def _mrt_sum_rate(h: np.ndarray, snr_linear: float) -> float:
 
 def _run_mrt_sumrate(config: ExperimentConfig):
     snr = 10.0 ** (config.params["target_snr_db"] / 10.0)
-    k = config.params["k"]
     rows: list[tuple] = []
     means: dict[str, float] = {}
-    if config.channels_path is not None:
-        measured = channel.load_measured_channels(config.channels_path)
-        rates = [_mrt_sum_rate(measured.matrices[f], snr) for f in range(measured.f)]
-        rows.extend((measured.m, measured.k, f, r) for f, r in enumerate(rates))
-        means[str(measured.m)] = float(np.mean(rates))
-        k = measured.k
-    else:
-        seed = Seed(config.seed)
-        for mi, m in enumerate(config.params["m_list"]):
-            def one_trial(t: int, mi=mi, m=m) -> float:
-                h = channel.gen_iid_channel(seed.child(mi, t), m, k)
-                return _mrt_sum_rate(h, snr)
-
-            rates = list(ordered_trial_map(one_trial, config.trials, config.workers))
-            rows.extend((m, k, t, r) for t, r in enumerate(rates))
-            means[str(m)] = float(np.mean(rates))
+    for m, k, matrices in _channel_groups(config):
+        rates = [_mrt_sum_rate(h, snr) for h in matrices]
+        rows.extend((m, k, t, r) for t, r in enumerate(rates))
+        means[str(m)] = float(np.mean(rates))
     summary = {
         "mean_sum_rate_bps_hz": means,
         "interference_free_ceiling_bps_hz": k * math.log2(1.0 + snr),
@@ -166,8 +157,6 @@ def _run_mrt_sumrate(config: ExperimentConfig):
 def _run_focusing_map(config: ExperimentConfig):
     p = config.params
     schemes = ("mrt", "zf") if p["scheme"] == "both" else (p["scheme"],)
-    if any(s not in ("mrt", "zf") for s in schemes):
-        raise ConfigError(f"focusing-map.scheme must be mrt, zf, or both, got {p['scheme']!r}")
     seed = Seed(config.seed)
     scene = channel.make_focusing_scene(
         seed.child(0),
@@ -296,7 +285,7 @@ def _run_pilot_contamination(config: ExperimentConfig):
 def _run_rural(config: ExperimentConfig):
     p = dict(config.params)
     rural_config = capacity.RuralConfig(**p)
-    result = capacity.rural_broadband(rural_config, Seed(config.seed), config.trials, config.workers)
+    result = capacity.rural_broadband(rural_config, Seed(config.seed), config.trials)
     rows = []
     for d in range(config.trials):
         rows.append(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterator, TypeVar
 
@@ -12,11 +13,13 @@ def ordered_trial_map(fn: Callable[[int], T], n_trials: int, workers: int = 1) -
     """Yield fn(0), ..., fn(n_trials - 1) in index order.
 
     Trials must be pure functions of their index (seeds derived per index),
-    so the worker count never changes results, only wall-clock time.
+    so the worker count never changes results, only wall-clock time. At most
+    min(workers, n_trials, os.cpu_count()) threads are started.
     """
-    if workers is None or workers <= 1 or n_trials <= 1:
+    threads = min(workers or 1, n_trials, os.cpu_count() or 1)
+    if threads <= 1:
         for i in range(n_trials):
             yield fn(i)
         return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         yield from pool.map(fn, range(n_trials))

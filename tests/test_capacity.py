@@ -347,8 +347,3 @@ class TestRuralBroadband:
         config = cap.RuralConfig(allow_override=True, bandwidth_hz=10e6)
         summary = cap.rural_broadband(config, Seed(5), drops=2).summary()
         assert summary["sum_spectral_efficiency_bps_hz"] == summary["sum_throughput_gbps_mean"] * 1e9 / 10e6
-
-    def test_workers_do_not_change_results(self):
-        serial = cap.rural_broadband(cap.RuralConfig(), Seed(4), drops=6, workers=1)
-        threaded = cap.rural_broadband(cap.RuralConfig(), Seed(4), drops=6, workers=3)
-        assert np.array_equal(serial.equal_rate_mbps, threaded.equal_rate_mbps)

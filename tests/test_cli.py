@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,6 +65,19 @@ class TestParseConfig:
         path = write_config(tmp_path / "c.ini", "[experiment]\nexperiment = focusing-map\n")
         with pytest.raises(ConfigError, match="measured channels"):
             parse_config(path, channels_path="whatever.cfcsv")
+
+    def test_config_hash_ignores_output_dir_only(self, tmp_path):
+        path = write_config(tmp_path / "c.ini", "[experiment]\nexperiment = svd-spread\n")
+        base = parse_config(path, output_dir="a")
+        assert replace(base, output_dir="b").config_hash() == base.config_hash()
+        for change in (
+            {"seed": 1},
+            {"trials": 3},
+            {"paper_scale": True},
+            {"channels_path": "set.cfcsv"},
+            {"params": {**base.params, "k": 5}},
+        ):
+            assert replace(base, **change).config_hash() != base.config_hash(), change
 
     def test_overrides_apply(self, tmp_path):
         path = write_config(
@@ -186,11 +200,12 @@ class TestCliProcess:
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize(
-        "experiment, seed, k",
-        [("svd-spread", 2**64, 4), ("svd-spread", 1, 0), ("mrt-sumrate", 1, 0)],
+        "experiment, seed, value",
+        [("svd-spread", 2**64, 4), ("svd-spread", 1, 0), ("mrt-sumrate", 1, 0), ("focusing-map", 1, "foo")],
     )
-    def test_invalid_value_rejected_before_run(self, tmp_path, command, experiment, seed, k):
-        body = f"[experiment]\nexperiment = {experiment}\ntrials = 2\nseed = {seed}\n\n[{experiment}]\nk = {k}\n"
+    def test_invalid_value_rejected_before_run(self, tmp_path, command, experiment, seed, value):
+        key = "scheme" if experiment == "focusing-map" else "k"
+        body = f"[experiment]\nexperiment = {experiment}\ntrials = 2\nseed = {seed}\n\n[{experiment}]\n{key} = {value}\n"
         path = write_config(tmp_path / "c.ini", body)
         args = [command, "--config", path]
         if command == "run":

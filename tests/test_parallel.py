@@ -1,0 +1,15 @@
+import os
+import threading
+import time
+
+from mmimo.parallel import ordered_trial_map
+
+
+def test_threads_capped_at_cpu_count():
+    def trial(index):
+        time.sleep(0.01)
+        return index, threading.get_ident()
+
+    results = list(ordered_trial_map(trial, 8, workers=64))
+    assert [index for index, _ in results] == list(range(8))
+    assert len({ident for _, ident in results}) <= os.cpu_count()
