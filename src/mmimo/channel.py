@@ -150,9 +150,25 @@ class ScattererScene:
         return self.antenna_positions.shape[0]
 
 
-def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.sum(diff**2, axis=2))
+def _ray_leg(origins: np.ndarray, scene: ScattererScene, floor: float) -> np.ndarray:
+    """(rows, S) complex leg amp * exp(-j*2*pi*d/lambda) from each origin to each
+    scatterer, with amp = 1/max(d, floor). Only the two coordinate differences
+    and the complex leg are allocated; every other step works in place."""
+    dx = origins[:, 0:1] - scene.scatterer_positions[:, 0]
+    dy = origins[:, 1:2] - scene.scatterer_positions[:, 1]
+    dx *= dx
+    dy *= dy
+    d = np.sqrt(np.add(dx, dy, out=dx), out=dx)
+    if not d.all():
+        raise GeometryError("coincident antenna/scatterer/point produces a zero-length ray")
+    d /= scene.wavelength
+    # d > 0 here, so a floor <= 0 leaves the amplitude at 1/d.
+    amp = np.maximum(d, floor, out=dy)
+    np.divide(1.0, amp, out=amp)
+    leg = -2j * np.pi * d
+    np.exp(leg, out=leg)
+    leg *= amp
+    return leg
 
 
 def scatterer_channel_matrix(
@@ -169,18 +185,9 @@ def scatterer_channel_matrix(
     an evaluation point falls next to a scatterer. Returns (P, M) complex.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    d_ant = _pairwise_distances(scene.antenna_positions, scene.scatterer_positions)
-    d_pts = _pairwise_distances(pts, scene.scatterer_positions)
-    if np.any(d_ant == 0.0) or np.any(d_pts == 0.0):
-        raise GeometryError("coincident antenna/scatterer/point produces a zero-length ray")
-    d_ant = d_ant / scene.wavelength
-    d_pts = d_pts / scene.wavelength
-    floor = min_amplitude_distance
-    amp_ant = 1.0 / (d_ant if floor <= 0.0 else np.maximum(d_ant, floor))
-    amp_pts = 1.0 / (d_pts if floor <= 0.0 else np.maximum(d_pts, floor))
+    ant_leg = _ray_leg(scene.antenna_positions, scene, min_amplitude_distance)
+    pts_leg = _ray_leg(pts, scene, min_amplitude_distance)
     # The ray sum factorises over the shared scatterer index.
-    ant_leg = amp_ant * np.exp(-2j * np.pi * d_ant)
-    pts_leg = amp_pts * np.exp(-2j * np.pi * d_pts)
     return pts_leg @ ant_leg.T
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields
 from typing import Any, Callable, get_type_hints
 
@@ -46,6 +47,20 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _parse_positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"must be >= 1, got {value}")
+    return value
+
+
+def _parse_positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"must be a finite number > 0, got {text.strip()!r}")
+    return value
+
+
 def _parse_scheme(text: str) -> str:
     if text not in ("mrt", "zf", "both"):
         raise ValueError(f"must be mrt, zf, or both, got {text!r}")
@@ -69,23 +84,23 @@ def _dataclass_schema(cls) -> dict[str, Option]:
 SCHEMAS: dict[str, dict[str, Option]] = {
     "svd-spread": {
         "m_list": Option(_parse_int_list, [4, 32, 128]),
-        "k": Option(int, 4),
+        "k": Option(_parse_positive_int, 4),
     },
     "mrt-sumrate": {
         "m_list": Option(_parse_int_list, [4, 8, 16, 32, 64, 128]),
-        "k": Option(int, 4),
+        "k": Option(_parse_positive_int, 4),
         "target_snr_db": Option(float, 10.0),
     },
     "focusing-map": {
-        "m": Option(int, 64),
-        "n_scatterers": Option(int, 400),
+        "m": Option(_parse_positive_int, 64),
+        "n_scatterers": Option(_parse_positive_int, 400),
         "scheme": Option(_parse_scheme, "both"),
-        "region_side_lambda": Option(float, 800.0),
+        "region_side_lambda": Option(_parse_positive_float, 800.0),
         "bs_distance_lambda": Option(float, 1600.0),
-        "antenna_spacing_lambda": Option(float, 4.0),
-        "other_user_offset_lambda": Option(float, 40.0),
+        "antenna_spacing_lambda": Option(_parse_positive_float, 4.0),
+        "other_user_offset_lambda": Option(_parse_positive_float, 40.0),
         "grid_extent_lambda": Option(float, 400.0),
-        "grid_points": Option(int, 41),
+        "grid_points": Option(_parse_positive_int, 41),
     },
     "ee-se-tradeoff": {
         "rho_min_db": Option(float, -30.0),
@@ -149,8 +164,13 @@ class ExperimentConfig:
         return out
 
     def config_hash(self) -> str:
-        # output_dir names where results go, not what is computed.
-        canonical = json.dumps({k: v for k, v in self.resolved().items() if k != "output_dir"}, sort_keys=True)
+        # output_dir names where results go, not what is computed; likewise the
+        # measured file's content, not its path, decides every output.
+        described = {k: v for k, v in self.resolved().items() if k not in ("output_dir", "channels_path")}
+        if self.channels_path is not None:
+            with open(self.channels_path, "rb") as fh:
+                described["channels_sha256"] = hashlib.sha256(fh.read()).hexdigest()
+        canonical = json.dumps(described, sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -217,8 +237,6 @@ def parse_config(
             except ValueError as exc:
                 raise ConfigError(f"key '{section}.{key}': {exc}") from exc
 
-    if "k" in params and params["k"] < 1:
-        raise ConfigError(f"key '{name}.k' must be >= 1")
     if channels_path is not None and name not in ("svd-spread", "mrt-sumrate"):
         raise ConfigError(f"measured channels are only supported for svd-spread and mrt-sumrate, not {name!r}")
 

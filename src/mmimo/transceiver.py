@@ -191,6 +191,8 @@ def field_map(
         raise DomainError(f"unknown precoder scheme {precoder_scheme!r}")
     gx = np.asarray(grid_x, dtype=float)
     gy = np.asarray(grid_y, dtype=float)
+    if gx.size == 0 or gy.size == 0:
+        raise DomainError("field map needs at least one grid point on each axis")
     xs, ys = np.meshgrid(gx, gy)
     grid_points = np.column_stack([xs.ravel(), ys.ravel()])
     terminals = scene.terminal_positions

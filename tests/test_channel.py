@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,31 @@ class TestScattererChannel:
         stacked = scatterer_channel_matrix(scene, pts)
         for i, p in enumerate(pts):
             assert np.allclose(stacked[i], scatterer_channel(scene, p))
+
+    @pytest.mark.parametrize("floor", [0.0, 2.0])
+    def test_matrix_bit_identical_to_pairwise_reference(self, floor):
+        scene = dataclasses.replace(make_focusing_scene(Seed(7), m_antennas=6, n_scatterers=30), wavelength=0.75)
+        # Grid points plus points within the floor of a scatterer, where it binds.
+        pts = np.vstack([np.linspace(-300.0, 300.0, 14).reshape(7, 2), scene.scatterer_positions[:5] + (0.4, -0.3)])
+
+        def reference_leg(a):
+            diff = a[:, None, :] - scene.scatterer_positions[None, :, :]
+            d = np.sqrt(np.sum(diff**2, axis=2)) / scene.wavelength
+            amp = 1.0 / (d if floor <= 0.0 else np.maximum(d, floor))
+            return amp * np.exp(-2j * np.pi * d)
+
+        expected = reference_leg(pts) @ reference_leg(scene.antenna_positions).T
+        got = scatterer_channel_matrix(scene, pts, floor)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, expected)
+
+    def test_zero_length_leg_rejected_with_floor(self):
+        scene = self._unit_scene()
+        with pytest.raises(GeometryError):
+            scatterer_channel_matrix(scene, [(1.0, 0.0), (0.0, 0.0)], min_amplitude_distance=2.0)
+        on_scatterer = dataclasses.replace(scene, antenna_positions=np.array([(-1.0, 0.0), (0.0, 0.0)]))
+        with pytest.raises(GeometryError):
+            scatterer_channel_matrix(on_scatterer, [(1.0, 0.0)], min_amplitude_distance=2.0)
 
     def test_amplitude_floor_only_caps_amplitude(self):
         scene = self._unit_scene()

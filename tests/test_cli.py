@@ -70,14 +70,28 @@ class TestParseConfig:
         path = write_config(tmp_path / "c.ini", "[experiment]\nexperiment = svd-spread\n")
         base = parse_config(path, output_dir="a")
         assert replace(base, output_dir="b").config_hash() == base.config_hash()
+        measured = tmp_path / "set.cfcsv"
+        save_measured_channels(gen_iid_channel(Seed(0), 4, 4), measured)
         for change in (
             {"seed": 1},
             {"trials": 3},
             {"paper_scale": True},
-            {"channels_path": "set.cfcsv"},
+            {"channels_path": str(measured)},
             {"params": {**base.params, "k": 5}},
         ):
             assert replace(base, **change).config_hash() != base.config_hash(), change
+
+    def test_config_hash_follows_measured_file_content(self, tmp_path):
+        path = write_config(tmp_path / "c.ini", "[experiment]\nexperiment = svd-spread\n")
+        original, copy = tmp_path / "set.cfcsv", tmp_path / "copy.cfcsv"
+        save_measured_channels(gen_iid_channel(Seed(0), 4, 4), original)
+        copy.write_bytes(original.read_bytes())
+        first = parse_config(path, channels_path=str(original))
+        assert parse_config(path, channels_path=str(copy)).config_hash() == first.config_hash()
+        before = first.config_hash()
+        save_measured_channels(gen_iid_channel(Seed(1), 4, 4), original)
+        assert first.config_hash() != before
+        assert first.resolved()["channels_path"] == str(original)
 
     def test_overrides_apply(self, tmp_path):
         path = write_config(
@@ -201,10 +215,26 @@ class TestCliProcess:
     @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize(
         "experiment, seed, value",
-        [("svd-spread", 2**64, 4), ("svd-spread", 1, 0), ("mrt-sumrate", 1, 0), ("focusing-map", 1, "foo")],
+        [
+            ("svd-spread", 2**64, 4),
+            ("svd-spread", 1, 0),
+            ("mrt-sumrate", 1, 0),
+            ("focusing-map", 1, "foo"),
+            ("focusing-map", 1, "m=0"),
+            ("focusing-map", 1, "n_scatterers=0"),
+            ("focusing-map", 1, "grid_points=0"),
+            ("focusing-map", 1, "grid_points=-3"),
+            ("focusing-map", 1, "region_side_lambda=0"),
+            ("focusing-map", 1, "region_side_lambda=nan"),
+            ("focusing-map", 1, "antenna_spacing_lambda=0"),
+            ("focusing-map", 1, "antenna_spacing_lambda=-4"),
+            ("focusing-map", 1, "other_user_offset_lambda=0"),
+        ],
     )
     def test_invalid_value_rejected_before_run(self, tmp_path, command, experiment, seed, value):
-        key = "scheme" if experiment == "focusing-map" else "k"
+        # A bare value sets the experiment's usual key; "key=value" names another.
+        key, _, value = str(value).rpartition("=")
+        key = key or ("scheme" if experiment == "focusing-map" else "k")
         body = f"[experiment]\nexperiment = {experiment}\ntrials = 2\nseed = {seed}\n\n[{experiment}]\n{key} = {value}\n"
         path = write_config(tmp_path / "c.ini", body)
         args = [command, "--config", path]

@@ -232,3 +232,11 @@ class TestFieldMap:
         serial = field_map(scene, "mrt", grid, grid, 8, seed.child(1), workers=1)
         threaded = field_map(scene, "mrt", grid, grid, 8, seed.child(1), workers=4)
         assert np.array_equal(serial.power_db, threaded.power_db)
+
+    def test_empty_grid_rejected(self):
+        seed = Seed(19)
+        scene = make_focusing_scene(seed.child(0), m_antennas=8, n_scatterers=50)
+        grid = np.linspace(-50.0, 50.0, 3)
+        for gx, gy in ((grid, []), ([], grid)):
+            with pytest.raises(DomainError):
+                field_map(scene, "mrt", gx, gy, 1, seed.child(1))
