@@ -22,6 +22,9 @@ PATH_LOSS_EXPONENT = 3.52
 BASE_HEIGHT_M = 30.0
 TERMINAL_HEIGHT_M = 5.0
 
+# Terminals in the default focusing scene: the target plus four co-scheduled users.
+FOCUSING_TERMINALS = 5
+
 
 def gen_iid_channel(seed: Seed, m: int, k: int) -> np.ndarray:
     """M x K channel with i.i.d. CN(0, 1) entries (unit average power)."""
@@ -205,7 +208,7 @@ def make_focusing_scene(
     bs_distance_lambda: float = 1600.0,
     antenna_spacing_lambda: float = 4.0,
     other_user_offset_lambda: float = 40.0,
-    n_other_users: int = 4,
+    n_other_users: int = FOCUSING_TERMINALS - 1,
 ) -> ScattererScene:
     """Scene with a target terminal at the region centre, nearby co-scheduled
     terminals, and a linear array placed `bs_distance_lambda` to the left.

@@ -15,6 +15,7 @@ from dataclasses import dataclass, fields
 from typing import Any, Callable, get_type_hints
 
 from .capacity import RuralConfig
+from .channel import FOCUSING_TERMINALS
 from .errors import ConfigError
 
 EXPERIMENTS = (
@@ -237,6 +238,11 @@ def parse_config(
             except ValueError as exc:
                 raise ConfigError(f"key '{section}.{key}': {exc}") from exc
 
+    if name == "focusing-map" and params["scheme"] != "mrt" and params["m"] < FOCUSING_TERMINALS:
+        raise ConfigError(
+            f"key 'focusing-map.m': zero-forcing (scheme = {params['scheme']}) needs m >= "
+            f"{FOCUSING_TERMINALS}, the scene's terminal count, got {params['m']}"
+        )
     if channels_path is not None and name not in ("svd-spread", "mrt-sumrate"):
         raise ConfigError(f"measured channels are only supported for svd-spread and mrt-sumrate, not {name!r}")
 

@@ -170,22 +170,13 @@ def _run_focusing_map(config: ExperimentConfig):
     grid = np.linspace(-p["grid_extent_lambda"], p["grid_extent_lambda"], p["grid_points"])
     tables: dict[str, Table] = {}
     summary: dict = {}
-    for scheme in schemes:
-        fmap = transceiver.field_map(
-            scene,
-            scheme,
-            grid,
-            grid,
-            config.trials,
-            seed.child(1),
-            workers=config.workers,
-        )
+    for fmap in transceiver.field_map(scene, schemes, grid, grid, config.trials, seed.child(1), workers=config.workers):
         rows = []
         for iy, y in enumerate(fmap.y_lambda):
             for ix, x in enumerate(fmap.x_lambda):
                 rows.append((float(x), float(y), float(fmap.power_db[iy, ix])))
-        tables[f"focusing_map_{scheme}"] = Table(("x_lambda", "y_lambda", "avg_power_db"), rows)
-        summary[scheme] = {
+        tables[f"focusing_map_{fmap.scheme}"] = Table(("x_lambda", "y_lambda", "avg_power_db"), rows)
+        summary[fmap.scheme] = {
             "target_gain_db": fmap.target_gain_db,
             "terminal_power_db": [float(v) for v in fmap.terminal_power_db],
         }

@@ -160,7 +160,7 @@ class FieldMap:
 
 def field_map(
     scene: ScattererScene,
-    precoder_scheme: str,
+    schemes: tuple[str, ...],
     grid_x,
     grid_y,
     trials: int,
@@ -170,15 +170,16 @@ def field_map(
     power_budget: float = 1.0,
     min_amplitude_distance: float = 2.0,
     workers: int = 1,
-) -> FieldMap:
+) -> tuple[FieldMap, ...]:
     """Average |field|^2 of the target terminal's stream over random scatterer
-    placements.
+    placements, one map per precoder scheme in `schemes` ("mrt", "zf"), in order.
 
     Each trial redraws the scatterers, builds perfect-CSI channels to the
-    scene terminals, forms the requested precoder, and evaluates the target
-    stream's field at every grid point and at the terminals themselves. The
-    terminal channels reuse the same ray sums, so zero-forcing nulls land on
-    the exact terminal coordinates.
+    scene terminals, and evaluates the target stream's field at every grid
+    point and at the terminals themselves. All schemes share each trial's
+    scatterer draw and ray sum; only the precoder differs. The terminal
+    channels reuse the same ray sums, so zero-forcing nulls land on the exact
+    terminal coordinates.
 
     The default amplitude floor of two wavelengths caps the near-field gain
     of rays whose scatterer lands next to an evaluation point; without it
@@ -187,8 +188,8 @@ def field_map(
     """
     if trials < 1:
         raise DomainError("need at least one trial")
-    if precoder_scheme not in ("mrt", "zf"):
-        raise DomainError(f"unknown precoder scheme {precoder_scheme!r}")
+    if not schemes or len(set(schemes)) != len(schemes) or not set(schemes) <= {"mrt", "zf"}:
+        raise DomainError(f"need one or more distinct precoder schemes of mrt, zf; got {schemes!r}")
     gx = np.asarray(grid_x, dtype=float)
     gy = np.asarray(grid_y, dtype=float)
     if gx.size == 0 or gy.size == 0:
@@ -199,29 +200,34 @@ def field_map(
     eval_points = np.vstack([grid_points, terminals])
     n_grid = grid_points.shape[0]
 
-    def one_trial(index: int) -> np.ndarray:
+    def one_trial(index: int) -> list[np.ndarray]:
         trial_scene = redraw_scatterers(scene, seed.child(index))
         rays = scatterer_channel_matrix(trial_scene, eval_points, min_amplitude_distance)
         h = rays[n_grid:].T  # perfect CSI toward the K terminals
-        if precoder_scheme == "mrt":
-            precoder = mrt_precoder(h, power_budget)
-        else:
-            precoder = zf_precoder(h, power_budget)
-        field = rays @ precoder.w[:, target_index]
-        return np.abs(field) ** 2
+        powers = []
+        for scheme in schemes:
+            precoder = mrt_precoder(h, power_budget) if scheme == "mrt" else zf_precoder(h, power_budget)
+            # One matrix-vector product per scheme: stacking the precoders
+            # into one matmul may round differently.
+            powers.append(np.abs(rays @ precoder.w[:, target_index]) ** 2)
+        return powers
 
-    total = np.zeros(eval_points.shape[0])
-    for trial_power in ordered_trial_map(one_trial, trials, workers):
-        total += trial_power
-    mean_power = total / trials
-    spatial_mean = float(np.mean(mean_power[:n_grid]))
-    with np.errstate(divide="ignore"):
-        rel_db = 10.0 * np.log10(mean_power / spatial_mean)
-    return FieldMap(
-        x_lambda=gx,
-        y_lambda=gy,
-        power_db=rel_db[:n_grid].reshape(gy.size, gx.size),
-        terminal_power_db=rel_db[n_grid:],
-        scheme=precoder_scheme,
-        trials=trials,
-    )
+    totals = np.zeros((len(schemes), eval_points.shape[0]))  # one running total per scheme
+    for trial_powers in ordered_trial_map(one_trial, trials, workers):
+        totals += trial_powers
+    maps = []
+    for scheme, mean_power in zip(schemes, totals / trials):
+        spatial_mean = float(np.mean(mean_power[:n_grid]))
+        with np.errstate(divide="ignore"):
+            rel_db = 10.0 * np.log10(mean_power / spatial_mean)
+        maps.append(
+            FieldMap(
+                x_lambda=gx,
+                y_lambda=gy,
+                power_db=rel_db[:n_grid].reshape(gy.size, gx.size),
+                terminal_power_db=rel_db[n_grid:],
+                scheme=scheme,
+                trials=trials,
+            )
+        )
+    return tuple(maps)

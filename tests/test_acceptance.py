@@ -145,8 +145,7 @@ def test_criterion_5_spatial_focusing():
     seed = Seed(105)
     scene = make_focusing_scene(seed.child(0))
     grid = np.linspace(-400.0, 400.0, 41)
-    mrt = field_map(scene, "mrt", grid, grid, 100, seed.child(1))
-    zf = field_map(scene, "zf", grid, grid, 100, seed.child(1))
+    mrt, zf = field_map(scene, ("mrt", "zf"), grid, grid, 100, seed.child(1))
     elapsed = time.monotonic() - start
     expected = 10.0 * math.log10(64.0)
     null_margin = float(np.min(zf.target_gain_db - zf.terminal_power_db[1:]))

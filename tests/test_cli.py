@@ -229,6 +229,7 @@ class TestCliProcess:
             ("focusing-map", 1, "antenna_spacing_lambda=0"),
             ("focusing-map", 1, "antenna_spacing_lambda=-4"),
             ("focusing-map", 1, "other_user_offset_lambda=0"),
+            ("focusing-map", 1, "m=3"),
         ],
     )
     def test_invalid_value_rejected_before_run(self, tmp_path, command, experiment, seed, value):
@@ -245,6 +246,22 @@ class TestCliProcess:
         assert outcome.stderr.startswith("config error:")
         assert "Traceback" not in outcome.stderr
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_mrt_focusing_map_below_terminal_count_accepted(self, tmp_path, command):
+        # Only zero-forcing needs as many antennas as the scene has terminals.
+        body = (
+            "[experiment]\nexperiment = focusing-map\ntrials = 2\n\n"
+            "[focusing-map]\nm = 3\nscheme = mrt\nn_scatterers = 25\ngrid_points = 5\n"
+        )
+        path = write_config(tmp_path / "c.ini", body)
+        args = [command, "--config", path]
+        if command == "run":
+            args += ["--out", str(tmp_path / "o")]
+        outcome = CliRunner().invoke(main, args)
+        assert outcome.exit_code == 0, outcome.stderr
+        if command == "run":
+            assert (tmp_path / "o" / "focusing_map_mrt.csv").exists()
 
     def test_seed_option_out_of_range_exit_code_2(self, tmp_path):
         path = write_config(tmp_path / "c.ini", "[experiment]\nexperiment = svd-spread\ntrials = 2\n")

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmimo.channel import gen_iid_channel, make_focusing_scene
+from mmimo import transceiver
+from mmimo.channel import gen_iid_channel, make_focusing_scene, scatterer_channel_matrix
 from mmimo.errors import (
     DegenerateChannelError,
     DimensionError,
@@ -207,21 +208,21 @@ class TestFieldMap:
         seed = Seed(15)
         scene = make_focusing_scene(seed.child(0), m_antennas=1, n_other_users=0)
         grid = np.linspace(-150.0, 150.0, 21)
-        result = field_map(scene, "mrt", grid, grid, 1000, seed.child(1))
+        (result,) = field_map(scene, ("mrt",), grid, grid, 1000, seed.child(1))
         assert abs(result.target_gain_db) < 3.0
 
     def test_mrt_focusing_gain(self):
         seed = Seed(16)
         scene = make_focusing_scene(seed.child(0))
         grid = np.linspace(-400.0, 400.0, 41)
-        result = field_map(scene, "mrt", grid, grid, 100, seed.child(1))
+        (result,) = field_map(scene, ("mrt",), grid, grid, 100, seed.child(1))
         assert result.target_gain_db == pytest.approx(10 * np.log10(64.0), abs=3.0)
 
     def test_zf_nulls_other_users(self):
         seed = Seed(17)
         scene = make_focusing_scene(seed.child(0))
         grid = np.linspace(-400.0, 400.0, 41)
-        result = field_map(scene, "zf", grid, grid, 25, seed.child(1))
+        (result,) = field_map(scene, ("zf",), grid, grid, 25, seed.child(1))
         others = result.terminal_power_db[1:]
         assert np.all(result.target_gain_db - others >= 20.0)
 
@@ -229,9 +230,43 @@ class TestFieldMap:
         seed = Seed(18)
         scene = make_focusing_scene(seed.child(0), m_antennas=8, n_scatterers=50)
         grid = np.linspace(-50.0, 50.0, 11)
-        serial = field_map(scene, "mrt", grid, grid, 8, seed.child(1), workers=1)
-        threaded = field_map(scene, "mrt", grid, grid, 8, seed.child(1), workers=4)
+        (serial,) = field_map(scene, ("mrt",), grid, grid, 8, seed.child(1), workers=1)
+        (threaded,) = field_map(scene, ("mrt",), grid, grid, 8, seed.child(1), workers=4)
         assert np.array_equal(serial.power_db, threaded.power_db)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shared_ray_sum_bit_identical_to_single_scheme_maps(self, workers):
+        seed = Seed(20)
+        scene = make_focusing_scene(seed.child(0), m_antennas=8, n_scatterers=50)
+        grid = np.linspace(-50.0, 50.0, 11)
+        both = field_map(scene, ("mrt", "zf"), grid, grid, 6, seed.child(1), workers=workers)
+        assert [fmap.scheme for fmap in both] == ["mrt", "zf"]
+        for shared, scheme in zip(both, ("mrt", "zf")):
+            (alone,) = field_map(scene, (scheme,), grid, grid, 6, seed.child(1), workers=workers)
+            assert np.array_equal(shared.power_db, alone.power_db)
+            assert np.array_equal(shared.terminal_power_db, alone.terminal_power_db)
+
+    def test_one_ray_sum_per_trial_for_both_schemes(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return scatterer_channel_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(transceiver, "scatterer_channel_matrix", counting)
+        seed = Seed(21)
+        scene = make_focusing_scene(seed.child(0), m_antennas=8, n_scatterers=20)
+        grid = np.linspace(-50.0, 50.0, 3)
+        field_map(scene, ("mrt", "zf"), grid, grid, 5, seed.child(1), workers=2)
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("schemes", [(), ("mrt", "mrt"), ("mrt", "foo")])
+    def test_bad_schemes_rejected(self, schemes):
+        seed = Seed(22)
+        scene = make_focusing_scene(seed.child(0), m_antennas=8, n_scatterers=20)
+        grid = np.linspace(-50.0, 50.0, 3)
+        with pytest.raises(DomainError):
+            field_map(scene, schemes, grid, grid, 1, seed.child(1))
 
     def test_empty_grid_rejected(self):
         seed = Seed(19)
@@ -239,4 +274,11 @@ class TestFieldMap:
         grid = np.linspace(-50.0, 50.0, 3)
         for gx, gy in ((grid, []), ([], grid)):
             with pytest.raises(DomainError):
-                field_map(scene, "mrt", gx, gy, 1, seed.child(1))
+                field_map(scene, ("mrt",), gx, gy, 1, seed.child(1))
+
+    def test_no_trials_rejected(self):
+        seed = Seed(23)
+        scene = make_focusing_scene(seed.child(0), m_antennas=8, n_scatterers=20)
+        grid = np.linspace(-50.0, 50.0, 3)
+        with pytest.raises(DomainError):
+            field_map(scene, ("mrt",), grid, grid, 0, seed.child(1))
