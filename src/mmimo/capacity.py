@@ -319,29 +319,6 @@ def ee_se_sweep(
     return curves
 
 
-def power_scaling_check(
-    exponent: float,
-    m_values,
-    *,
-    energy: float = 1.0,
-    k: int = 1,
-    tau: int | None = None,
-    coherence_symbols: int = 196,
-) -> np.ndarray:
-    """Per-terminal rate along an antenna ladder when transmit power is cut
-    as energy / M^exponent (pilot power scales identically)."""
-    if exponent not in (0.0, 0.5, 1.0):
-        raise DomainError("scale exponent must be 0, 0.5, or 1")
-    tau = k if tau is None else tau
-    betas = np.ones(k)
-    rates = np.empty(len(m_values))
-    for i, m in enumerate(m_values):
-        rho = energy / float(m) ** exponent
-        params = SystemParams(m=int(m), k=k, tau=tau, coherence_symbols=coherence_symbols, rho_ul=rho)
-        rates[i] = float(ul_rate_bound(params, "mrc", betas)[0])
-    return rates
-
-
 # ---------------------------------------------------------------------------
 # Max-min power control
 # ---------------------------------------------------------------------------
@@ -417,7 +394,6 @@ class RuralConfig:
     n_terminals: int = 1000
     total_power_w: float = 120.0
     bandwidth_hz: float = 20e6
-    carrier_hz: float = 1.9e9
     radius_km: float = 6.0
     exclusion_km: float = 0.035
     pilot_fraction: float = 0.25
@@ -437,7 +413,6 @@ class RuralConfig:
         ("n_terminals", 1000),
         ("total_power_w", 120.0),
         ("bandwidth_hz", 20e6),
-        ("carrier_hz", 1.9e9),
         ("radius_km", 6.0),
         ("pilot_fraction", 0.25),
         ("noise_figure_db", 9.0),
@@ -574,7 +549,6 @@ __all__ = [
     "simulate_dl_rates",
     "default_tradeoff_systems",
     "ee_se_sweep",
-    "power_scaling_check",
     "maxmin_power_control",
     "rural_broadband",
 ]

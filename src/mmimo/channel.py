@@ -16,6 +16,7 @@ from .errors import DimensionError, DomainError, GeometryError, ParseError
 from .numerics import Seed, draw_complex_gaussian
 
 # Rural link-budget anchors: 127 dB loss at 1 km with range-decay exponent 3.52.
+# The 127 dB anchor holds for the scenario's 1.9 GHz carrier only.
 PATH_LOSS_AT_1KM_DB = 127.0
 PATH_LOSS_EXPONENT = 3.52
 
@@ -192,11 +193,6 @@ def scatterer_channel_matrix(
     pts_leg = _ray_leg(pts, scene, min_amplitude_distance)
     # The ray sum factorises over the shared scatterer index.
     return pts_leg @ ant_leg.T
-
-
-def scatterer_channel(scene: ScattererScene, target, min_amplitude_distance: float = 0.0) -> np.ndarray:
-    """Length-M channel vector from the antenna array to one target point."""
-    return scatterer_channel_matrix(scene, [target], min_amplitude_distance)[0]
 
 
 def make_focusing_scene(

@@ -37,17 +37,6 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_int_list(text: str) -> list[int]:
-    values = [int(tok) for tok in text.split(",") if tok.strip()]
-    if not values:
-        raise ValueError("list must not be empty")
-    return values
-
-
-def _parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
 def _parse_positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -55,11 +44,30 @@ def _parse_positive_int(text: str) -> int:
     return value
 
 
-def _parse_positive_float(text: str) -> float:
+def _parse_finite_float(text: str) -> float:
     value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
+    if not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {text.strip()!r}")
+    return value
+
+
+def _parse_positive_float(text: str) -> float:
+    value = _parse_finite_float(text)
+    if value <= 0.0:
         raise ValueError(f"must be a finite number > 0, got {text.strip()!r}")
     return value
+
+
+def _list_of(parse: Callable[[str], Any]) -> Callable[[str], list]:
+    """Parser of a non-empty comma-separated list whose entries each pass `parse`."""
+
+    def parse_list(text: str) -> list:
+        values = [parse(tok) for tok in text.split(",") if tok.strip()]
+        if not values:
+            raise ValueError("list must not be empty")
+        return values
+
+    return parse_list
 
 
 def _parse_scheme(text: str) -> str:
@@ -75,8 +83,9 @@ class Option:
 
 
 def _dataclass_schema(cls) -> dict[str, Option]:
-    """One option per field of `cls`, parsed by its int, float or bool type."""
-    parsers, hints = {int: int, float: float, bool: _parse_bool}, get_type_hints(cls)
+    """One option per field of `cls`, parsed by its int, float or bool type;
+    floats must be finite."""
+    parsers, hints = {int: int, float: _parse_finite_float, bool: _parse_bool}, get_type_hints(cls)
     return {f.name: Option(parsers[hints[f.name]], f.default) for f in fields(cls)}
 
 
@@ -84,41 +93,41 @@ def _dataclass_schema(cls) -> dict[str, Option]:
 # paper scale, which differ only in trial counts.
 SCHEMAS: dict[str, dict[str, Option]] = {
     "svd-spread": {
-        "m_list": Option(_parse_int_list, [4, 32, 128]),
+        "m_list": Option(_list_of(_parse_positive_int), [4, 32, 128]),
         "k": Option(_parse_positive_int, 4),
     },
     "mrt-sumrate": {
-        "m_list": Option(_parse_int_list, [4, 8, 16, 32, 64, 128]),
+        "m_list": Option(_list_of(_parse_positive_int), [4, 8, 16, 32, 64, 128]),
         "k": Option(_parse_positive_int, 4),
-        "target_snr_db": Option(float, 10.0),
+        "target_snr_db": Option(_parse_finite_float, 10.0),
     },
     "focusing-map": {
         "m": Option(_parse_positive_int, 64),
         "n_scatterers": Option(_parse_positive_int, 400),
         "scheme": Option(_parse_scheme, "both"),
         "region_side_lambda": Option(_parse_positive_float, 800.0),
-        "bs_distance_lambda": Option(float, 1600.0),
+        "bs_distance_lambda": Option(_parse_positive_float, 1600.0),
         "antenna_spacing_lambda": Option(_parse_positive_float, 4.0),
         "other_user_offset_lambda": Option(_parse_positive_float, 40.0),
-        "grid_extent_lambda": Option(float, 400.0),
+        "grid_extent_lambda": Option(_parse_positive_float, 400.0),
         "grid_points": Option(_parse_positive_int, 41),
     },
     "ee-se-tradeoff": {
-        "rho_min_db": Option(float, -30.0),
-        "rho_max_db": Option(float, 20.0),
-        "rho_points": Option(int, 201),
-        "coherence_symbols": Option(int, 196),
-        "m_massive": Option(int, 100),
-        "k_massive": Option(int, 40),
-        "m_beamforming": Option(int, 100),
+        "rho_min_db": Option(_parse_finite_float, -30.0),
+        "rho_max_db": Option(_parse_finite_float, 20.0),
+        "rho_points": Option(_parse_positive_int, 201),
+        "coherence_symbols": Option(_parse_positive_int, 196),
+        "m_massive": Option(_parse_positive_int, 100),
+        "k_massive": Option(_parse_positive_int, 40),
+        "m_beamforming": Option(_parse_positive_int, 100),
     },
     "pilot-contamination": {
-        "m_list": Option(_parse_int_list, [16, 64, 256, 1024]),
-        "m_limit": Option(int, 10_000),
-        "beta_home": Option(float, 1.0),
-        "betas_contaminating": Option(_parse_float_list, [1.0]),
-        "rho_pilot": Option(float, 1.0),
-        "tau": Option(int, 16),
+        "m_list": Option(_list_of(_parse_positive_int), [16, 64, 256, 1024]),
+        "m_limit": Option(_parse_positive_int, 10_000),
+        "beta_home": Option(_parse_positive_float, 1.0),
+        "betas_contaminating": Option(_list_of(_parse_positive_float), [1.0]),
+        "rho_pilot": Option(_parse_positive_float, 1.0),
+        "tau": Option(_parse_positive_int, 16),
     },
     "rural-broadband": _dataclass_schema(RuralConfig),
 }
@@ -242,6 +251,11 @@ def parse_config(
         raise ConfigError(
             f"key 'focusing-map.m': zero-forcing (scheme = {params['scheme']}) needs m >= "
             f"{FOCUSING_TERMINALS}, the scene's terminal count, got {params['m']}"
+        )
+    if name == "pilot-contamination" and len(set(params["m_list"])) < 2:
+        raise ConfigError(
+            f"key 'pilot-contamination.m_list': the log-log slope fit needs at least two distinct "
+            f"antenna counts, got {params['m_list']}"
         )
     if channels_path is not None and name not in ("svd-spread", "mrt-sumrate"):
         raise ConfigError(f"measured channels are only supported for svd-spread and mrt-sumrate, not {name!r}")

@@ -29,10 +29,6 @@ class GeometryError(SimulationError):
     """Scene geometry is invalid (coincident points, empty scatterer set)."""
 
 
-class PilotCapacityError(SimulationError):
-    """More orthogonal pilot sequences requested than the length supports."""
-
-
 class ParseError(SimulationError):
     """Malformed input file; carries a 1-based line number when known."""
 

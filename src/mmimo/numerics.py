@@ -113,7 +113,3 @@ class EmpiricalCdf:
     @property
     def median(self) -> float:
         return self.quantile(0.5)
-
-    def fraction_at_or_below(self, x: float) -> float:
-        n = int(np.searchsorted(self.sorted_values, x, side="right"))
-        return n / self.sorted_values.size

@@ -1,5 +1,5 @@
-"""Orthogonal pilot books, pilot-based channel estimation, hexagonal pilot
-reuse, and the pilot-contamination interference limit."""
+"""Pilot contamination: the asymptotic interference limit of conjugate
+processing with a contaminated estimate, and its Monte Carlo simulation."""
 
 from __future__ import annotations
 
@@ -8,191 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, PilotCapacityError
+from .errors import DomainError
 from .numerics import Seed, draw_complex_gaussian
-
-
-def max_orthogonal_pilots(coherence_s: float, delay_spread_s: float) -> int:
-    """Largest number of orthogonal pilot sequences a coherence interval admits."""
-    if coherence_s <= 0.0 or delay_spread_s <= 0.0:
-        raise DomainError("coherence interval and delay spread must be positive")
-    if coherence_s < delay_spread_s:
-        raise DomainError("coherence interval must be at least one delay spread")
-    ratio = coherence_s / delay_spread_s
-    # Tolerate representation error in the division (0.001/5e-6 != 200 exactly).
-    return int(math.floor(ratio * (1.0 + 1e-12) + 1e-12))
-
-
-@dataclass(frozen=True)
-class PilotBook:
-    """tau x P matrix of mutually orthogonal pilot sequences, each of energy tau."""
-
-    sequences: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "sequences", np.asarray(self.sequences, dtype=complex))
-
-    @property
-    def tau(self) -> int:
-        return self.sequences.shape[0]
-
-    @property
-    def n_sequences(self) -> int:
-        return self.sequences.shape[1]
-
-
-def build_pilot_book(tau: int, p: int) -> PilotBook:
-    """P orthogonal sequences of length tau from the discrete-Fourier family."""
-    if tau < 1 or p < 1:
-        raise DomainError("pilot length and count must be >= 1")
-    if p > tau:
-        raise PilotCapacityError(f"only {tau} orthogonal sequences of length {tau} exist, requested {p}")
-    t = np.arange(tau)[:, None]
-    idx = np.arange(p)[None, :]
-    return PilotBook(sequences=np.exp(-2j * np.pi * t * idx / tau))
-
-
-def receive_pilots(
-    channels: np.ndarray,
-    book: PilotBook,
-    assignment,
-    rho_pilot: float,
-    seed: Seed | None = None,
-) -> np.ndarray:
-    """Uplink pilot observation Y = sqrt(rho_p) * sum_k h_k phi_{a_k}^T + noise.
-
-    `channels` is M x K over every transmitting terminal (home cell and
-    contaminators alike). `seed=None` drops the noise term.
-    """
-    h = np.asarray(channels, dtype=complex)
-    a = np.asarray(assignment, dtype=int)
-    if a.shape != (h.shape[1],):
-        raise DimensionError(f"need one sequence index per terminal, got {a.shape}")
-    if np.any(a < 0) or np.any(a >= book.n_sequences):
-        raise DimensionError("pilot assignment index out of range")
-    if rho_pilot <= 0.0:
-        raise DomainError("pilot transmit SNR must be positive")
-    y = math.sqrt(rho_pilot) * (h @ book.sequences[:, a].T)
-    if seed is not None:
-        y = y + draw_complex_gaussian(seed, h.shape[0], book.tau)
-    return y
-
-
-def estimate_channels(
-    y_pilot: np.ndarray,
-    book: PilotBook,
-    assignment,
-    rho_pilot: float,
-    betas=None,
-    method: str = "mmse",
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Correlate the pilot observation with each terminal's sequence.
-
-    Returns (H_hat, gamma). The least-squares estimate for terminal k is
-    Y phi_k^* / (tau sqrt(rho_p)); terminals sharing (or correlating with)
-    the same sequence leak into each other's estimates in proportion to the
-    sequence cross-correlation. The MMSE variant rescales per terminal using
-    the slow-fading coefficients; gamma_k is the resulting mean-square of the
-    estimate, rho_p tau beta_k^2 / (1 + rho_p tau sum_copilot beta), which
-    reduces to the single-cell expression when nobody shares the sequence.
-    """
-    y = np.asarray(y_pilot, dtype=complex)
-    a = np.asarray(assignment, dtype=int)
-    if y.ndim != 2 or y.shape[1] != book.tau:
-        raise DimensionError(f"pilot observation must be M x tau={book.tau}, got {y.shape}")
-    if np.any(a < 0) or np.any(a >= book.n_sequences):
-        raise DimensionError("pilot assignment index out of range")
-    if rho_pilot <= 0.0:
-        raise DomainError("pilot transmit SNR must be positive")
-    if method not in ("ls", "mmse"):
-        raise DomainError(f"unknown estimation method {method!r}")
-    tau = book.tau
-    h_ls = (y @ np.conj(book.sequences[:, a])) / (tau * math.sqrt(rho_pilot))
-    if method == "ls":
-        gamma = None
-        if betas is not None:
-            gamma = _estimate_quality(np.asarray(betas, dtype=float), a, rho_pilot, tau)
-        return h_ls, gamma
-    if betas is None:
-        raise DomainError("MMSE scaling needs per-terminal slow-fading coefficients")
-    b = np.asarray(betas, dtype=float)
-    if b.shape != a.shape:
-        raise DimensionError("need one beta per terminal")
-    copilot = np.array([float(np.sum(b[a == a[k]])) for k in range(a.size)])
-    scale = b / (copilot + 1.0 / (rho_pilot * tau))
-    gamma = b * scale  # equals rho_p tau b^2 / (1 + rho_p tau sum_copilot b)
-    return h_ls * scale, gamma
-
-
-def _estimate_quality(betas: np.ndarray, assignment: np.ndarray, rho_pilot: float, tau: int) -> np.ndarray:
-    copilot = np.array([float(np.sum(betas[assignment == assignment[k]])) for k in range(assignment.size)])
-    return betas**2 / (copilot + 1.0 / (rho_pilot * tau))
-
-
-# ---------------------------------------------------------------------------
-# Hexagonal pilot reuse
-# ---------------------------------------------------------------------------
-
-_REUSE_FACTORS = (1, 3, 7)
-
-
-@dataclass(frozen=True)
-class CellGrid:
-    """Hexagonal cell layout in axial coordinates with unit-ish spacing."""
-
-    coords: tuple[tuple[int, int], ...]
-    centers: np.ndarray
-    spacing: float
-    reuse_factor: int
-
-    def __post_init__(self):
-        if self.reuse_factor not in _REUSE_FACTORS:
-            raise DomainError(f"pilot reuse factor must be one of {_REUSE_FACTORS}")
-        object.__setattr__(self, "centers", np.asarray(self.centers, dtype=float))
-
-    def __len__(self) -> int:
-        return len(self.coords)
-
-
-def hex_grid(rings: int, reuse_factor: int, spacing: float = 1.0) -> CellGrid:
-    """Hexagonal cluster of cells out to `rings` from the centre cell."""
-    if rings < 0:
-        raise DomainError("ring count must be >= 0")
-    if spacing <= 0.0:
-        raise DomainError("cell spacing must be positive")
-    coords = []
-    for q in range(-rings, rings + 1):
-        for r in range(-rings, rings + 1):
-            if max(abs(q), abs(r), abs(q + r)) <= rings:
-                coords.append((q, r))
-    coords.sort()
-    centers = np.array(
-        [(spacing * (q + r / 2.0), spacing * (math.sqrt(3.0) / 2.0) * r) for q, r in coords]
-    )
-    return CellGrid(coords=tuple(coords), centers=centers, spacing=spacing, reuse_factor=reuse_factor)
-
-
-def hex_neighbor_distance(c1: tuple[int, int], c2: tuple[int, int]) -> int:
-    """Hex-grid hop distance between two axial coordinates."""
-    dq = c1[0] - c2[0]
-    dr = c1[1] - c2[1]
-    return (abs(dq) + abs(dr) + abs(dq + dr)) // 2
-
-
-def assign_pilots(grid: CellGrid) -> np.ndarray:
-    """Pilot group per cell; reuse 3 and 7 use the standard hex colourings in
-    which adjacent cells never share a group."""
-    groups = np.empty(len(grid), dtype=int)
-    for i, (q, r) in enumerate(grid.coords):
-        if grid.reuse_factor == 1:
-            groups[i] = 0
-        elif grid.reuse_factor == 3:
-            groups[i] = (q - r) % 3
-        else:
-            # Constant on the index-7 sublattice spanned by (2, 1) and (-1, 3),
-            # whose shortest vectors have squared hex norm 7.
-            groups[i] = (q - 2 * r) % 7
-    return groups
 
 
 def contamination_sir_limit_db(beta_home, betas_contaminating) -> float:

@@ -1,5 +1,5 @@
-"""Linear precoding (MRT, ZF), maximum-ratio combining, link evaluation,
-and averaged spatial field maps for the scatterer scene."""
+"""Linear precoding (MRT, ZF), downlink link evaluation, and averaged spatial
+field maps for the scatterer scene."""
 
 from __future__ import annotations
 
@@ -86,17 +86,6 @@ def zf_precoder(h_hat: np.ndarray, power_budget: float, per_user_weights=None) -
     norms = np.linalg.norm(directions, axis=0)
     scale = np.sqrt(power_budget * weights) / norms
     return Precoder(w=directions * scale, scheme="zf", power_budget=power_budget)
-
-
-def mrc_combine(h_hat: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-terminal soft outputs: conjugate-channel combining H_hat^H Y."""
-    h = np.asarray(h_hat, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    if y.ndim == 1:
-        y = y[:, None]
-    if y.shape[0] != h.shape[0]:
-        raise DimensionError(f"received block has {y.shape[0]} rows, channel has {h.shape[0]}")
-    return h.conj().T @ y
 
 
 def evaluate_downlink(h_true: np.ndarray, precoder: Precoder, noise_power: float) -> LinkReport:

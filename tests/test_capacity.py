@@ -98,6 +98,21 @@ class TestEstimateQuality:
         gamma = cap.estimate_quality(betas, 2.0, 8)
         assert np.all(gamma <= betas)
 
+    def test_simulated_mmse_estimate_matches_gamma(self):
+        # One batch of the validators' estimator: the estimate's mean-square
+        # is gamma, beta = gamma + error variance, and the estimate and its
+        # error are uncorrelated, each within 1%.
+        betas = np.array([1.0, 0.25])
+        rho_pilot, tau = 2.0, 8
+        h, h_hat = cap._draw_estimated_channels(Seed(3), 4, betas, rho_pilot, tau, 20_000)
+        err = h - h_hat
+        est_sq = np.mean(np.abs(h_hat) ** 2, axis=(0, 2))
+        err_sq = np.mean(np.abs(err) ** 2, axis=(0, 2))
+        cross = np.mean((h_hat.conj() * err).real, axis=(0, 2))
+        assert est_sq == pytest.approx(cap.estimate_quality(betas, rho_pilot, tau), rel=0.01)
+        assert est_sq + err_sq == pytest.approx(betas, rel=0.01)
+        assert np.all(np.abs(cross) < 0.01 * betas)
+
 
 class TestEeSeSweep:
     @pytest.fixture(scope="class")
@@ -138,29 +153,6 @@ class TestEeSeSweep:
             f"(best at SE ratio "
             f"{mrc.spectral_efficiency[np.argmax(mrc.energy_efficiency)] / ref_se:.1f})"
         )
-
-
-class TestPowerScaling:
-    def test_constant_power_grows(self):
-        rates = cap.power_scaling_check(0.0, [2**i for i in range(4, 13)])
-        assert np.all(np.diff(rates) > 0)
-
-    def test_sqrt_scaling_converges(self):
-        m_values = [2**i for i in range(4, 15)]
-        rates = cap.power_scaling_check(0.5, m_values)
-        assert rates[-1] > 0.1
-        tail = rates[m_values.index(2**12):]
-        rel_changes = np.abs(np.diff(tail)) / tail[:-1]
-        assert np.all(rel_changes < 0.02)
-
-    def test_linear_scaling_collapses(self):
-        rates = cap.power_scaling_check(1.0, [2**i for i in range(4, 17, 2)])
-        assert np.all(np.diff(rates[2:]) < 0)
-        assert rates[-1] < 0.05
-
-    def test_bad_exponent(self):
-        with pytest.raises(DomainError):
-            cap.power_scaling_check(0.3, [16, 32])
 
 
 class TestMaxMinPowerControl:

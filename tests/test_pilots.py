@@ -3,200 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from mmimo.channel import gen_iid_channel
-from mmimo.errors import DimensionError, DomainError, PilotCapacityError
+from mmimo.errors import DomainError
 from mmimo.numerics import Seed
-from mmimo.pilots import (
-    assign_pilots,
-    build_pilot_book,
-    contamination_sir_limit_db,
-    estimate_channels,
-    hex_grid,
-    hex_neighbor_distance,
-    max_orthogonal_pilots,
-    receive_pilots,
-    simulate_contamination,
-)
-
-
-class TestMaxOrthogonalPilots:
-    def test_typical_coherence_budget(self):
-        assert max_orthogonal_pilots(1e-3, 5e-6) == 200
-
-    def test_equal_gives_one(self):
-        assert max_orthogonal_pilots(5e-6, 5e-6) == 1
-
-    def test_longer_coherence(self):
-        assert max_orthogonal_pilots(2e-3, 5e-6) == 400
-
-    def test_invalid_inputs(self):
-        with pytest.raises(DomainError):
-            max_orthogonal_pilots(0.0, 1e-6)
-        with pytest.raises(DomainError):
-            max_orthogonal_pilots(1e-6, 2e-6)
-
-
-class TestPilotBook:
-    def test_two_orthogonal_sequences(self):
-        book = build_pilot_book(2, 2)
-        inner = np.vdot(book.sequences[:, 0], book.sequences[:, 1])
-        assert abs(inner) < 1e-12
-
-    def test_gram_is_tau_identity(self):
-        book = build_pilot_book(8, 8)
-        gram = book.sequences.conj().T @ book.sequences
-        assert np.linalg.norm(gram - 8.0 * np.eye(8)) < 1e-12
-
-    def test_sequence_energy(self):
-        book = build_pilot_book(16, 5)
-        energies = np.sum(np.abs(book.sequences) ** 2, axis=0)
-        assert np.allclose(energies, 16.0, rtol=1e-12)
-
-    def test_exhaustion_rejected(self):
-        with pytest.raises(PilotCapacityError):
-            build_pilot_book(4, 5)
-
-
-class TestEstimateChannels:
-    def test_single_cell_noiseless_exact(self):
-        h = gen_iid_channel(Seed(0), 8, 4)
-        book = build_pilot_book(8, 4)
-        assignment = np.arange(4)
-        y = receive_pilots(h, book, assignment, rho_pilot=4.0, seed=None)
-        h_ls, _ = estimate_channels(y, book, assignment, rho_pilot=4.0, method="ls")
-        assert np.allclose(h_ls, h, atol=1e-12)
-
-    def test_shared_pilot_noiseless_sum(self):
-        # Two terminals on one sequence: the correlator returns the sum of
-        # their channels exactly.
-        h = gen_iid_channel(Seed(1), 6, 2)
-        book = build_pilot_book(4, 2)
-        assignment = np.array([0, 0])
-        y = receive_pilots(h, book, assignment, rho_pilot=1.0, seed=None)
-        h_ls, _ = estimate_channels(y, book, assignment, rho_pilot=1.0, method="ls")
-        expected = h[:, 0] + h[:, 1]
-        assert np.allclose(h_ls[:, 0], expected, atol=1e-12)
-        assert np.allclose(h_ls[:, 1], expected, atol=1e-12)
-
-    def test_mmse_mean_square_matches_gamma(self):
-        # beta = 1, rho_p * tau = 10: estimate mean-square is 10/11.
-        m, tau, rho = 4, 10, 1.0
-        seed = Seed(2)
-        book = build_pilot_book(tau, 1)
-        assignment = np.array([0])
-        betas = np.array([1.0])
-        acc = 0.0
-        trials = 10_000
-        for t in range(trials):
-            h = gen_iid_channel(seed.child(t, 0), m, 1)
-            y = receive_pilots(h, book, assignment, rho, seed=seed.child(t, 1))
-            h_hat, gamma = estimate_channels(y, book, assignment, rho, betas)
-            acc += float(np.mean(np.abs(h_hat) ** 2))
-        assert gamma[0] == pytest.approx(10.0 / 11.0, rel=1e-12)
-        assert acc / trials == pytest.approx(10.0 / 11.0, rel=0.01)
-
-    def test_estimate_and_error_uncorrelated(self):
-        # beta = gamma + error variance within 1%.
-        m, tau, rho = 4, 8, 2.0
-        seed = Seed(3)
-        book = build_pilot_book(tau, 1)
-        assignment = np.array([0])
-        betas = np.array([1.0])
-        est_sq = err_sq = cross = 0.0
-        trials = 10_000
-        for t in range(trials):
-            h = gen_iid_channel(seed.child(t, 0), m, 1)
-            y = receive_pilots(h, book, assignment, rho, seed=seed.child(t, 1))
-            h_hat, gamma = estimate_channels(y, book, assignment, rho, betas)
-            err = h - h_hat
-            est_sq += float(np.mean(np.abs(h_hat) ** 2))
-            err_sq += float(np.mean(np.abs(err) ** 2))
-            cross += float(np.mean((h_hat.conj() * err).real))
-        n = trials
-        assert est_sq / n + err_sq / n == pytest.approx(1.0, rel=0.01)
-        assert abs(cross / n) < 0.01
-        assert est_sq / n == pytest.approx(float(gamma[0]), rel=0.01)
-
-    def test_within_cell_estimates_uncorrelated(self):
-        # Orthogonal sequences: empirical cross-correlation of two terminals'
-        # estimates vanishes as trials grow.
-        m, tau, rho = 2, 4, 1.0
-        seed = Seed(4)
-        book = build_pilot_book(tau, 2)
-        assignment = np.array([0, 1])
-        betas = np.ones(2)
-        cross = 0.0
-        trials = 20_000
-        for t in range(trials):
-            h = gen_iid_channel(seed.child(t, 0), m, 2)
-            y = receive_pilots(h, book, assignment, rho, seed=seed.child(t, 1))
-            h_hat, _ = estimate_channels(y, book, assignment, rho, betas)
-            cross += float(np.vdot(h_hat[:, 0], h_hat[:, 1]).real)
-        assert abs(cross / trials) < 0.02
-
-    def test_shape_validation(self):
-        book = build_pilot_book(4, 2)
-        with pytest.raises(DimensionError):
-            estimate_channels(np.ones((3, 5)), book, [0, 1], 1.0, np.ones(2))
-        with pytest.raises(DimensionError):
-            estimate_channels(np.ones((3, 4)), book, [0, 5], 1.0, np.ones(2))
-
-    def test_partial_correlation_leaks_linearly(self):
-        # Non-orthogonal sequences: the cross-correlation coefficient scales
-        # the leaked channel in the correlator output.
-        from mmimo.pilots import PilotBook
-
-        tau = 4
-        phi0 = np.ones(tau, dtype=complex)
-        c = 0.3
-        phi1 = c * phi0 + np.sqrt(1 - c**2) * np.array([1, -1, 1, -1], dtype=complex)
-        book = PilotBook(sequences=np.column_stack([phi0, phi1]))
-        h = gen_iid_channel(Seed(9), 5, 2)
-        y = receive_pilots(h, book, [0, 1], rho_pilot=1.0, seed=None)
-        h_ls, _ = estimate_channels(y, book, [0, 1], rho_pilot=1.0, method="ls")
-        assert np.allclose(h_ls[:, 0], h[:, 0] + c * h[:, 1], atol=1e-12)
-
-
-class TestPilotReuse:
-    def test_reuse_one_single_group(self):
-        grid = hex_grid(1, 1)
-        assert len(grid) == 7
-        assert np.all(assign_pilots(grid) == 0)
-
-    def test_reuse_three_no_adjacent_share(self):
-        grid = hex_grid(1, 3)
-        groups = assign_pilots(grid)
-        assert len(set(groups.tolist())) >= 2
-        for i, ci in enumerate(grid.coords):
-            for j, cj in enumerate(grid.coords):
-                if i != j and hex_neighbor_distance(ci, cj) == 1:
-                    assert groups[i] != groups[j]
-
-    def test_reuse_seven_distances(self):
-        grid = hex_grid(2, 7)
-        assert len(grid) == 19
-        groups = assign_pilots(grid)
-        assert set(groups.tolist()) == set(range(7))
-
-        def min_same_group_distance(grid, groups):
-            best = math.inf
-            for i in range(len(grid)):
-                for j in range(i + 1, len(grid)):
-                    if groups[i] == groups[j]:
-                        d = float(np.linalg.norm(grid.centers[i] - grid.centers[j]))
-                        best = min(best, d)
-            return best
-
-        grid3 = hex_grid(2, 3)
-        d7 = min_same_group_distance(grid, groups)
-        d3 = min_same_group_distance(grid3, assign_pilots(grid3))
-        assert d7 > d3
-        assert d3 == pytest.approx(math.sqrt(3.0), rel=1e-9)
-        assert d7 == pytest.approx(math.sqrt(7.0), rel=1e-9)
-
-    def test_unsupported_factor_rejected(self):
-        with pytest.raises(DomainError):
-            hex_grid(1, 4)
+from mmimo.pilots import contamination_sir_limit_db, simulate_contamination
 
 
 class TestContaminationLimit:

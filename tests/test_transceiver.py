@@ -7,7 +7,6 @@ from mmimo import transceiver
 from mmimo.channel import gen_iid_channel, make_focusing_scene, scatterer_channel_matrix
 from mmimo.errors import (
     DegenerateChannelError,
-    DimensionError,
     DomainError,
     RankError,
 )
@@ -16,7 +15,6 @@ from mmimo.transceiver import (
     budget_for_mean_desired_snr,
     evaluate_downlink,
     field_map,
-    mrc_combine,
     mrt_precoder,
     zf_precoder,
 )
@@ -106,38 +104,6 @@ class TestZfPrecoder:
         sig_zf = evaluate_downlink(h, zf_precoder(h, 1.0), 1.0).signal_power
         drop_db = 10 * np.log10(sig_mrt / sig_zf)
         assert np.all(drop_db > 10.0)
-
-
-class TestMrcCombine:
-    def test_identity_channel_passthrough(self):
-        y = draw_complex_gaussian(Seed(6), 3, 5)
-        assert np.allclose(mrc_combine(np.eye(3, dtype=complex), y), y)
-
-    def test_single_user_noiseless(self):
-        h = draw_complex_gaussian(Seed(7), 8, 1)
-        s = np.array([[1.0 - 2.0j]])
-        out = mrc_combine(h, h @ s)
-        assert out[0, 0] == pytest.approx(np.linalg.norm(h) ** 2 * s[0, 0], rel=1e-12)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
-            mrc_combine(np.eye(3, dtype=complex), np.ones((4, 2)))
-
-    def test_array_gain(self):
-        # Single user, M antennas: post-combining SNR is M * rho.
-        m, rho, trials = 64, 0.5, 2000
-        seed = Seed(8)
-        signal = np.empty(trials)
-        noise = np.empty(trials)
-        for t in range(trials):
-            h = draw_complex_gaussian(seed.child(t, 0), m, 1)
-            n = draw_complex_gaussian(seed.child(t, 1), m, 1)
-            s = 1.0 + 0.0j
-            combined = mrc_combine(h, np.sqrt(rho) * h * s + n)
-            signal[t] = abs(combined[0, 0] - np.vdot(h, n)) ** 2
-            noise[t] = abs(np.vdot(h, n)) ** 2
-        measured_db = 10 * np.log10(np.mean(signal) / np.mean(noise))
-        assert measured_db == pytest.approx(10 * np.log10(m * rho), abs=0.2)
 
 
 class TestEvaluateDownlink:
