@@ -421,6 +421,9 @@ class RuralConfig:
     )
 
     def __post_init__(self):
+        if not self.terminal_pilot_power_w > 0.0:
+            # A non-positive pilot power would give an estimate quality above beta.
+            raise ConfigError(f"terminal_pilot_power_w must be > 0, got {self.terminal_pilot_power_w}")
         if self.allow_override:
             return
         for name, pinned in self._PINNED:

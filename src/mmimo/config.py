@@ -17,6 +17,7 @@ from typing import Any, Callable, get_type_hints
 from .capacity import RuralConfig
 from .channel import FOCUSING_TERMINALS
 from .errors import ConfigError
+from .numerics import BLOCK_ENTRIES
 
 EXPERIMENTS = (
     "focusing-map",
@@ -144,6 +145,9 @@ TRIAL_DEFAULTS: dict[str, tuple[int, int]] = {
 
 _COMMON_KEYS = ("experiment", "seed", "trials", "output_dir", "workers")
 
+# Experiments whose i.i.d. trials are drawn in blocks of BLOCK_ENTRIES entries.
+BLOCK_DRAWN = ("svd-spread", "mrt-sumrate", "pilot-contamination")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -171,6 +175,9 @@ class ExperimentConfig:
         }
         if self.channels_path is not None:
             out["channels_path"] = self.channels_path
+        elif self.experiment in BLOCK_DRAWN:
+            # Part of the stream definition, so part of what the hash describes.
+            out["block_entries"] = BLOCK_ENTRIES
         return out
 
     def config_hash(self) -> str:
@@ -252,6 +259,19 @@ def parse_config(
             f"key 'focusing-map.m': zero-forcing (scheme = {params['scheme']}) needs m >= "
             f"{FOCUSING_TERMINALS}, the scene's terminal count, got {params['m']}"
         )
+    if name == "ee-se-tradeoff":
+        k, m, coherence = params["k_massive"], params["m_massive"], params["coherence_symbols"]
+        if k >= m:
+            raise ConfigError(
+                f"key 'ee-se-tradeoff.k_massive': zero-forcing needs k_massive < m_massive = {m}, got {k}"
+            )
+        if k > coherence:
+            raise ConfigError(
+                f"key 'ee-se-tradeoff.k_massive': pilots of length k_massive must fit in "
+                f"coherence_symbols = {coherence}, got {k}"
+            )
+    if name == "rural-broadband":
+        RuralConfig(**params)  # the scenario's own checks: pinned values, pilot power
     if name == "pilot-contamination" and len(set(params["m_list"])) < 2:
         raise ConfigError(
             f"key 'pilot-contamination.m_list': the log-log slope fit needs at least two distinct "

@@ -1,9 +1,10 @@
 """The named batch experiments and their CSV/JSON emission.
 
 Every experiment is a pure function of its resolved configuration: trials
-derive per-index sub-seeds, reductions run in trial order, and floats are
-written in shortest round-trip form, so reruns are byte-identical no matter
-how many workers execute the trials.
+derive their draws from per-index sub-seeds (one per block of trials for the
+block-drawn experiments, see `numerics.gaussian_blocks`), reductions run in
+trial order, and floats are written in shortest round-trip form, so reruns
+are byte-identical no matter how many workers execute the trials.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import __version__, capacity, channel, pilots, transceiver
 from .config import ExperimentConfig
-from .numerics import EmpiricalCdf, Seed, singular_value_spread_db
+from .numerics import EmpiricalCdf, Seed, gaussian_blocks, singular_value_spread_db
 
 
 @dataclass(frozen=True)
@@ -93,30 +94,25 @@ def emit_tables(result: ExperimentResult, output_dir) -> list[str]:
 
 
 def _channel_groups(config: ExperimentConfig):
-    """Yield (M, K, matrices) per antenna count for svd-spread and mrt-sumrate:
-    the measured CFCSV set as one group, or for each `m_list` entry its i.i.d.
-    draws in trial order, drawn one matrix at a time."""
+    """Yield (M, K, stacks) per antenna count for svd-spread and mrt-sumrate,
+    each stack a (count, M, K) array in trial order: the measured CFCSV set as
+    one stack, or for `m_list` entry mi its i.i.d. draws in the blocks of
+    `gaussian_blocks(Seed(seed).child(mi), ...)`."""
     if config.channels_path is not None:
         measured = channel.load_measured_channels(config.channels_path)
-        yield measured.m, measured.k, iter(measured.matrices)
+        yield measured.m, measured.k, [measured.matrices]
         return
     k = config.params["k"]
     seed = Seed(config.seed)
     for mi, m in enumerate(config.params["m_list"]):
-        yield m, k, _iid_draws(seed.child(mi), m, k, config.trials)
-
-
-def _iid_draws(seed: Seed, m: int, k: int, trials: int):
-    # A function, not a generator expression, so that each group binds its own seed and m.
-    for t in range(trials):
-        yield channel.gen_iid_channel(seed.child(t), m, k)
+        yield m, k, gaussian_blocks(seed.child(mi), m, k, config.trials)
 
 
 def _run_svd_spread(config: ExperimentConfig):
     rows: list[tuple] = []
     medians: dict[str, float] = {}
-    for m, k, matrices in _channel_groups(config):
-        spreads = [singular_value_spread_db(h) for h in matrices]
+    for m, k, stacks in _channel_groups(config):
+        spreads = np.concatenate([singular_value_spread_db(h) for h in stacks])
         rows.extend((m, k, t, s) for t, s in enumerate(spreads))
         medians[str(m)] = EmpiricalCdf.from_samples(spreads, unit="dB").median
     summary = {"median_spread_db": medians}
@@ -128,7 +124,8 @@ def _run_svd_spread(config: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 
-def _mrt_sum_rate(h: np.ndarray, snr_linear: float) -> float:
+def _mrt_sum_rates(h: np.ndarray, snr_linear: float) -> np.ndarray:
+    """Sum rate of each channel in a (count, M, K) stack."""
     budget = transceiver.budget_for_mean_desired_snr(h, snr_linear, noise_power=1.0)
     precoder = transceiver.mrt_precoder(h, budget)
     return transceiver.evaluate_downlink(h, precoder, noise_power=1.0).sum_rate
@@ -138,8 +135,8 @@ def _run_mrt_sumrate(config: ExperimentConfig):
     snr = 10.0 ** (config.params["target_snr_db"] / 10.0)
     rows: list[tuple] = []
     means: dict[str, float] = {}
-    for m, k, matrices in _channel_groups(config):
-        rates = [_mrt_sum_rate(h, snr) for h in matrices]
+    for m, k, stacks in _channel_groups(config):
+        rates = np.concatenate([_mrt_sum_rates(h, snr) for h in stacks])
         rows.extend((m, k, t, r) for t, r in enumerate(rates))
         means[str(m)] = float(np.mean(rates))
     summary = {

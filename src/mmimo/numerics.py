@@ -12,6 +12,13 @@ from .errors import DimensionError, NumericError, RankError
 # (double-precision conditioning floor).
 RANK_TOLERANCE = 1e-12
 
+# Complex entries per block of block-drawn Monte Carlo trials (see
+# `gaussian_blocks`). Part of the stream definition: changing it changes the
+# outputs of svd-spread, mrt-sumrate and pilot-contamination.
+BLOCK_ENTRIES = 2**15
+
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
 
 @dataclass(frozen=True)
 class Seed:
@@ -20,6 +27,12 @@ class Seed:
     The same (master, path) pair always yields the same stream, and distinct
     paths yield streams with no shared state, so Monte Carlo trials can be
     evaluated in any order or in parallel with bit-identical results.
+
+    Experiments give each trial its own path, except svd-spread, mrt-sumrate
+    and pilot-contamination, which draw their i.i.d. trials in blocks: block
+    b of group g comes from the path (g, b), see `gaussian_blocks`. Their
+    outputs changed once when these block streams replaced one stream per
+    trial; the other experiments and the capacity validators kept theirs.
     """
 
     master: int
@@ -38,50 +51,85 @@ class Seed:
         return Seed(self.master, self.path + tuple(indices))
 
     def generator(self) -> np.random.Generator:
-        """Counter-style generator keyed on (master, path)."""
+        """PCG64 generator keyed through `SeedSequence` on (master, path)."""
         sequence = np.random.SeedSequence(self.master, spawn_key=self.path)
         return np.random.Generator(np.random.PCG64(sequence))
 
 
-def draw_complex_gaussian(seed: Seed, rows: int, cols: int) -> np.ndarray:
-    """Draw an i.i.d. circularly-symmetric complex Gaussian matrix.
+def draw_complex_gaussian(
+    source: Seed | np.random.Generator, rows: int, cols: int, batch: int | None = None
+) -> np.ndarray:
+    """Draw an i.i.d. circularly-symmetric complex Gaussian matrix, or with
+    `batch` a (batch, rows, cols) stack of them.
 
     Entries have zero mean and unit variance (real and imaginary parts each
-    carry variance 1/2). Deterministic in `seed`.
+    carry variance 1/2). `source` is a `Seed`, or a generator to continue.
+    One `standard_normal` call fills the parts trial-major: matrix 0's real
+    parts, its imaginary parts, then matrix 1's, and so on. So a stack equals
+    consecutive smaller stacks drawn from the same generator, concatenated,
+    and a stack's first matrices do not depend on its length. A single
+    matrix is bit-identical to (re + 1j*im)/sqrt(2) of two (rows, cols) draws.
     """
     if rows < 1 or cols < 1:
         raise DimensionError(f"matrix dimensions must be >= 1, got {rows}x{cols}")
-    rng = seed.generator()
-    re = rng.standard_normal((rows, cols))
-    im = rng.standard_normal((rows, cols))
-    return (re + 1j * im) / np.sqrt(2.0)
+    if batch is not None and batch < 1:
+        raise DimensionError(f"stack size must be >= 1, got {batch}")
+    rng = source.generator() if isinstance(source, Seed) else source
+    lead = () if batch is None else (batch,)
+    parts = rng.standard_normal((*lead, 2, rows, cols))
+    out = np.empty((*lead, rows, cols), dtype=complex)
+    np.multiply(parts[..., 0, :, :], _INV_SQRT2, out=out.real)
+    np.multiply(parts[..., 1, :, :], _INV_SQRT2, out=out.imag)
+    return out
+
+
+def gaussian_blocks(seed: Seed, rows: int, cols: int, trials: int):
+    """Yield `trials` i.i.d. (rows, cols) draws of `draw_complex_gaussian` in
+    trial order, as (count, rows, cols) stacks of one block each.
+
+    A block holds max(1, BLOCK_ENTRIES // (rows * cols)) trials and block b
+    draws from `seed.child(b)`. The block size does not depend on `trials`,
+    so the draws of the first T trials are the same for every trial count
+    of at least T.
+    """
+    size = max(1, BLOCK_ENTRIES // (rows * cols))
+    for index, start in enumerate(range(0, trials, size)):
+        yield draw_complex_gaussian(seed.child(index), rows, cols, min(size, trials - start))
 
 
 def _checked_matrix(h) -> np.ndarray:
+    """`h` as a complex matrix, or a stack (..., rows, cols) of them, with
+    finite entries."""
     h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] < 1 or h.shape[1] < 1:
-        raise DimensionError(f"expected a 2-D matrix, got shape {h.shape}")
+    if h.ndim < 2 or 0 in h.shape:
+        raise DimensionError(f"expected a matrix or a stack of matrices, got shape {h.shape}")
     if not np.all(np.isfinite(h.real)) or not np.all(np.isfinite(h.imag)):
         raise NumericError("matrix contains non-finite entries")
     return h
 
 
 def singular_values(h) -> np.ndarray:
-    """Singular values of `h` in descending order."""
+    """Singular values of `h` in descending order, per matrix of a stack."""
     return np.linalg.svd(_checked_matrix(h), compute_uv=False)
 
 
-def singular_value_spread_db(h) -> float:
-    """Ratio of largest to smallest singular value, in dB (20 log10)."""
+def singular_value_spread_db(h):
+    """Ratio of largest to smallest singular value, in dB (20 log10): a float
+    for one matrix, an array for a stack. Raises `RankError` if any matrix is
+    rank-deficient."""
     s = singular_values(h)
-    if s[0] == 0.0 or s[-1] <= RANK_TOLERANCE * s[0]:
+    top, bottom = s[..., 0], s[..., -1]
+    if np.any((top == 0.0) | (bottom <= RANK_TOLERANCE * top)):
         raise RankError("singular value spread undefined for a rank-deficient matrix")
-    return float(20.0 * np.log10(s[0] / s[-1]))
+    spread = 20.0 * np.log10(top / bottom)
+    return float(spread) if spread.ndim == 0 else spread
 
 
 def pseudo_inverse(h) -> np.ndarray:
     """Moore-Penrose pseudo-inverse of a full-column-rank matrix."""
     h = _checked_matrix(h)
+    if h.ndim != 2:
+        raise DimensionError(f"expected a 2-D matrix, got shape {h.shape}")
     rows, cols = h.shape
     if cols > rows:
         raise RankError(f"matrix with {cols} columns and {rows} rows cannot have full column rank")

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import Seed, draw_complex_gaussian
+from .numerics import Seed, gaussian_blocks
 
 
 def contamination_sir_limit_db(beta_home, betas_contaminating) -> float:
@@ -52,25 +52,29 @@ def simulate_contamination(
     Every contaminator shares the home terminal's pilot sequence. The
     combiner is the normalised least-squares estimate, so `desired` and
     `directed` grow linearly with the antenna count while `noise` stays flat.
+
+    Trial t draws one M x (n + 3) unit-variance matrix from
+    `gaussian_blocks(seed, ...)`: its columns are the home channel, the n
+    contaminating channels, the estimation noise and the receiver noise, in
+    that order, before scaling.
     """
     others = np.asarray(betas_contaminating, dtype=float).ravel()
     if trials < 1:
         raise DomainError("need at least one trial")
-    desired = np.empty(trials)
-    directed = np.empty(trials)
-    noise = np.empty(trials)
+    n = others.size
+    # Column gains that sum a trial's draw into its least-squares estimate.
     est_noise_std = 1.0 / math.sqrt(rho_pilot * tau)
-    for t in range(trials):
-        s = seed.child(t)
-        h_home = math.sqrt(beta_home) * draw_complex_gaussian(s.child(0), m, 1)[:, 0]
-        est = h_home.copy()
-        if others.size:
-            h_others = draw_complex_gaussian(s.child(1), m, others.size) * np.sqrt(others)
-            est += h_others.sum(axis=1)
-        est = est + est_noise_std * draw_complex_gaussian(s.child(2), m, 1)[:, 0]
-        u = est / np.linalg.norm(est)
-        n = draw_complex_gaussian(s.child(3), m, 1)[:, 0]
-        desired[t] = np.abs(np.vdot(u, h_home)) ** 2
-        directed[t] = float(np.sum(np.abs(u.conj() @ h_others) ** 2)) if others.size else 0.0
-        noise[t] = np.abs(np.vdot(u, n)) ** 2
-    return ContaminationSample(desired=desired, directed=directed, noise=noise)
+    estimate_gains = np.concatenate(([math.sqrt(beta_home)], np.sqrt(others), [est_noise_std]))
+    inner_powers = []
+    # einsum, not BLAS, so that no sum depends on the BLAS thread count.
+    for z in gaussian_blocks(seed, m, n + 3, trials):
+        est = np.einsum("tmj,j->tm", z[:, :, :-1], estimate_gains)
+        u = est / np.linalg.norm(est, axis=1, keepdims=True)
+        # |u^H z_j|^2 for every column j of every trial in the block
+        inner_powers.append(np.abs(np.einsum("tm,tmj->tj", u.conj(), z)) ** 2)
+    powers = np.concatenate(inner_powers)
+    return ContaminationSample(
+        desired=beta_home * powers[:, 0],
+        directed=np.einsum("tj,j->t", powers[:, 1 : n + 1], others),
+        noise=powers[:, -1],
+    )

@@ -321,6 +321,12 @@ class TestRuralBroadband:
         config = cap.RuralConfig(m=1000, allow_override=True)
         assert config.m == 1000
 
+    @pytest.mark.parametrize("power", [0.0, -0.1, float("nan")])
+    def test_nonpositive_pilot_power_rejected(self, power):
+        # Even with the override: a non-positive pilot power gives gamma > beta.
+        with pytest.raises(ConfigError, match="terminal_pilot_power_w"):
+            cap.RuralConfig(terminal_pilot_power_w=power, allow_override=True)
+
     def test_smoke_run_serves_950(self):
         result = cap.rural_broadband(cap.RuralConfig(), Seed(2), drops=10)
         assert result.served == 950

@@ -11,7 +11,7 @@ from mmimo.cli import main
 from mmimo.config import EXPERIMENTS, parse_config
 from mmimo.errors import ConfigError
 from mmimo.experiments import emit_tables, run
-from mmimo.numerics import Seed
+from mmimo.numerics import BLOCK_ENTRIES, Seed
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -159,6 +159,36 @@ class TestRunAndEmit:
             4 * np.log2(11.0)
         )
 
+    # Trial counts T < T' such that a group crosses a block boundary before
+    # T: M = 128 with K = 4 (512 entries per trial) and M = 1024 with one
+    # contaminator (4 columns, so 4096 entries per trial).
+    @pytest.mark.parametrize(
+        "experiment, params, table, entries, short, long",
+        [
+            ("svd-spread", "m_list = 4,128\n", "spread", 512, 130, 300),
+            ("mrt-sumrate", "m_list = 4,128\n", "sumrate", 512, 130, 300),
+            ("pilot-contamination", "m_list = 16,1024\nm_limit = 2048\n", "contamination", 4096, 20, 40),
+        ],
+    )
+    def test_rows_prefix_stable_across_trial_counts(self, tmp_path, experiment, params, table, entries, short, long):
+        assert BLOCK_ENTRIES // entries < short
+        body = f"[experiment]\nexperiment = {experiment}\nseed = 4\n\n[{experiment}]\n{params}"
+        path = write_config(tmp_path / "c.ini", body)
+        rows = {n: run(parse_config(path, trials=n)).tables[table].rows for n in (short, long)}
+        trial = 1 if experiment == "pilot-contamination" else 2
+        assert rows[short] == [row for row in rows[long] if row[trial] < short]
+
+    def test_block_entries_recorded_for_block_drawn_experiments(self, tmp_path):
+        for name in EXPERIMENTS:
+            path = write_config(tmp_path / f"{name}.ini", f"[experiment]\nexperiment = {name}\n")
+            resolved = parse_config(path).resolved()
+            drawn = name in ("svd-spread", "mrt-sumrate", "pilot-contamination")
+            assert resolved.get("block_entries") == (BLOCK_ENTRIES if drawn else None), name
+        channels = tmp_path / "set.cfcsv"
+        save_measured_channels(gen_iid_channel(Seed(0), 4, 4), channels)
+        measured = parse_config(tmp_path / "svd-spread.ini", channels_path=str(channels))
+        assert "block_entries" not in measured.resolved()
+
     def test_measured_channels_flow(self, tmp_path):
         stack = np.stack([gen_iid_channel(Seed(1).child(f), 8, 3) for f in range(5)])
         channels = tmp_path / "set.cfcsv"
@@ -246,6 +276,9 @@ class TestCliProcess:
             ("ee-se-tradeoff", 1, "m_massive=0"),
             ("ee-se-tradeoff", 1, "k_massive=0"),
             ("ee-se-tradeoff", 1, "m_beamforming=0"),
+            ("ee-se-tradeoff", 1, "k_massive=100"),
+            ("ee-se-tradeoff", 1, "m_massive=40"),
+            ("ee-se-tradeoff", 1, "coherence_symbols=39"),
             ("pilot-contamination", 1, "rho_pilot=-1"),
             ("pilot-contamination", 1, "beta_home=0"),
             ("pilot-contamination", 1, "beta_home=nan"),
@@ -259,6 +292,9 @@ class TestCliProcess:
             ("pilot-contamination", 1, "m_list=16,16"),
             ("rural-broadband", 1, "base_gain_db=nan"),
             ("rural-broadband", 1, "coherence_s=nan"),
+            ("rural-broadband", 1, "terminal_pilot_power_w=-0.1"),
+            ("rural-broadband", 1, "terminal_pilot_power_w=0"),
+            ("rural-broadband", 1, "m=16"),
         ],
     )
     def test_invalid_value_rejected_before_run(self, tmp_path, command, experiment, seed, value):

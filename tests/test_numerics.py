@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 from mmimo.errors import DimensionError, NumericError, RankError
 from mmimo.numerics import (
+    BLOCK_ENTRIES,
     EmpiricalCdf,
     Seed,
     draw_complex_gaussian,
+    gaussian_blocks,
     pseudo_inverse,
     singular_value_spread_db,
     singular_values,
@@ -54,6 +56,75 @@ class TestDrawComplexGaussian:
         assert np.var(h.real) == pytest.approx(0.5, abs=0.01)
         assert np.var(h.imag) == pytest.approx(0.5, abs=0.01)
 
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (4, 4), (7, 3), (128, 4), (100, 400)])
+    def test_matrix_bit_identical_to_two_draw_formula(self, rows, cols):
+        # The formula of the per-matrix streams that capacity and the
+        # validators draw from: two (rows, cols) draws, then (re + 1j*im)/sqrt(2).
+        rng = Seed(31).child(rows, cols).generator()
+        re = rng.standard_normal((rows, cols))
+        im = rng.standard_normal((rows, cols))
+        reference = (re + 1j * im) / np.sqrt(2.0)
+        drawn = draw_complex_gaussian(Seed(31).child(rows, cols), rows, cols)
+        assert drawn.shape == (rows, cols)
+        assert np.array_equal(drawn.view(np.uint64), reference.view(np.uint64))
+
+    def test_stack_equals_consecutive_draws(self):
+        whole = draw_complex_gaussian(Seed(32).generator(), 5, 3, 10)
+        rng = Seed(32).generator()
+        parts = [draw_complex_gaussian(rng, 5, 3, n) for n in (3, 1, 6)]
+        assert whole.shape == (10, 5, 3)
+        assert np.array_equal(whole, np.concatenate(parts))
+
+    def test_one_matrix_stack_is_the_matrix(self):
+        assert np.array_equal(draw_complex_gaussian(Seed(33), 6, 2, 1)[0], draw_complex_gaussian(Seed(33), 6, 2))
+
+    def test_empty_stack_rejected(self):
+        with pytest.raises(DimensionError):
+            draw_complex_gaussian(Seed(0), 4, 4, 0)
+
+
+def _blocks(seed, rows, cols, trials):
+    return list(gaussian_blocks(seed, rows, cols, trials))
+
+
+class TestGaussianBlocks:
+    def test_block_size_follows_matrix_size(self):
+        per_block = BLOCK_ENTRIES // (4 * 4)
+        sizes = [b.shape[0] for b in _blocks(Seed(40), 4, 4, per_block + 5)]
+        assert sizes == [per_block, 5]
+        # A matrix of more than BLOCK_ENTRIES entries still makes a block of one.
+        big = _blocks(Seed(40), BLOCK_ENTRIES + 1, 1, 2)
+        assert [b.shape for b in big] == [(1, BLOCK_ENTRIES + 1, 1)] * 2
+
+    def test_block_b_draws_from_child_b(self):
+        rows, cols = 64, 64
+        blocks = _blocks(Seed(41), rows, cols, 2 * (BLOCK_ENTRIES // (rows * cols)) + 3)
+        assert len(blocks) == 3
+        for index, block in enumerate(blocks):
+            expected = draw_complex_gaussian(Seed(41).child(index), rows, cols, block.shape[0])
+            assert np.array_equal(block, expected)
+
+    def test_prefix_stable_across_trial_counts(self):
+        rows, cols = 64, 64
+        short = BLOCK_ENTRIES // (rows * cols) + 3  # crosses a block boundary
+        first = np.concatenate(_blocks(Seed(42), rows, cols, short))
+        longer = np.concatenate(_blocks(Seed(42), rows, cols, 3 * short))
+        assert np.array_equal(first, longer[:short])
+
+    def test_moments_and_no_correlation_between_blocks(self):
+        # 8 blocks of BLOCK_ENTRIES entries. sqrt(2) x each part is standard normal;
+        # neighbouring blocks are independent, so their entrywise correlation
+        # is within a few standard errors (1/sqrt(n)) of zero.
+        blocks = [np.sqrt(2.0) * b.ravel() for b in _blocks(Seed(43), 16, 16, 8 * (BLOCK_ENTRIES // 256))]
+        assert len(blocks) == 8
+        n = blocks[0].size
+        for part in (np.real, np.imag):
+            values = np.concatenate([part(b) for b in blocks])
+            assert abs(np.mean(values)) < 5.0 / np.sqrt(values.size)
+            assert np.var(values) == pytest.approx(1.0, abs=5.0 * np.sqrt(2.0 / values.size))
+            for a, b in zip(blocks, blocks[1:]):
+                assert abs(np.corrcoef(part(a), part(b))[0, 1]) < 5.0 / np.sqrt(n)
+
 
 class TestSingularValues:
     def test_identity(self):
@@ -81,6 +152,21 @@ class TestSingularValues:
         with pytest.raises(NumericError):
             singular_values(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
+    def test_stack_matches_per_matrix(self):
+        stack = draw_complex_gaussian(Seed(44), 6, 3, 50)
+        assert np.array_equal(singular_values(stack), np.stack([singular_values(h) for h in stack]))
+
+    def test_stack_with_nonfinite_entry_rejected(self):
+        stack = draw_complex_gaussian(Seed(45), 4, 4, 3)
+        stack[2, 1, 1] = np.nan
+        with pytest.raises(NumericError):
+            singular_values(stack)
+
+    @pytest.mark.parametrize("shape", [(4,), (0, 4, 4), (3, 0, 4)])
+    def test_not_a_matrix_rejected(self, shape):
+        with pytest.raises(DimensionError):
+            singular_values(np.ones(shape))
+
 
 class TestSingularValueSpread:
     def test_identity_is_zero_db(self):
@@ -92,6 +178,19 @@ class TestSingularValueSpread:
     def test_rank_deficient_rejected(self):
         with pytest.raises(RankError):
             singular_value_spread_db(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+    @pytest.mark.parametrize("m", [4, 32, 128])
+    def test_stack_matches_per_matrix(self, m):
+        stack = draw_complex_gaussian(Seed(46).child(m), m, 4, 200)
+        spreads = singular_value_spread_db(stack)
+        assert spreads.shape == (200,)
+        assert np.array_equal(spreads, [singular_value_spread_db(h) for h in stack])
+
+    def test_stack_with_rank_deficient_matrix_rejected(self):
+        stack = draw_complex_gaussian(Seed(47), 4, 2, 5)
+        stack[3] = 1.0
+        with pytest.raises(RankError):
+            singular_value_spread_db(stack)
 
     def test_iid_4x4_median(self):
         # Ensemble check against the published value for a 4-element array.

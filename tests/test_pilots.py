@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mmimo.errors import DomainError
-from mmimo.numerics import Seed
+from mmimo.numerics import BLOCK_ENTRIES, Seed, gaussian_blocks
 from mmimo.pilots import contamination_sir_limit_db, simulate_contamination
 
 
@@ -25,6 +29,81 @@ class TestContaminationLimit:
             contamination_sir_limit_db(0.0, [1.0])
         with pytest.raises(DomainError):
             contamination_sir_limit_db(1.0, [-0.5])
+
+
+def per_trial_reference(m, beta_home, betas, rho_pilot, tau, trials, seed):
+    """Desired, directed and noise powers from an explicit loop over trials,
+    reading each trial's columns from the same block draws."""
+    draws = np.concatenate(list(gaussian_blocks(seed, m, len(betas) + 3, trials)))
+    rows = []
+    for z in draws:
+        h_home = math.sqrt(beta_home) * z[:, 0]
+        h_others = z[:, 1:-2] * np.sqrt(betas)
+        est = h_home + h_others.sum(axis=1) + z[:, -2] / math.sqrt(rho_pilot * tau)
+        u = est / np.linalg.norm(est)
+        rows.append(
+            (
+                abs(np.vdot(u, h_home)) ** 2,
+                float(np.sum(np.abs(u.conj() @ h_others) ** 2)),
+                abs(np.vdot(u, z[:, -1])) ** 2,
+            )
+        )
+    return np.array(rows)
+
+
+_BLAS_THREADS_SCRIPT = """
+import sys
+import numpy as np
+from mmimo.numerics import Seed
+from mmimo.pilots import simulate_contamination
+for m in (16, 1024, 10_000):
+    s = simulate_contamination(m, 1.0, [1.0, 0.5], 1.0, 16, 20, Seed(m))
+    sys.stdout.write(np.concatenate([s.desired, s.directed, s.noise]).tobytes().hex())
+"""
+
+
+class TestContaminationBlocks:
+    @pytest.mark.parametrize("m, betas", [(16, [1.0]), (300, [0.3, 0.7]), (20_000, [1.0])])
+    def test_matches_per_trial_reference(self, m, betas):
+        trials = 7
+        sample = simulate_contamination(m, 1.3, betas, 2.0, 8, trials, Seed(7).child(m))
+        reference = per_trial_reference(m, 1.3, betas, 2.0, 8, trials, Seed(7).child(m))
+        got = np.column_stack([sample.desired, sample.directed, sample.noise])
+        assert np.allclose(got, reference, rtol=1e-12, atol=0.0)
+
+    def test_no_contaminator_directs_nothing(self):
+        sample = simulate_contamination(32, 1.0, [], 1.0, 4, 5, Seed(8))
+        assert np.array_equal(sample.directed, np.zeros(5))
+        assert np.all(sample.desired > 0.0)
+
+    def test_trials_are_prefix_stable(self):
+        # M = 1024 with one contaminator draws 4096 entries per trial.
+        short = BLOCK_ENTRIES // 4096 + 3  # crosses a block boundary
+        first = simulate_contamination(1024, 1.0, [1.0], 1.0, 16, short, Seed(9))
+        longer = simulate_contamination(1024, 1.0, [1.0], 1.0, 16, 3 * short, Seed(9))
+        for field in ("desired", "directed", "noise"):
+            assert np.array_equal(getattr(first, field), getattr(longer, field)[:short])
+
+    def test_no_trials_rejected(self):
+        with pytest.raises(DomainError):
+            simulate_contamination(16, 1.0, [1.0], 1.0, 4, 0, Seed(10))
+
+    def test_blas_threads_do_not_change_powers(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+            done = subprocess.run(
+                [sys.executable, "-c", _BLAS_THREADS_SCRIPT],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            )
+            outputs.append(done.stdout)
+        assert outputs[0] and outputs[0] == outputs[1]
 
 
 @pytest.mark.slow

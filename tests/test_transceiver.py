@@ -7,11 +7,13 @@ from mmimo import transceiver
 from mmimo.channel import gen_iid_channel, make_focusing_scene, scatterer_channel_matrix
 from mmimo.errors import (
     DegenerateChannelError,
+    DimensionError,
     DomainError,
     RankError,
 )
 from mmimo.numerics import Seed, draw_complex_gaussian
 from mmimo.transceiver import (
+    Precoder,
     budget_for_mean_desired_snr,
     evaluate_downlink,
     field_map,
@@ -145,6 +147,56 @@ class TestEvaluateDownlink:
         assert np.allclose(scaled.signal_power, c**2 * base.signal_power, rtol=1e-12)
         assert np.allclose(scaled.interference_power, c**2 * base.interference_power, rtol=1e-12)
         assert np.allclose(scaled.sinr, base.sinr, rtol=1e-12)
+
+
+class TestStackedKernels:
+    """The stacked MRT chain against one call per matrix."""
+
+    @pytest.mark.parametrize("m", [4, 32, 128])
+    def test_stack_matches_per_matrix(self, m):
+        stack = draw_complex_gaussian(Seed(24).child(m), m, 4, 100)
+        budgets = budget_for_mean_desired_snr(stack, 10.0, 1.0)
+        precoder = mrt_precoder(stack, budgets)
+        report = evaluate_downlink(stack, precoder, 1.0)
+        assert budgets.shape == (100,) and report.sum_rate.shape == (100,)
+        for t, h in enumerate(stack):
+            budget = budget_for_mean_desired_snr(h, 10.0, 1.0)
+            alone = mrt_precoder(h, budget)
+            single = evaluate_downlink(h, alone, 1.0)
+            assert budgets[t] == budget
+            assert np.array_equal(precoder.w[t], alone.w)
+            for field in ("signal_power", "interference_power", "sinr", "rate_bits_per_s_per_hz"):
+                assert np.array_equal(getattr(report, field)[t], getattr(single, field)), field
+            assert report.sum_rate[t] == single.sum_rate
+
+    def test_zero_column_in_stack_rejected(self):
+        stack = draw_complex_gaussian(Seed(25), 4, 2, 3)
+        stack[1, :, 0] = 0.0
+        with pytest.raises(DegenerateChannelError):
+            mrt_precoder(stack, np.ones(3))
+
+    def test_all_zero_matrix_in_stack_rejected(self):
+        stack = draw_complex_gaussian(Seed(26), 4, 2, 3)
+        stack[2] = 0.0
+        with pytest.raises(DegenerateChannelError):
+            budget_for_mean_desired_snr(stack, 10.0, 1.0)
+
+    def test_nonpositive_budget_in_stack_rejected(self):
+        stack = draw_complex_gaussian(Seed(27), 4, 2, 3)
+        with pytest.raises(DomainError):
+            mrt_precoder(stack, np.array([1.0, 0.0, 1.0]))
+
+    def test_budget_mismatch_in_stack_rejected(self):
+        stack = draw_complex_gaussian(Seed(28), 4, 2, 3)
+        w = mrt_precoder(stack, np.ones(3)).w
+        with pytest.raises(DomainError, match="radiates"):
+            Precoder(w=w, scheme="mrt", power_budget=np.array([1.0, 2.0, 1.0]))
+
+    def test_stack_shape_mismatch_rejected(self):
+        stack = draw_complex_gaussian(Seed(29), 4, 2, 3)
+        precoder = mrt_precoder(stack, np.ones(3))
+        with pytest.raises(DimensionError):
+            evaluate_downlink(stack[:2], precoder, 1.0)
 
 
 class TestInvariants:
