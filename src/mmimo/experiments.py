@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__, capacity, channel, pilots, transceiver
 from .config import ExperimentConfig
+from .errors import DomainError
 from .numerics import EmpiricalCdf, Seed, gaussian_blocks, singular_value_spread_db
 
 
@@ -62,7 +63,22 @@ def _format_cell(value) -> str:
 
 
 def emit_tables(result: ExperimentResult, output_dir) -> list[str]:
-    """Write one CSV per table plus summary.json; returns the file paths."""
+    """Write one CSV per table plus summary.json; returns the file paths.
+
+    summary.json is serialised first, as strict JSON: a NaN or infinity in it
+    raises `DomainError` before any file is written."""
+    payload = {
+        "experiment": result.experiment,
+        "seed": result.seed,
+        "config_hash": result.config_hash,
+        "version": __version__,
+        "resolved_config": result.resolved_config,
+        "metrics": result.summary,
+    }
+    try:
+        summary_text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError(f"summary of {result.experiment} is not valid JSON: {exc}") from None
     os.makedirs(output_dir, exist_ok=True)
     written = []
     for name, table in result.tables.items():
@@ -73,17 +89,8 @@ def emit_tables(result: ExperimentResult, output_dir) -> list[str]:
                 fh.write(",".join(_format_cell(cell) for cell in row) + "\n")
         written.append(path)
     summary_path = os.path.join(output_dir, "summary.json")
-    payload = {
-        "experiment": result.experiment,
-        "seed": result.seed,
-        "config_hash": result.config_hash,
-        "version": __version__,
-        "resolved_config": result.resolved_config,
-        "metrics": result.summary,
-    }
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(summary_text + "\n")
     written.append(summary_path)
     return written
 
@@ -151,6 +158,13 @@ def _run_mrt_sumrate(config: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 
+def _json_db(value) -> float | str:
+    """A dB value for summary.json: the string "-inf" for zero power, since
+    JSON has no infinities. NaN and +inf stay floats, for `emit_tables` to reject."""
+    value = float(value)
+    return "-inf" if value == -math.inf else value
+
+
 def _run_focusing_map(config: ExperimentConfig):
     p = config.params
     schemes = ("mrt", "zf") if p["scheme"] == "both" else (p["scheme"],)
@@ -173,9 +187,10 @@ def _run_focusing_map(config: ExperimentConfig):
             for ix, x in enumerate(fmap.x_lambda):
                 rows.append((float(x), float(y), float(fmap.power_db[iy, ix])))
         tables[f"focusing_map_{fmap.scheme}"] = Table(("x_lambda", "y_lambda", "avg_power_db"), rows)
+        # A ZF null that cancels exactly is -inf dB.
         summary[fmap.scheme] = {
-            "target_gain_db": fmap.target_gain_db,
-            "terminal_power_db": [float(v) for v in fmap.terminal_power_db],
+            "target_gain_db": _json_db(fmap.target_gain_db),
+            "terminal_power_db": [_json_db(v) for v in fmap.terminal_power_db],
         }
     return summary, tables
 

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -6,11 +7,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from mmimo import experiments, transceiver
 from mmimo.channel import gen_iid_channel, save_measured_channels
 from mmimo.cli import main
 from mmimo.config import EXPERIMENTS, parse_config
-from mmimo.errors import ConfigError
-from mmimo.experiments import emit_tables, run
+from mmimo.errors import ConfigError, DomainError
+from mmimo.experiments import ExperimentResult, Table, emit_tables, run
 from mmimo.numerics import BLOCK_ENTRIES, Seed
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -139,6 +141,52 @@ class TestRunAndEmit:
         assert payload["seed"] == 9
         assert "config_hash" in payload
         assert payload["resolved_config"]["params"]["k"] == 4
+
+    def test_exact_null_written_as_minus_inf(self, tmp_path, monkeypatch):
+        real_field_map = transceiver.field_map
+
+        def exact_nulls(*args, **kwargs):
+            # Force one ZF null and one grid cell to cancel exactly.
+            maps = real_field_map(*args, **kwargs)
+            cells = maps[0].power_db.copy()
+            cells[0, 0] = -np.inf
+            terminals = maps[0].terminal_power_db.copy()
+            terminals[1] = -np.inf
+            return (replace(maps[0], power_db=cells, terminal_power_db=terminals),)
+
+        monkeypatch.setattr(transceiver, "field_map", exact_nulls)
+        path = write_config(
+            tmp_path / "c.ini",
+            "[experiment]\nexperiment = focusing-map\ntrials = 2\n\n"
+            "[focusing-map]\nm = 8\nn_scatterers = 25\ngrid_points = 3\nscheme = zf\n",
+        )
+        out = tmp_path / "out"
+        emit_tables(run(parse_config(path, output_dir=str(out))), str(out))
+
+        def no_constants(name):
+            raise AssertionError(f"non-standard JSON constant {name}")
+
+        payload = json.loads((out / "summary.json").read_text(), parse_constant=no_constants)
+        terminals = payload["metrics"]["zf"]["terminal_power_db"]
+        assert terminals[1] == "-inf"
+        assert all(isinstance(v, float) for i, v in enumerate(terminals) if i != 1)
+        rows = (out / "focusing_map_zf.csv").read_text().splitlines()
+        assert rows[1].split(",")[2] == "-inf"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_summary_rejected_before_any_file(self, tmp_path, value):
+        result = ExperimentResult(
+            experiment="svd-spread",
+            summary={"median_spread_db": {"4": value}},
+            tables={"spread": Table(("M",), [(4,)])},
+            resolved_config={},
+            config_hash="0",
+            seed=0,
+        )
+        out = tmp_path / "out"
+        with pytest.raises(DomainError, match="svd-spread"):
+            emit_tables(result, str(out))
+        assert not out.exists()
 
     def test_config_closure(self, tmp_path):
         # Every schema default appears in the emitted resolved config.
@@ -337,6 +385,18 @@ class TestCliProcess:
         assert outcome.exit_code == 0, outcome.stderr
         if command == "run":
             assert (tmp_path / "o" / "focusing_map_mrt.csv").exists()
+
+    def test_non_finite_summary_exit_code_3_without_files(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(
+            experiments._RUNNERS, "svd-spread", lambda config: ({"x": math.nan}, {"t": Table(("a",), [(1,)])})
+        )
+        path = write_config(tmp_path / "c.ini", "[experiment]\nexperiment = svd-spread\ntrials = 2\n")
+        out = tmp_path / "o"
+        outcome = CliRunner().invoke(main, ["run", "--config", path, "--out", str(out)])
+        assert outcome.exit_code == 3
+        assert len(outcome.stderr.splitlines()) == 1
+        assert "Traceback" not in outcome.stderr
+        assert not out.exists()
 
     def test_seed_option_out_of_range_exit_code_2(self, tmp_path):
         path = write_config(tmp_path / "c.ini", "[experiment]\nexperiment = svd-spread\ntrials = 2\n")

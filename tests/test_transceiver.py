@@ -278,6 +278,29 @@ class TestFieldMap:
         field_map(scene, ("mrt", "zf"), grid, grid, 5, seed.child(1), workers=2)
         assert len(calls) == 5
 
+    def test_phasor_accuracy_contract(self, monkeypatch):
+        seed = Seed(24)
+        scene = make_focusing_scene(seed.child(0), m_antennas=8, n_scatterers=50)
+        grid = np.linspace(-50.0, 50.0, 11)
+        got = field_map(scene, ("mrt", "zf"), grid, grid, 6, seed.child(1))
+
+        def complex128_ray_sum(trial_scene, points, min_amplitude_distance=0.0):
+            def leg(origins):
+                diff = origins[:, None, :] - trial_scene.scatterer_positions[None, :, :]
+                d = np.sqrt(np.sum(diff**2, axis=2)) / trial_scene.wavelength
+                return np.exp(-2j * np.pi * d) / np.maximum(d, min_amplitude_distance)
+
+            return leg(np.asarray(points, dtype=float)) @ leg(trial_scene.antenna_positions).T
+
+        monkeypatch.setattr(transceiver, "scatterer_channel_matrix", complex128_ray_sum)
+        expected = field_map(scene, ("mrt", "zf"), grid, grid, 6, seed.child(1))
+        for fmap, ref in zip(got, expected):
+            for cells, ref_cells in ((fmap.power_db, ref.power_db), (fmap.terminal_power_db, ref.terminal_power_db)):
+                loud = ref_cells > -60.0
+                assert np.all(np.abs(cells[loud] - ref_cells[loud]) <= 1e-4)
+                assert np.all(cells[~loud] <= -60.0)
+        assert np.all(got[1].terminal_power_db[1:] <= -60.0)  # the ZF nulls
+
     @pytest.mark.parametrize("schemes", [(), ("mrt", "mrt"), ("mrt", "foo")])
     def test_bad_schemes_rejected(self, schemes):
         seed = Seed(22)
