@@ -62,6 +62,19 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+# Formatters for a column whose cells all have one of these exact types, with
+# the same output as `_format_cell`. np.float64 subclasses float, so
+# float.__repr__ gives repr(float(v)); bool is excluded by the exact type.
+_COLUMN_FORMATS = {float: float.__repr__, np.float64: float.__repr__, int: int.__repr__, str: str}
+
+
+def _format_column(column: tuple) -> list[str]:
+    """`_format_cell` of every cell, in one pass for a single-typed column."""
+    kinds = set(map(type, column))
+    fmt = _COLUMN_FORMATS.get(kinds.pop()) if len(kinds) == 1 else None
+    return list(map(fmt or _format_cell, column))
+
+
 def emit_tables(result: ExperimentResult, output_dir) -> list[str]:
     """Write one CSV per table plus summary.json; returns the file paths.
 
@@ -83,10 +96,10 @@ def emit_tables(result: ExperimentResult, output_dir) -> list[str]:
     written = []
     for name, table in result.tables.items():
         path = os.path.join(output_dir, f"{name}.csv")
+        columns = [_format_column(column) for column in zip(*table.rows)]
+        lines = [",".join(table.header)] + list(map(",".join, zip(*columns)))
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(table.header) + "\n")
-            for row in table.rows:
-                fh.write(",".join(_format_cell(cell) for cell in row) + "\n")
+            fh.write("\n".join(lines) + "\n")
         written.append(path)
     summary_path = os.path.join(output_dir, "summary.json")
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ScattererScene, redraw_scatterers, scatterer_channel_matrix
+from .channel import ScattererScene, redraw_scatterers, scatterer_channel_matrix, scatterer_field
 from .errors import DegenerateChannelError, DimensionError, DomainError, RankError
 from .numerics import Seed, pseudo_inverse
 from .parallel import ordered_trial_map
@@ -53,48 +53,37 @@ class LinkReport:
         return float(total) if total.ndim == 0 else total
 
 
-def _stream_weights(k: int, per_user_weights) -> np.ndarray:
-    if per_user_weights is None:
-        return np.full(k, 1.0 / k)
-    w = np.asarray(per_user_weights, dtype=float)
-    if w.shape != (k,):
-        raise DimensionError(f"need {k} per-user weights, got shape {w.shape}")
-    if np.any(w < 0.0) or abs(float(np.sum(w)) - 1.0) > 1e-9:
-        raise DomainError("per-user weights must be non-negative and sum to 1")
-    return w
-
-
-def mrt_precoder(h_hat: np.ndarray, power_budget, per_user_weights=None) -> Precoder:
+def mrt_precoder(h_hat: np.ndarray, power_budget) -> Precoder:
     """Maximum-ratio transmission: columns proportional to the conjugated
-    channel estimates, scaled so stream k radiates weights_k * power_budget.
+    channel estimates, scaled so each of the K streams radiates
+    power_budget / K.
 
     `h_hat` may be a (..., M, K) stack with one budget per matrix."""
     h = np.asarray(h_hat, dtype=complex)
     budget = np.asarray(power_budget, dtype=float)
     if np.any(budget <= 0.0):
         raise DomainError("power budget must be positive")
-    weights = _stream_weights(h.shape[-1], per_user_weights)
     norms = np.linalg.norm(h, axis=-2)
-    if np.any((norms == 0.0) & (weights > 0.0)):
+    if np.any(norms == 0.0):
         raise DegenerateChannelError("cannot beamform toward an all-zero channel column")
-    scale = np.sqrt(budget[..., None] * weights) / np.where(norms == 0.0, 1.0, norms)
+    scale = np.sqrt(budget[..., None] * (1.0 / h.shape[-1])) / norms
     return Precoder(w=np.conj(h) * scale[..., None, :], scheme="mrt", power_budget=power_budget)
 
 
-def zf_precoder(h_hat: np.ndarray, power_budget: float, per_user_weights=None) -> Precoder:
+def zf_precoder(h_hat: np.ndarray, power_budget: float) -> Precoder:
     """Zero-forcing: columns from the channel pseudo-inverse, so the effective
-    channel H^T W is diagonal under perfect CSI. Total-power normalisation."""
+    channel H^T W is diagonal under perfect CSI. Each of the K streams
+    radiates power_budget / K."""
     h = np.asarray(h_hat, dtype=complex)
     if power_budget <= 0.0:
         raise DomainError("power budget must be positive")
     m, k = h.shape
     if k > m:
         raise RankError(f"zero-forcing needs K <= M, got K={k}, M={m}")
-    weights = _stream_weights(k, per_user_weights)
     # pinv(H^T) = pinv(conj(H))^H; conj(H) is tall, so the column-rank check applies.
     directions = pseudo_inverse(np.conj(h)).conj().T
     norms = np.linalg.norm(directions, axis=0)
-    scale = np.sqrt(power_budget * weights) / norms
+    scale = np.sqrt(power_budget * (1.0 / k)) / norms
     return Precoder(w=directions * scale, scheme="zf", power_budget=power_budget)
 
 
@@ -120,15 +109,12 @@ def evaluate_downlink(h_true: np.ndarray, precoder: Precoder, noise_power: float
     )
 
 
-def budget_for_mean_desired_snr(
-    h_true: np.ndarray, snr_linear: float, noise_power: float, per_user_weights=None
-):
+def budget_for_mean_desired_snr(h_true: np.ndarray, snr_linear: float, noise_power: float):
     """Transmit budget making the interference-free per-terminal SNR equal
     `snr_linear` on average over terminals, for this channel realisation: a
     float for one channel, an array for a (..., M, K) stack."""
     h = np.asarray(h_true, dtype=complex)
-    weights = _stream_weights(h.shape[-1], per_user_weights)
-    desired_per_budget = np.mean(weights * np.linalg.norm(h, axis=-2) ** 2, axis=-1)
+    desired_per_budget = np.mean((1.0 / h.shape[-1]) * np.linalg.norm(h, axis=-2) ** 2, axis=-1)
     if np.any(desired_per_budget == 0.0):
         raise DegenerateChannelError("all channel columns are zero")
     budget = snr_linear * noise_power / desired_per_budget
@@ -176,12 +162,15 @@ def field_map(
     """Average |field|^2 of the target terminal's stream over random scatterer
     placements, one map per precoder scheme in `schemes` ("mrt", "zf"), in order.
 
-    Each trial redraws the scatterers, builds perfect-CSI channels to the
-    scene terminals, and evaluates the target stream's field at every grid
-    point and at the terminals themselves. All schemes share each trial's
-    scatterer draw and ray sum; only the precoder differs. The terminal
-    channels reuse the same ray sums, so zero-forcing nulls land on the exact
-    terminal coordinates.
+    Each trial redraws the scatterers, builds perfect-CSI channels h to the
+    scene terminals (`scatterer_channel_matrix`), and evaluates the target
+    stream's field at the terminals as h^T w and at every grid point with
+    `scatterer_field`, which builds each grid point's ray leg once per trial
+    in row blocks and never forms the grid's ray matrix. All schemes share
+    each trial's scatterer draw and ray legs; only the precoder differs. The
+    precoders and the terminal field use the same channel rows, so
+    zero-forcing nulls land on the exact terminal coordinates at the float64
+    floor.
 
     The default amplitude floor of two wavelengths caps the near-field gain
     of rays whose scatterer lands next to an evaluation point; without it
@@ -198,23 +187,24 @@ def field_map(
         raise DomainError("field map needs at least one grid point on each axis")
     xs, ys = np.meshgrid(gx, gy)
     grid_points = np.column_stack([xs.ravel(), ys.ravel()])
-    terminals = scene.terminal_positions
-    eval_points = np.vstack([grid_points, terminals])
     n_grid = grid_points.shape[0]
 
-    def one_trial(index: int) -> list[np.ndarray]:
+    def one_trial(index: int) -> np.ndarray:
         trial_scene = redraw_scatterers(scene, seed.child(index))
-        rays = scatterer_channel_matrix(trial_scene, eval_points, min_amplitude_distance)
-        h = rays[n_grid:].T  # perfect CSI toward the K terminals
-        powers = []
+        # Perfect CSI toward the K terminals.
+        h = scatterer_channel_matrix(trial_scene, scene.terminal_positions, min_amplitude_distance).T
+        targets = []
         for scheme in schemes:
             precoder = mrt_precoder(h, power_budget) if scheme == "mrt" else zf_precoder(h, power_budget)
-            # One matrix-vector product per scheme: stacking the precoders
-            # into one matmul may round differently.
-            powers.append(np.abs(rays @ precoder.w[:, target_index]) ** 2)
-        return powers
+            targets.append(precoder.w[:, target_index])
+        grid_field = scatterer_field(trial_scene, grid_points, np.column_stack(targets), min_amplitude_distance)
+        # One matrix-vector product per scheme: stacking the precoders into
+        # one matmul may round differently.
+        terminal_field = np.array([h.T @ w for w in targets])
+        return np.abs(np.hstack([grid_field, terminal_field])) ** 2
 
-    totals = np.zeros((len(schemes), eval_points.shape[0]))  # one running total per scheme
+    # One running total per scheme, grid points first, then the terminals.
+    totals = np.zeros((len(schemes), n_grid + len(scene.terminal_positions)))
     for trial_powers in ordered_trial_map(one_trial, trials, workers):
         totals += trial_powers
     maps = []

@@ -1,9 +1,12 @@
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmimo import transceiver
+from mmimo import channel, transceiver
 from mmimo.channel import gen_iid_channel, make_focusing_scene, scatterer_channel_matrix
 from mmimo.errors import (
     DegenerateChannelError,
@@ -39,23 +42,15 @@ class TestMrtPrecoder:
 
     def test_power_budget_split(self):
         h = gen_iid_channel(Seed(0), 16, 3)
-        weights = np.array([0.5, 0.3, 0.2])
-        precoder = mrt_precoder(h, 4.0, weights)
+        precoder = mrt_precoder(h, 4.0)
         per_stream = np.sum(np.abs(precoder.w) ** 2, axis=0)
-        assert np.allclose(per_stream, 4.0 * weights, rtol=1e-12)
+        assert np.allclose(per_stream, 4.0 / 3.0, rtol=1e-12)
 
     def test_zero_column_rejected(self):
         h = np.zeros((4, 2), dtype=complex)
         h[:, 0] = 1.0
         with pytest.raises(DegenerateChannelError):
             mrt_precoder(h, 1.0)
-
-    def test_bad_weights_rejected(self):
-        h = gen_iid_channel(Seed(1), 4, 2)
-        with pytest.raises(DomainError):
-            mrt_precoder(h, 1.0, np.array([0.7, 0.7]))
-        with pytest.raises(DomainError):
-            mrt_precoder(h, 1.0, np.array([1.5, -0.5]))
 
     def test_mean_sum_rate_near_ceiling(self):
         # Many antennas, few users: Monte Carlo sum rate approaches the
@@ -266,17 +261,32 @@ class TestFieldMap:
 
     def test_one_ray_sum_per_trial_for_both_schemes(self, monkeypatch):
         calls = []
+        leg_rows = Counter()
+        ray_leg = channel._ray_leg
 
         def counting(*args, **kwargs):
             calls.append(1)
             return scatterer_channel_matrix(*args, **kwargs)
 
+        def counting_leg(origins, *args):
+            leg_rows.update(map(tuple, origins.tolist()))
+            return ray_leg(origins, *args)
+
         monkeypatch.setattr(transceiver, "scatterer_channel_matrix", counting)
+        monkeypatch.setattr(channel, "_ray_leg", counting_leg)
         seed = Seed(21)
         scene = make_focusing_scene(seed.child(0), m_antennas=8, n_scatterers=20)
         grid = np.linspace(-50.0, 50.0, 3)
-        field_map(scene, ("mrt", "zf"), grid, grid, 5, seed.child(1), workers=2)
-        assert len(calls) == 5
+        terminals = set(map(tuple, scene.terminal_positions.tolist()))
+        grid_only = [p for p in itertools.product(grid.tolist(), repeat=2) if p not in terminals]
+        assert grid_only
+        for schemes in (("mrt",), ("mrt", "zf")):
+            calls.clear()
+            leg_rows.clear()
+            field_map(scene, schemes, grid, grid, 5, seed.child(1), workers=2)
+            assert len(calls) == 5
+            # Each grid point's leg is built once per trial, whatever the schemes.
+            assert [leg_rows[p] for p in grid_only] == [5] * len(grid_only)
 
     def test_phasor_accuracy_contract(self, monkeypatch):
         seed = Seed(24)
@@ -284,15 +294,13 @@ class TestFieldMap:
         grid = np.linspace(-50.0, 50.0, 11)
         got = field_map(scene, ("mrt", "zf"), grid, grid, 6, seed.child(1))
 
-        def complex128_ray_sum(trial_scene, points, min_amplitude_distance=0.0):
-            def leg(origins):
-                diff = origins[:, None, :] - trial_scene.scatterer_positions[None, :, :]
-                d = np.sqrt(np.sum(diff**2, axis=2)) / trial_scene.wavelength
-                return np.exp(-2j * np.pi * d) / np.maximum(d, min_amplitude_distance)
+        def complex128_leg(origins, trial_scene, floor):
+            diff = origins[:, None, :] - trial_scene.scatterer_positions[None, :, :]
+            d = np.sqrt(np.sum(diff**2, axis=2)) / trial_scene.wavelength
+            return np.exp(-2j * np.pi * d) / np.maximum(d, floor)
 
-            return leg(np.asarray(points, dtype=float)) @ leg(trial_scene.antenna_positions).T
-
-        monkeypatch.setattr(transceiver, "scatterer_channel_matrix", complex128_ray_sum)
+        # Both the terminal rows and the grid blocks are built from this leg.
+        monkeypatch.setattr(channel, "_ray_leg", complex128_leg)
         expected = field_map(scene, ("mrt", "zf"), grid, grid, 6, seed.child(1))
         for fmap, ref in zip(got, expected):
             for cells, ref_cells in ((fmap.power_db, ref.power_db), (fmap.terminal_power_db, ref.terminal_power_db)):
@@ -300,6 +308,19 @@ class TestFieldMap:
                 assert np.all(np.abs(cells[loud] - ref_cells[loud]) <= 1e-4)
                 assert np.all(cells[~loud] <= -60.0)
         assert np.all(got[1].terminal_power_db[1:] <= -60.0)  # the ZF nulls
+
+    def test_field_block_size_does_not_change_bytes(self, monkeypatch):
+        seed = Seed(25)
+        scene = make_focusing_scene(seed.child(0), m_antennas=8, n_scatterers=50)
+        grid = np.linspace(-50.0, 50.0, 41)  # 1,681 = 42 * 40 + 1 points: a one-row tail at 40 rows
+        maps = []
+        for rows in (2, 7, 40, 128, grid.size**2):
+            monkeypatch.setattr(channel, "FIELD_BLOCK_ROWS", rows)
+            maps.append(field_map(scene, ("mrt", "zf"), grid, grid, 2, seed.child(1)))
+        for other in maps[1:]:
+            for fmap, ref in zip(other, maps[0]):
+                assert np.array_equal(fmap.power_db, ref.power_db)
+                assert np.array_equal(fmap.terminal_power_db, ref.terminal_power_db)
 
     @pytest.mark.parametrize("schemes", [(), ("mrt", "mrt"), ("mrt", "foo")])
     def test_bad_schemes_rejected(self, schemes):
