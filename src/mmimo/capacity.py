@@ -5,7 +5,11 @@ All closed forms assume i.i.d. Rayleigh small-scale fading with MMSE channel
 estimates of per-terminal quality gamma = rho_p tau beta^2 / (1 + rho_p tau
 beta). They are lower bounds: the Monte Carlo simulators in this module
 evaluate the same estimator and receiver directly and must always sit at or
-above them.
+above them. The simulators read the channels only through the K x K products
+G = H_hat^H H_hat and C = H_hat^H H, and draw those directly by the Bartlett
+decomposition of the complex Wishart matrix (Z^H Z = A A^H, A lower
+triangular, or K x M lower trapezoidal when M < K; see
+`numerics.draw_bartlett`), never an M x K channel.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from .channel import build_large_scale_profile, place_terminals
 from .errors import ConfigError, DimensionError, DomainError, RankError
-from .numerics import Seed, draw_complex_gaussian
+from .numerics import Seed, bartlett_blocks
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 
@@ -137,35 +141,57 @@ def ul_rate_bound(params: SystemParams, scheme: str, betas) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _draw_estimated_channels(seed: Seed, m: int, betas: np.ndarray, rho_pilot: float, tau: int, draws: int):
-    """True channels and their MMSE estimates for a batch of realisations.
+def _statistic_batches(params: SystemParams, betas: np.ndarray, seed: Seed, n_draws: int, batch: int):
+    """Yield per batch the stacked (draws, K, K) products G = H_hat^H H_hat
+    and C = H_hat^H H of the true channels H and their MMSE estimates H_hat,
+    drawn without the channels; batch i draws from `seed.child(i)`.
 
-    Pilot reception is reduced to its sufficient statistic: the per-terminal
-    least-squares estimate equals the true channel plus CN(0, 1/(rho_p tau))
-    noise, then MMSE-rescaled.
+    H_hat = Z D_gamma^1/2 and H = H_hat + Z_e D_(beta-gamma)^1/2, with Z and
+    the estimation error Z_e independent M x K i.i.d. CN(0, 1) matrices. With
+    the Bartlett factors of `bartlett_blocks` (Z^H Z = A A^H, Z^H Z_e = A X in
+    distribution), G = D_gamma^1/2 A A^H D_gamma^1/2 and
+    C = G + D_gamma^1/2 A X D_(beta-gamma)^1/2, also for M < K.
     """
-    k = betas.size
-    h = draw_complex_gaussian(seed.child(0), m, k * draws).reshape(m, k, draws) * np.sqrt(
-        betas[None, :, None]
-    )
-    est_noise = draw_complex_gaussian(seed.child(1), m, k * draws).reshape(m, k, draws)
-    energy = rho_pilot * tau
-    scale = (energy * betas / (1.0 + energy * betas))[None, :, None]
-    h_hat = scale * (h + est_noise / math.sqrt(energy))
-    return h, h_hat
+    energy = params.pilot_snr * params.tau
+    estimate_scale = np.sqrt(estimate_quality(betas, params.pilot_snr, params.tau))[:, None]
+    error_scale = np.sqrt(betas / (1.0 + energy * betas))  # beta - gamma, without cancellation
+    for a, x in bartlett_blocks(seed, params.m, betas.size, n_draws, batch, cross=True):
+        b = estimate_scale * a
+        gram = b @ b.conj().transpose(0, 2, 1)
+        yield gram, gram + (b @ x) * error_scale
 
 
-def _channel_batches(params: SystemParams, betas: np.ndarray, seed: Seed, n_draws: int, batch: int):
-    """Yield the stacked (draws, M, K) true channels H and estimates H_hat of
-    each batch of draws; batch i draws from `seed.child(i)`."""
-    for index, done in enumerate(range(0, n_draws, batch)):
-        count = min(batch, n_draws - done)
-        h, h_hat = _draw_estimated_channels(seed.child(index), params.m, betas, params.pilot_snr, params.tau, count)
-        # (draws, M, K) copies, so that every matrix in the stack is a BLAS operand;
-        # rebinding frees the originals before the batch is used
-        h = np.ascontiguousarray(h.transpose(2, 0, 1))
-        h_hat = np.ascontiguousarray(h_hat.transpose(2, 0, 1))
-        yield h, h_hat
+def _ul_rate_sums(scheme: str, gram: np.ndarray, cross: np.ndarray, rho: float) -> np.ndarray:
+    """Per-terminal sums over a stack of draws of log2(1 + SINR) for the
+    uplink receiver, from the stacked G = H_hat^H H_hat and C = H_hat^H H.
+
+    With combiner columns a_k, terminal k's SINR is rho |a_k^H h_k|^2 /
+    (rho sum_{j != k} |a_k^H h_j|^2 + ||a_k||^2). For MRC (A = H_hat),
+    A^H H = C and ||a_k||^2 = G_kk; for ZF (A = H_hat G^-1 = pinv(H_hat)^H at
+    full column rank), A^H H = G^-1 C and ||a_k||^2 = [G^-1]_kk.
+    """
+    if scheme == "zf":
+        try:
+            gram = np.linalg.inv(gram)
+        except np.linalg.LinAlgError as exc:
+            raise RankError("zero-forcing: singular estimate Gram matrix") from exc
+        cross = gram @ cross
+    powers = np.abs(cross) ** 2
+    signal = np.diagonal(powers, axis1=1, axis2=2)
+    interference = powers.sum(axis=2) - signal
+    combiner_norm = np.diagonal(gram, axis1=1, axis2=2).real
+    sinr = rho * signal / (rho * interference + combiner_norm)
+    return np.sum(np.log2(1.0 + sinr), axis=0)
+
+
+def _dl_rate_sums(cross: np.ndarray, stream_power: np.ndarray) -> np.ndarray:
+    """Per-terminal sums over a stack of draws of log2(1 + SINR) under
+    conjugate beamforming: terminal k hears stream j with power
+    s_j^2 |C_jk|^2, C = H_hat^H H, `stream_power` the (K, 1) column of s_j^2."""
+    powers = stream_power * np.abs(cross) ** 2
+    signal = np.diagonal(powers, axis1=1, axis2=2)
+    interference = powers.sum(axis=1) - signal
+    return np.sum(np.log2(1.0 + signal / (interference + 1.0)), axis=0)
 
 
 def simulate_ul_rates(
@@ -179,12 +205,11 @@ def simulate_ul_rates(
     """Ergodic per-terminal net uplink rate of the actual receiver, averaged
     over channel and estimation noise. Upper-bounds the closed forms.
 
-    With combiner columns a_k, terminal k's SINR is rho |a_k^H h_k|^2 /
-    (rho sum_{j != k} |a_k^H h_j|^2 + ||a_k||^2). Both terms are read from
-    G = H_hat^H H_hat and C = H_hat^H H: for MRC (A = H_hat), A^H H = C and
-    ||a_k||^2 = G_kk; for ZF (A = H_hat G^-1 = pinv(H_hat)^H at full column
-    rank), A^H H = G^-1 C and ||a_k||^2 = [G^-1]_kk. ZF raises `RankError`
-    unless K < M and every G is nonsingular.
+    The SINR terms are read from G = H_hat^H H_hat and C = H_hat^H H
+    (`_ul_rate_sums`), which are drawn directly in batches of `batch` draws by
+    the Bartlett identity Z^H Z = A A^H, Z^H Z_e = A X (`_statistic_batches`),
+    so no M x K channel is formed; for M < K, A is K x M. ZF raises
+    `RankError` unless K < M and every G is nonsingular.
     """
     if scheme not in _SCHEMES:
         raise DomainError(f"scheme must be one of {_SCHEMES}")
@@ -193,23 +218,9 @@ def simulate_ul_rates(
     b = np.asarray(betas, dtype=float)
     if scheme == "zf" and b.size >= params.m:
         raise RankError(f"zero-forcing needs K < M, got K={b.size}, M={params.m}")
-    rho = params.rho_ul
     total_rate = np.zeros(b.size)
-    for h, h_hat in _channel_batches(params, b, seed, n_draws, batch):
-        h_hat_h = h_hat.conj().transpose(0, 2, 1)
-        gram, cross = h_hat_h @ h_hat, h_hat_h @ h
-        if scheme == "zf":
-            try:
-                gram = np.linalg.inv(gram)
-            except np.linalg.LinAlgError as exc:
-                raise RankError("zero-forcing: singular estimate Gram matrix") from exc
-            cross = gram @ cross
-        powers = np.abs(cross) ** 2
-        signal = np.diagonal(powers, axis1=1, axis2=2)
-        interference = powers.sum(axis=2) - signal
-        combiner_norm = np.diagonal(gram, axis1=1, axis2=2).real
-        sinr = rho * signal / (rho * interference + combiner_norm)
-        total_rate += np.sum(np.log2(1.0 + sinr), axis=0)
+    for gram, cross in _statistic_batches(params, b, seed, n_draws, batch):
+        total_rate += _ul_rate_sums(scheme, gram, cross, params.rho_ul)
     return params.overhead_prefactor * total_rate / n_draws
 
 
@@ -225,7 +236,9 @@ def simulate_dl_rates(
     statistically normalised streams (the convention of `dl_mrt_sinr`).
 
     Stream j is sent on s_j conj(h_hat_j) with s_j^2 = rho_dl eta_j / (M gamma_j),
-    so terminal k hears it with power s_j^2 |C_jk|^2, C = H_hat^H H.
+    so terminal k hears it with power s_j^2 |C_jk|^2 (`_dl_rate_sums`). C =
+    H_hat^H H is drawn as in `simulate_ul_rates`, by the Bartlett identity
+    Z^H Z = A A^H, Z^H Z_e = A X (A is K x M when M < K), without a channel.
     """
     if params.rho_dl is None:
         raise DomainError("downlink simulation needs rho_dl")
@@ -234,13 +247,8 @@ def simulate_dl_rates(
     g = estimate_quality(b, params.pilot_snr, params.tau)
     stream_power = (params.rho_dl * e / (params.m * g))[:, None]
     total_rate = np.zeros(b.size)
-    for h, h_hat in _channel_batches(params, b, seed, n_draws, batch):
-        cross = h_hat.conj().transpose(0, 2, 1) @ h
-        powers = stream_power * np.abs(cross) ** 2
-        signal = np.diagonal(powers, axis1=1, axis2=2)
-        interference = powers.sum(axis=1) - signal
-        sinr = signal / (interference + 1.0)
-        total_rate += np.sum(np.log2(1.0 + sinr), axis=0)
+    for _, cross in _statistic_batches(params, b, seed, n_draws, batch):
+        total_rate += _dl_rate_sums(cross, stream_power)
     return params.overhead_prefactor * total_rate / n_draws
 
 

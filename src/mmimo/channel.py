@@ -88,11 +88,8 @@ class LargeScaleProfile:
     noise is accounted scenario-side, never inside beta.
     """
 
-    distance_km: np.ndarray
     path_loss_db: np.ndarray
-    shadow_db: np.ndarray
     beta: np.ndarray
-    antenna_gains_db: tuple[float, float]  # (base station, terminal)
 
     def __len__(self) -> int:
         return self.beta.size
@@ -117,13 +114,7 @@ def build_large_scale_profile(
     shadow = draw_shadow_db(seed, shadow_sigma_db, n=xy.shape[0])
     gains = base_gain_db + terminal_gain_db
     beta = 10.0 ** ((-loss + shadow + gains) / 10.0)
-    return LargeScaleProfile(
-        distance_km=distance,
-        path_loss_db=loss,
-        shadow_db=shadow,
-        beta=beta,
-        antenna_gains_db=(base_gain_db, terminal_gain_db),
-    )
+    return LargeScaleProfile(path_loss_db=loss, beta=beta)
 
 
 # ---------------------------------------------------------------------------

@@ -134,7 +134,7 @@ def _run_svd_spread(config: ExperimentConfig):
     for m, k, stacks in _channel_groups(config):
         spreads = np.concatenate([singular_value_spread_db(h) for h in stacks])
         rows.extend((m, k, t, s) for t, s in enumerate(spreads))
-        medians[str(m)] = EmpiricalCdf.from_samples(spreads, unit="dB").median
+        medians[str(m)] = EmpiricalCdf.from_samples(spreads).median
     summary = {"median_spread_db": medians}
     return summary, {"spread": Table(("M", "K", "trial", "spread_db"), rows)}
 

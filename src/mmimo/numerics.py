@@ -13,8 +13,9 @@ from .errors import DimensionError, NumericError, RankError
 RANK_TOLERANCE = 1e-12
 
 # Complex entries per block of block-drawn Monte Carlo trials (see
-# `gaussian_blocks`). Part of the stream definition: changing it changes the
-# outputs of svd-spread, mrt-sumrate and pilot-contamination.
+# `gaussian_blocks` and `bartlett_blocks`). Part of the stream definition:
+# changing it changes the outputs of svd-spread, mrt-sumrate and
+# pilot-contamination.
 BLOCK_ENTRIES = 2**15
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -28,11 +29,18 @@ class Seed:
     paths yield streams with no shared state, so Monte Carlo trials can be
     evaluated in any order or in parallel with bit-identical results.
 
-    Experiments give each trial its own path, except svd-spread, mrt-sumrate
-    and pilot-contamination, which draw their i.i.d. trials in blocks: block
-    b of group g comes from the path (g, b), see `gaussian_blocks`. Their
-    outputs changed once when these block streams replaced one stream per
-    trial; the other experiments and the capacity validators kept theirs.
+    Experiments give each trial its own path, except svd-spread and
+    mrt-sumrate, which draw their i.i.d. channels in blocks (block b of group
+    g comes from the path (g, b), see `gaussian_blocks`), and the Monte Carlo
+    that depends on the channels only through their inner products:
+    pilot-contamination and the capacity validators. These draw the K x K
+    sufficient statistics by the Bartlett decomposition, never an M x K
+    channel (`bartlett_blocks`): Z^H Z = A A^H for an M x K i.i.d. CN(0, 1)
+    Z, with A lower triangular (lower trapezoidal, K x M, when M < K), and
+    Z^H Z_e distributed as A X for an independent Z_e. Block b of those
+    streams comes from `seed.child(b)` as well. The outputs of the block-drawn
+    experiments and the validators' streams changed once with each of these
+    two stream layouts; the other experiments kept theirs.
     """
 
     master: int
@@ -97,6 +105,55 @@ def gaussian_blocks(seed: Seed, rows: int, cols: int, trials: int):
         yield draw_complex_gaussian(seed.child(index), rows, cols, min(size, trials - start))
 
 
+def draw_bartlett(seed: Seed, m: int, k: int, count: int, cross: bool = False):
+    """Bartlett factors of `count` complex Wishart(M, I_K) matrices, and with
+    `cross` their cross terms: a (count, K, r) stack A and a (count, r, K)
+    stack X, r = min(M, K), such that for an M x K i.i.d. CN(0, 1) matrix Z
+    and an independent copy Z_e,
+
+        Z^H Z = A A^H  and  Z^H Z_e = A X  in distribution.
+
+    This is the QR decomposition Z = Q R read backwards (A = R^H): |A_ii|^2 is
+    Gamma(M - i, 1) for i < r (a chi-square with 2(M - i) degrees of freedom,
+    halved), every entry below the diagonal is CN(0, 1), and Q^H Z_e is an
+    r x K i.i.d. CN(0, 1) matrix X independent of A. When M < K, Z^H Z has
+    rank M and A is K x M lower trapezoidal: rows M..K-1 are all CN(0, 1).
+    No operand has an M-length axis. Without `cross`, X is None.
+
+    The diagonal comes from one `standard_gamma` call on `seed.child(0)`, the
+    below-diagonal entries and then X from one `draw_complex_gaussian` call
+    on `seed.child(1)`, both trial-major; so the first matrices of a stack do
+    not depend on its length.
+    """
+    if m < 1 or k < 1:
+        raise DimensionError(f"Wishart dimensions must be >= 1, got M={m}, K={k}")
+    if count < 1:
+        raise DimensionError(f"stack size must be >= 1, got {count}")
+    r = min(m, k)
+    diag = np.arange(r)
+    rows, cols = np.tril_indices(k, -1, r)
+    chi = seed.child(0).generator().standard_gamma(m - diag, size=(count, r))
+    a = np.zeros((count, k, r), dtype=complex)
+    a[:, diag, diag] = np.sqrt(chi)
+    z = draw_complex_gaussian(seed.child(1), 1, rows.size + (r * k if cross else 0), count)[:, 0]
+    a[:, rows, cols] = z[:, : rows.size]
+    return a, (z[:, rows.size :].reshape(count, r, k) if cross else None)
+
+
+def bartlett_blocks(seed: Seed, m: int, k: int, trials: int, size: int | None = None, cross: bool = False):
+    """Yield `trials` draws of `draw_bartlett` in trial order, as (A, X)
+    stacks of one block each.
+
+    A block holds `size` trials, by default max(1, BLOCK_ENTRIES // K^2), and
+    block b draws from `seed.child(b)`. The block size does not depend on
+    `trials`, so the draws of the first T trials are the same for every trial
+    count of at least T.
+    """
+    size = max(1, BLOCK_ENTRIES // (k * k)) if size is None else size
+    for index, start in enumerate(range(0, trials, size)):
+        yield draw_bartlett(seed.child(index), m, k, min(size, trials - start), cross)
+
+
 def _checked_matrix(h) -> np.ndarray:
     """`h` as a complex matrix, or a stack (..., rows, cols) of them, with
     finite entries."""
@@ -144,16 +201,15 @@ class EmpiricalCdf:
     """Empirical distribution of real samples, kept as a sorted array."""
 
     sorted_values: np.ndarray
-    unit: str = ""
 
     @classmethod
-    def from_samples(cls, values, unit: str = "") -> "EmpiricalCdf":
+    def from_samples(cls, values) -> "EmpiricalCdf":
         arr = np.sort(np.asarray(values, dtype=float))
         if arr.size == 0:
             raise DimensionError("empirical CDF needs at least one sample")
         if not np.all(np.isfinite(arr)):
             raise NumericError("empirical CDF samples must be finite")
-        return cls(sorted_values=arr, unit=unit)
+        return cls(sorted_values=arr)
 
     def quantile(self, q: float) -> float:
         return float(np.quantile(self.sorted_values, q))

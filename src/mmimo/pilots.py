@@ -1,5 +1,10 @@
 """Pilot contamination: the asymptotic interference limit of conjugate
-processing with a contaminated estimate, and its Monte Carlo simulation."""
+processing with a contaminated estimate, and its Monte Carlo simulation.
+
+The simulation draws no M-length channel. Each trial's Gram matrix
+W = Z^H Z of its n + 3 unit-variance columns is drawn as A A^H, with A the
+Bartlett factor of the complex Wishart matrix (lower triangular, or
+(n + 3) x M lower trapezoidal when M < n + 3; `numerics.draw_bartlett`)."""
 
 from __future__ import annotations
 
@@ -9,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import Seed, gaussian_blocks
+from .numerics import Seed, bartlett_blocks
 
 
 def contamination_sir_limit_db(beta_home, betas_contaminating) -> float:
@@ -53,26 +58,34 @@ def simulate_contamination(
     combiner is the normalised least-squares estimate, so `desired` and
     `directed` grow linearly with the antenna count while `noise` stays flat.
 
-    Trial t draws one M x (n + 3) unit-variance matrix from
-    `gaussian_blocks(seed, ...)`: its columns are the home channel, the n
-    contaminating channels, the estimation noise and the receiver noise, in
-    that order, before scaling.
+    A trial is an M x (n + 3) unit-variance matrix Z whose columns are the
+    home channel, the n contaminating channels, the estimation noise and the
+    receiver noise, in that order, before scaling. Every power depends on Z
+    only through W = Z^H Z (`_contamination_sample`), so trial t takes W from
+    the Bartlett factors of `bartlett_blocks(seed, m, n + 3, ...)`: W = A A^H,
+    A lower triangular, or (n + 3) x M lower trapezoidal when M < n + 3. No
+    M-length column is drawn.
     """
     others = np.asarray(betas_contaminating, dtype=float).ravel()
     if trials < 1:
         raise DomainError("need at least one trial")
-    n = others.size
-    # Column gains that sum a trial's draw into its least-squares estimate.
-    est_noise_std = 1.0 / math.sqrt(rho_pilot * tau)
-    estimate_gains = np.concatenate(([math.sqrt(beta_home)], np.sqrt(others), [est_noise_std]))
-    inner_powers = []
     # einsum, not BLAS, so that no sum depends on the BLAS thread count.
-    for z in gaussian_blocks(seed, m, n + 3, trials):
-        est = np.einsum("tmj,j->tm", z[:, :, :-1], estimate_gains)
-        u = est / np.linalg.norm(est, axis=1, keepdims=True)
-        # |u^H z_j|^2 for every column j of every trial in the block
-        inner_powers.append(np.abs(np.einsum("tm,tmj->tj", u.conj(), z)) ** 2)
-    powers = np.concatenate(inner_powers)
+    grams = [np.einsum("tir,tjr->tij", a, a.conj()) for a, _ in bartlett_blocks(seed, m, others.size + 3, trials)]
+    return _contamination_sample(np.concatenate(grams), beta_home, others, rho_pilot, tau)
+
+
+def _contamination_sample(w: np.ndarray, beta_home: float, others: np.ndarray, rho_pilot: float, tau: int):
+    """The powers of each trial from its (n + 3) x (n + 3) W = Z^H Z.
+
+    The least-squares estimate is Z g, with g the column gains below and 0 for
+    the receiver noise, so |u^H z_j|^2 = |g^T W_:j|^2 / (g^T W g) for the
+    unit-norm combiner u = Z g / ||Z g||.
+    """
+    est_noise_std = 1.0 / math.sqrt(rho_pilot * tau)
+    gains = np.concatenate(([math.sqrt(beta_home)], np.sqrt(others), [est_noise_std, 0.0]))
+    projections = np.einsum("j,tjl->tl", gains, w)
+    powers = np.abs(projections) ** 2 / np.einsum("tl,l->t", projections, gains).real[:, None]
+    n = others.size
     return ContaminationSample(
         desired=beta_home * powers[:, 0],
         directed=np.einsum("tj,j->t", powers[:, 1 : n + 1], others),

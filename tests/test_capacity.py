@@ -8,7 +8,9 @@ import pytest
 
 from mmimo import capacity as cap
 from mmimo.errors import ConfigError, DimensionError, DomainError, RankError
-from mmimo.numerics import Seed
+from mmimo.numerics import Seed, draw_complex_gaussian
+
+from mc_compare import assert_same_means
 
 
 def bisect_equal_sinr(betas, gammas, rho_dl, m, tol=1e-13):
@@ -99,19 +101,29 @@ class TestEstimateQuality:
         assert np.all(gamma <= betas)
 
     def test_simulated_mmse_estimate_matches_gamma(self):
-        # One batch of the validators' estimator: the estimate's mean-square
-        # is gamma, beta = gamma + error variance, and the estimate and its
-        # error are uncorrelated, each within 1%.
-        betas = np.array([1.0, 0.25])
-        rho_pilot, tau = 2.0, 8
-        h, h_hat = cap._draw_estimated_channels(Seed(3), 4, betas, rho_pilot, tau, 20_000)
-        err = h - h_hat
-        est_sq = np.mean(np.abs(h_hat) ** 2, axis=(0, 2))
-        err_sq = np.mean(np.abs(err) ** 2, axis=(0, 2))
-        cross = np.mean((h_hat.conj() * err).real, axis=(0, 2))
-        assert est_sq == pytest.approx(cap.estimate_quality(betas, rho_pilot, tau), rel=0.01)
-        assert est_sq + err_sq == pytest.approx(betas, rel=0.01)
-        assert np.all(np.abs(cross) < 0.01 * betas)
+        # The validators' drawn statistics have the moments of the MMSE
+        # estimator: E[G_kk] = E[C_kk] = M gamma_k (the estimate's
+        # mean-square is gamma and it is uncorrelated with its error), and
+        # E|C_kj|^2 = M gamma_k beta_j for k != j, each within 4 standard errors.
+        m, betas = 4, np.array([1.0, 0.25])
+        params = cap.SystemParams(m=m, k=2, tau=8, coherence_symbols=100, rho_pilot=2.0)
+        gammas = cap.estimate_quality(betas, 2.0, 8)
+        gram, cross = map(np.concatenate, zip(*cap._statistic_batches(params, betas, Seed(3), 20_000, 2500)))
+        samples = {
+            "G_kk": np.diagonal(gram, axis1=1, axis2=2).real,
+            "C_kk": np.diagonal(cross, axis1=1, axis2=2).real,
+            "|C_01|^2": np.abs(cross[:, 0, 1]) ** 2,
+            "|C_10|^2": np.abs(cross[:, 1, 0]) ** 2,
+        }
+        expected = {
+            "G_kk": m * gammas,
+            "C_kk": m * gammas,
+            "|C_01|^2": m * gammas[0] * betas[1],
+            "|C_10|^2": m * gammas[1] * betas[0],
+        }
+        for name, values in samples.items():
+            error = values.std(axis=0, ddof=1) / np.sqrt(len(values))
+            assert np.all(np.abs(values.mean(axis=0) - expected[name]) <= 4.0 * error), name
 
 
 class TestEeSeSweep:
@@ -224,16 +236,36 @@ class TestMaxMinPowerControl:
             cap.maxmin_power_control(np.array([]), np.array([]), 1.0, 4)
 
 
-def per_draw_reference_rates(params, betas, eta, seed, n_draws):
-    """MRC, ZF and downlink rates from an explicit loop over one batch of
-    draws, with the ZF combiner taken from `np.linalg.pinv`."""
-    h, h_hat = cap._draw_estimated_channels(seed.child(0), params.m, betas, params.pilot_snr, params.tau, n_draws)
+def direct_channels(seed, m, betas, rho_pilot, tau, draws):
+    """(draws, M, K) true channels H and MMSE estimates H_hat drawn as M x K
+    matrices: the distributional reference for the validators' Bartlett draw.
+    The least-squares estimate is H plus CN(0, 1/(rho_p tau)) noise, then
+    MMSE-rescaled."""
+    energy = rho_pilot * tau
+    h = draw_complex_gaussian(seed.child(0), m, betas.size, draws) * np.sqrt(betas)
+    noise = draw_complex_gaussian(seed.child(1), m, betas.size, draws)
+    return h, energy * betas / (1.0 + energy * betas) * (h + noise / np.sqrt(energy))
+
+
+def direct_statistics(h, h_hat):
+    """G = H_hat^H H_hat and C = H_hat^H H of a stack of draws."""
+    h_hat_h = h_hat.conj().transpose(0, 2, 1)
+    return h_hat_h @ h_hat, h_hat_h @ h
+
+
+def stream_power(params, betas, eta):
+    """The downlink's s_j^2 column, as `simulate_dl_rates` forms it."""
     gammas = cap.estimate_quality(betas, params.pilot_snr, params.tau)
-    stream_scale = np.sqrt(params.rho_dl * eta / (params.m * gammas))
+    return (params.rho_dl * eta / (params.m * gammas))[:, None]
+
+
+def per_draw_reference_rates(params, betas, eta, h, h_hat):
+    """MRC, ZF and downlink rates from an explicit loop over a stack of draws,
+    with the ZF combiner taken from `np.linalg.pinv`."""
+    stream_scale = np.sqrt(stream_power(params, betas, eta)[:, 0])
     rho = params.rho_ul
     rates = {"mrc": 0.0, "zf": 0.0, "dl": 0.0}
-    for d in range(n_draws):
-        channel, estimate = h[:, :, d], h_hat[:, :, d]
+    for channel, estimate in zip(h, h_hat):
         for scheme, combiner in (("mrc", estimate), ("zf", np.linalg.pinv(estimate).conj().T)):
             powers = np.abs(combiner.conj().T @ channel) ** 2
             signal = np.diag(powers)
@@ -242,7 +274,7 @@ def per_draw_reference_rates(params, betas, eta, seed, n_draws):
         heard = np.abs(channel.T @ (estimate.conj() * stream_scale)) ** 2  # [terminal, stream]
         signal = np.diag(heard)
         rates["dl"] = rates["dl"] + np.log2(1.0 + signal / (heard.sum(axis=1) - signal + 1.0))
-    return {key: params.overhead_prefactor * total / n_draws for key, total in rates.items()}
+    return {key: params.overhead_prefactor * total / len(h) for key, total in rates.items()}
 
 
 _BLAS_THREADS_SCRIPT = """
@@ -252,23 +284,27 @@ from mmimo import capacity as cap
 from mmimo.numerics import Seed
 params = cap.SystemParams(m=100, k=40, tau=40, coherence_symbols=196, rho_ul=1.0, rho_dl=1.0)
 betas = np.linspace(0.5, 2.0, 40)
+mrc = cap.simulate_ul_rates(params, "mrc", betas, Seed(4), n_draws=500)
 zf = cap.simulate_ul_rates(params, "zf", betas, Seed(5), n_draws=500)
 dl = cap.simulate_dl_rates(params, betas, np.full(40, 1.0 / 40), Seed(6), n_draws=500)
-sys.stdout.write(np.concatenate([zf, dl]).tobytes().hex())
+sys.stdout.write(np.concatenate([mrc, zf, dl]).tobytes().hex())
 """
 
 
 class TestRateSimulators:
     def test_matches_per_draw_reference(self):
+        # The reductions read from G and C equal the explicit receivers.
         params = cap.SystemParams(m=8, k=3, tau=3, coherence_symbols=196, rho_ul=2.0, rho_dl=2.0)
         betas = np.array([0.5, 1.0, 1.7])
         eta = np.array([0.2, 0.3, 0.5])
-        expected = per_draw_reference_rates(params, betas, eta, Seed(9), 20)
+        h, h_hat = direct_channels(Seed(9), params.m, betas, params.pilot_snr, params.tau, 20)
+        expected = per_draw_reference_rates(params, betas, eta, h, h_hat)
+        gram, cross = direct_statistics(h, h_hat)
         for scheme in ("mrc", "zf"):
-            simulated = cap.simulate_ul_rates(params, scheme, betas, Seed(9), n_draws=20)
-            np.testing.assert_allclose(simulated, expected[scheme], rtol=1e-12, atol=0.0)
-        simulated = cap.simulate_dl_rates(params, betas, eta, Seed(9), n_draws=20)
-        np.testing.assert_allclose(simulated, expected["dl"], rtol=1e-12, atol=0.0)
+            reduced = params.overhead_prefactor * cap._ul_rate_sums(scheme, gram, cross, params.rho_ul) / 20
+            np.testing.assert_allclose(reduced, expected[scheme], rtol=1e-12, atol=0.0)
+        reduced = params.overhead_prefactor * cap._dl_rate_sums(cross, stream_power(params, betas, eta)) / 20
+        np.testing.assert_allclose(reduced, expected["dl"], rtol=1e-12, atol=0.0)
 
     def test_zf_needs_fewer_terminals_than_antennas(self):
         params = cap.SystemParams(m=4, k=4, tau=4, coherence_symbols=100, rho_ul=1.0)
@@ -297,6 +333,45 @@ class TestRateSimulators:
             )
             outputs.append(done.stdout)
         assert outputs[0] and outputs[0] == outputs[1]
+
+
+class TestStatisticsDistribution:
+    """The validators' Bartlett draw of (G, C) against G and C formed from
+    directly drawn M x K channels, at small M and K and with K > M."""
+
+    @pytest.mark.parametrize("m, k", [(1, 2), (2, 4), (3, 3), (5, 2)])
+    def test_moments_match_direct_draw(self, m, k):
+        betas = np.linspace(0.4, 1.6, k)
+        params = cap.SystemParams(m=m, k=k, tau=k, coherence_symbols=100, rho_pilot=0.7)
+        draws = 6000
+        engine = map(np.concatenate, zip(*cap._statistic_batches(params, betas, Seed(31), draws, 1000)))
+        direct = direct_statistics(*direct_channels(Seed(32), m, betas, params.pilot_snr, params.tau, draws))
+        for label, e, d in zip("GC", engine, direct):
+            # Entrywise first moments and second absolute moments.
+            e, d = (np.concatenate([x.real, x.imag, np.abs(x) ** 2], axis=1).reshape(draws, -1) for x in (e, d))
+            assert_same_means(e, d, f"{label} M={m} K={k}")
+
+    @pytest.mark.parametrize(
+        "scheme, m, k", [("mrc", 4, 2), ("mrc", 2, 4), ("mrc", 1, 3), ("zf", 3, 2), ("zf", 6, 3), ("dl", 5, 3), ("dl", 2, 5)]
+    )
+    def test_mean_rates_match_direct_draw(self, scheme, m, k):
+        # Rates of 30 independent groups of 200 draws on each side.
+        betas = np.linspace(0.5, 1.5, k)
+        eta = np.full(k, 1.0 / k)
+        params = cap.SystemParams(m=m, k=k, tau=k, coherence_symbols=100, rho_ul=3.0, rho_dl=3.0, rho_pilot=0.5)
+        groups, draws = 30, 200
+        engine, direct = [], []
+        for g in range(groups):
+            h, h_hat = direct_channels(Seed(42).child(g), m, betas, params.pilot_snr, params.tau, draws)
+            gram, cross = direct_statistics(h, h_hat)
+            if scheme == "dl":
+                engine.append(cap.simulate_dl_rates(params, betas, eta, Seed(41).child(g), draws))
+                sums = cap._dl_rate_sums(cross, stream_power(params, betas, eta))
+            else:
+                engine.append(cap.simulate_ul_rates(params, scheme, betas, Seed(41).child(g), draws))
+                sums = cap._ul_rate_sums(scheme, gram, cross, params.rho_ul)
+            direct.append(params.overhead_prefactor * sums / draws)
+        assert_same_means(engine, direct, f"{scheme} M={m} K={k}")
 
 
 class TestDlBoundValidity:

@@ -208,14 +208,14 @@ class TestRunAndEmit:
         )
 
     # Trial counts T < T' such that a group crosses a block boundary before
-    # T: M = 128 with K = 4 (512 entries per trial) and M = 1024 with one
-    # contaminator (4 columns, so 4096 entries per trial).
+    # T: M = 128 with K = 4 (512 entries per trial), and one contaminator,
+    # whose Bartlett blocks count the 4 x 4 = 16 entries of W per trial.
     @pytest.mark.parametrize(
         "experiment, params, table, entries, short, long",
         [
             ("svd-spread", "m_list = 4,128\n", "spread", 512, 130, 300),
             ("mrt-sumrate", "m_list = 4,128\n", "sumrate", 512, 130, 300),
-            ("pilot-contamination", "m_list = 16,1024\nm_limit = 2048\n", "contamination", 4096, 20, 40),
+            ("pilot-contamination", "m_list = 16,1024\nm_limit = 2048\n", "contamination", 16, 2060, 2100),
         ],
     )
     def test_rows_prefix_stable_across_trial_counts(self, tmp_path, experiment, params, table, entries, short, long):

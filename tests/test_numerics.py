@@ -8,12 +8,16 @@ from mmimo.numerics import (
     BLOCK_ENTRIES,
     EmpiricalCdf,
     Seed,
+    bartlett_blocks,
+    draw_bartlett,
     draw_complex_gaussian,
     gaussian_blocks,
     pseudo_inverse,
     singular_value_spread_db,
     singular_values,
 )
+
+from mc_compare import assert_same_means
 
 
 class TestSeed:
@@ -124,6 +128,69 @@ class TestGaussianBlocks:
             assert np.var(values) == pytest.approx(1.0, abs=5.0 * np.sqrt(2.0 / values.size))
             for a, b in zip(blocks, blocks[1:]):
                 assert abs(np.corrcoef(part(a), part(b))[0, 1]) < 5.0 / np.sqrt(n)
+
+
+class TestBartlettBlocks:
+    def test_block_size_follows_terminal_count(self):
+        per_block = BLOCK_ENTRIES // (5 * 5)
+        sizes = [a.shape[0] for a, _ in bartlett_blocks(Seed(50), 1000, 5, per_block + 4)]
+        assert sizes == [per_block, 4]
+        sizes = [a.shape[0] for a, _ in bartlett_blocks(Seed(50), 8, 3, 25, size=10)]
+        assert sizes == [10, 10, 5]
+
+    def test_block_b_draws_from_child_b(self):
+        for cross in (False, True):
+            blocks = list(bartlett_blocks(Seed(51), 6, 4, 7, size=3, cross=cross))
+            assert len(blocks) == 3
+            for index, (a, x) in enumerate(blocks):
+                expected_a, expected_x = draw_bartlett(Seed(51).child(index), 6, 4, a.shape[0], cross)
+                assert np.array_equal(a, expected_a)
+                assert (x is None) if not cross else np.array_equal(x, expected_x)
+
+    def test_prefix_stable_across_trial_counts(self):
+        short = BLOCK_ENTRIES // 16 + 3  # crosses a block boundary at K = 4
+        first = [np.concatenate(p) for p in zip(*bartlett_blocks(Seed(52), 10, 4, short, cross=True))]
+        longer = [np.concatenate(p) for p in zip(*bartlett_blocks(Seed(52), 10, 4, 3 * short, cross=True))]
+        for a, b in zip(first, longer):
+            assert np.array_equal(a, b[:short])
+
+    @pytest.mark.parametrize("m, k", [(7, 3), (3, 3), (2, 5), (1, 4)])
+    def test_factor_shape_and_structure(self, m, k):
+        a, x = draw_bartlett(Seed(53), m, k, 4, cross=True)
+        r = min(m, k)
+        assert a.shape == (4, k, r) and x.shape == (4, r, k)
+        # Lower triangular (trapezoidal when M < K) with a positive real diagonal.
+        above = np.triu(np.ones((k, r), dtype=bool), 1)
+        assert np.all(a[:, above] == 0) and np.all(a[:, ~above] != 0)
+        diag = np.diagonal(a, axis1=1, axis2=2)
+        assert np.all(diag.imag == 0) and np.all(diag.real > 0)
+
+    def test_rejects_empty_dimensions(self):
+        with pytest.raises(DimensionError):
+            draw_bartlett(Seed(0), 0, 3, 2)
+        with pytest.raises(DimensionError):
+            draw_bartlett(Seed(0), 3, 3, 0)
+
+    @pytest.mark.parametrize("m, k", [(1, 1), (1, 4), (2, 5), (3, 3), (6, 2), (40, 4)])
+    def test_moments_match_direct_draw(self, m, k):
+        # A A^H against Z^H Z, and A X against Z^H Z_e, for M x K i.i.d.
+        # CN(0, 1) draws Z and Z_e: entrywise means of the real and imaginary
+        # parts and of |.|^2, and the mean of W_ii |Y_ij|^2 (E = M^2 + M).
+        draws = 6000
+        a, x = draw_bartlett(Seed(54), m, k, draws, cross=True)
+        z = draw_complex_gaussian(Seed(55), m, k, draws)
+        z_e = draw_complex_gaussian(Seed(56), m, k, draws)
+        engine = (a @ a.conj().transpose(0, 2, 1), a @ x)
+        direct = (z.conj().transpose(0, 2, 1) @ z, z.conj().transpose(0, 2, 1) @ z_e)
+        for label, e, d in zip(("W", "Y"), engine, direct):
+            assert_same_means(
+                *(np.concatenate([v.real, v.imag, np.abs(v) ** 2], axis=1).reshape(draws, -1) for v in (e, d)),
+                f"{label} M={m} K={k}",
+            )
+        assert_same_means(
+            *(np.diagonal(w, axis1=1, axis2=2).real[:, :, None] * np.abs(y) ** 2 for w, y in (engine, direct)),
+            f"W_ii |Y_ij|^2 M={m} K={k}",
+        )
 
 
 class TestSingularValues:
@@ -246,7 +313,7 @@ class TestPseudoInverse:
 
 class TestEmpiricalCdf:
     def test_median_is_quantile_half(self):
-        cdf = EmpiricalCdf.from_samples([3.0, 1.0, 2.0], unit="dB")
+        cdf = EmpiricalCdf.from_samples([3.0, 1.0, 2.0])
         assert cdf.median == pytest.approx(2.0)
         assert cdf.quantile(0.5) == pytest.approx(np.median([1.0, 2.0, 3.0]))
 

@@ -9,7 +9,9 @@ import pytest
 
 from mmimo.errors import DomainError
 from mmimo.numerics import BLOCK_ENTRIES, Seed, gaussian_blocks
-from mmimo.pilots import contamination_sir_limit_db, simulate_contamination
+from mmimo.pilots import _contamination_sample, contamination_sir_limit_db, simulate_contamination
+
+from mc_compare import assert_same_means
 
 
 class TestContaminationLimit:
@@ -31,10 +33,22 @@ class TestContaminationLimit:
             contamination_sir_limit_db(1.0, [-0.5])
 
 
-def per_trial_reference(m, beta_home, betas, rho_pilot, tau, trials, seed):
-    """Desired, directed and noise powers from an explicit loop over trials,
-    reading each trial's columns from the same block draws."""
-    draws = np.concatenate(list(gaussian_blocks(seed, m, len(betas) + 3, trials)))
+def direct_columns(seed, m, n_contaminating, trials):
+    """(trials, M, n + 3) unit-variance columns drawn as M-length vectors:
+    the distributional reference for the Bartlett draw."""
+    return np.concatenate(list(gaussian_blocks(seed, m, n_contaminating + 3, trials)))
+
+
+def direct_sample(m, beta_home, betas, rho_pilot, tau, trials, seed):
+    """The powers of directly drawn columns, read from W = Z^H Z."""
+    z = direct_columns(seed, m, len(betas), trials)
+    w = np.einsum("tmi,tmj->tij", z.conj(), z)
+    return _contamination_sample(w, beta_home, np.asarray(betas, dtype=float), rho_pilot, tau)
+
+
+def per_trial_reference(draws, beta_home, betas, rho_pilot, tau):
+    """Desired, directed and noise powers from an explicit loop over the
+    trials of a (trials, M, n + 3) draw."""
     rows = []
     for z in draws:
         h_home = math.sqrt(beta_home) * z[:, 0]
@@ -63,11 +77,12 @@ for m in (16, 1024, 10_000):
 
 
 class TestContaminationBlocks:
-    @pytest.mark.parametrize("m, betas", [(16, [1.0]), (300, [0.3, 0.7]), (20_000, [1.0])])
+    @pytest.mark.parametrize("m, betas", [(16, [1.0]), (300, [0.3, 0.7]), (20_000, [1.0]), (2, [1.0])])
     def test_matches_per_trial_reference(self, m, betas):
+        # The powers read from W = Z^H Z equal the explicit combiner's.
         trials = 7
-        sample = simulate_contamination(m, 1.3, betas, 2.0, 8, trials, Seed(7).child(m))
-        reference = per_trial_reference(m, 1.3, betas, 2.0, 8, trials, Seed(7).child(m))
+        sample = direct_sample(m, 1.3, betas, 2.0, 8, trials, Seed(7).child(m))
+        reference = per_trial_reference(direct_columns(Seed(7).child(m), m, len(betas), trials), 1.3, betas, 2.0, 8)
         got = np.column_stack([sample.desired, sample.directed, sample.noise])
         assert np.allclose(got, reference, rtol=1e-12, atol=0.0)
 
@@ -77,8 +92,8 @@ class TestContaminationBlocks:
         assert np.all(sample.desired > 0.0)
 
     def test_trials_are_prefix_stable(self):
-        # M = 1024 with one contaminator draws 4096 entries per trial.
-        short = BLOCK_ENTRIES // 4096 + 3  # crosses a block boundary
+        # One contaminator makes a 4 x 4 W, so a block holds BLOCK_ENTRIES // 16 trials.
+        short = BLOCK_ENTRIES // 16 + 3  # crosses a block boundary
         first = simulate_contamination(1024, 1.0, [1.0], 1.0, 16, short, Seed(9))
         longer = simulate_contamination(1024, 1.0, [1.0], 1.0, 16, 3 * short, Seed(9))
         for field in ("desired", "directed", "noise"):
@@ -104,6 +119,23 @@ class TestContaminationBlocks:
             )
             outputs.append(done.stdout)
         assert outputs[0] and outputs[0] == outputs[1]
+
+
+class TestContaminationDistribution:
+    # The Bartlett draw against M-length columns, including M < n + 3.
+    @pytest.mark.parametrize(
+        "m, betas", [(1, [1.0]), (2, [1.0]), (3, [0.5]), (4, [1.0, 0.3]), (12, [0.8])]
+    )
+    def test_mean_powers_match_direct_draw(self, m, betas):
+        trials = 4000
+        sample = simulate_contamination(m, 1.2, betas, 0.5, 4, trials, Seed(21).child(m))
+        direct = direct_sample(m, 1.2, betas, 0.5, 4, trials, Seed(22).child(m))
+        fields = ("desired", "directed", "noise")
+        assert_same_means(
+            np.column_stack([getattr(sample, f) for f in fields]),
+            np.column_stack([getattr(direct, f) for f in fields]),
+            f"M={m}",
+        )
 
 
 @pytest.mark.slow
