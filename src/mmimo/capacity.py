@@ -9,7 +9,8 @@ above them. The simulators read the channels only through the K x K products
 G = H_hat^H H_hat and C = H_hat^H H, and draw those directly by the Bartlett
 decomposition of the complex Wishart matrix (Z^H Z = A A^H, A lower
 triangular, or K x M lower trapezoidal when M < K; see
-`numerics.draw_bartlett`), never an M x K channel.
+`numerics.draw_bartlett`), never an M x K channel. The perfect-CSI MRT sum
+rate of mrt-sumrate (`mrt_sum_rates`) is the downlink reduction with C = G.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import build_large_scale_profile, place_terminals
-from .errors import ConfigError, DimensionError, DomainError, RankError
+from .errors import ConfigError, DegenerateChannelError, DimensionError, DomainError, RankError
 from .numerics import Seed, bartlett_blocks
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
@@ -184,14 +185,31 @@ def _ul_rate_sums(scheme: str, gram: np.ndarray, cross: np.ndarray, rho: float) 
     return np.sum(np.log2(1.0 + sinr), axis=0)
 
 
-def _dl_rate_sums(cross: np.ndarray, stream_power: np.ndarray) -> np.ndarray:
-    """Per-terminal sums over a stack of draws of log2(1 + SINR) under
-    conjugate beamforming: terminal k hears stream j with power
-    s_j^2 |C_jk|^2, C = H_hat^H H, `stream_power` the (K, 1) column of s_j^2."""
+def _dl_rates(cross: np.ndarray, stream_power: np.ndarray) -> np.ndarray:
+    """Per-draw, per-terminal log2(1 + SINR) of a stack of draws under
+    conjugate beamforming with unit noise: terminal k hears stream j with
+    power s_j^2 |C_jk|^2, C = H_hat^H H, `stream_power` the column of s_j^2,
+    (K, 1) or per draw (draws, K, 1)."""
     powers = stream_power * np.abs(cross) ** 2
     signal = np.diagonal(powers, axis1=1, axis2=2)
     interference = powers.sum(axis=1) - signal
-    return np.sum(np.log2(1.0 + signal / (interference + 1.0)), axis=0)
+    return np.log2(1.0 + signal / (interference + 1.0))
+
+
+def mrt_sum_rates(gram: np.ndarray, snr_linear: float) -> np.ndarray:
+    """Sum rate of each draw of a (draws, K, K) stack G = H^H H under
+    maximum-ratio transmission with perfect CSI and unit noise.
+
+    The budget P = snr / mean_k(G_kk / K) sets the mean interference-free SNR
+    to `snr_linear`. Stream j is sent on s_j conj(h_j), s_j^2 = (P / K) / G_jj,
+    so terminal k hears it with power s_j^2 |G_jk|^2: `_dl_rates` with C = G.
+    """
+    gains = np.diagonal(gram, axis1=1, axis2=2).real
+    if np.any(gains == 0.0):
+        raise DegenerateChannelError("cannot beamform toward an all-zero channel column")
+    k = gram.shape[-1]
+    budget = snr_linear / np.mean(gains / k, axis=-1)
+    return _dl_rates(gram, (budget / k)[:, None, None] / gains[:, :, None]).sum(axis=-1)
 
 
 def simulate_ul_rates(
@@ -236,7 +254,7 @@ def simulate_dl_rates(
     statistically normalised streams (the convention of `dl_mrt_sinr`).
 
     Stream j is sent on s_j conj(h_hat_j) with s_j^2 = rho_dl eta_j / (M gamma_j),
-    so terminal k hears it with power s_j^2 |C_jk|^2 (`_dl_rate_sums`). C =
+    so terminal k hears it with power s_j^2 |C_jk|^2 (`_dl_rates`). C =
     H_hat^H H is drawn as in `simulate_ul_rates`, by the Bartlett identity
     Z^H Z = A A^H, Z^H Z_e = A X (A is K x M when M < K), without a channel.
     """
@@ -248,7 +266,7 @@ def simulate_dl_rates(
     stream_power = (params.rho_dl * e / (params.m * g))[:, None]
     total_rate = np.zeros(b.size)
     for _, cross in _statistic_batches(params, b, seed, n_draws, batch):
-        total_rate += _dl_rate_sums(cross, stream_power)
+        total_rate += _dl_rates(cross, stream_power).sum(axis=0)
     return params.overhead_prefactor * total_rate / n_draws
 
 
@@ -558,6 +576,7 @@ __all__ = [
     "ul_rate_bound",
     "simulate_ul_rates",
     "simulate_dl_rates",
+    "mrt_sum_rates",
     "default_tradeoff_systems",
     "ee_se_sweep",
     "maxmin_power_control",

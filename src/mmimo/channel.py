@@ -1,5 +1,5 @@
-"""Channel generation: i.i.d. Rayleigh fading, geometric scatterer rays,
-large-scale link budgets, terminal placement, and measured-channel files.
+"""Channel generation: geometric scatterer rays, large-scale link budgets,
+terminal placement, and measured-channel files (i.i.d. draws: `numerics`).
 
 Conventions: channel matrices are M x K (rows = base-station antennas,
 columns = terminals). Scatterer-scene coordinates are in wavelengths.
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, GeometryError, ParseError
-from .numerics import Seed, draw_complex_gaussian
+from .numerics import Seed
 
 # Rural link-budget anchors: 127 dB loss at 1 km with range-decay exponent 3.52.
 # The 127 dB anchor holds for the scenario's 1.9 GHz carrier only.
@@ -29,11 +29,6 @@ FOCUSING_TERMINALS = 5
 # Rows of the point leg that `scatterer_field` builds and applies at a time:
 # 128 x 400 scatterers is an 800 kB block, fastest of 64-512 rows when measured.
 FIELD_BLOCK_ROWS = 128
-
-
-def gen_iid_channel(seed: Seed, m: int, k: int) -> np.ndarray:
-    """M x K channel with i.i.d. CN(0, 1) entries (unit average power)."""
-    return draw_complex_gaussian(seed, m, k)
 
 
 def path_loss_db(distance_km) -> np.ndarray | float:

@@ -145,7 +145,8 @@ TRIAL_DEFAULTS: dict[str, tuple[int, int]] = {
 
 _COMMON_KEYS = ("experiment", "seed", "trials", "output_dir", "workers")
 
-# Experiments whose i.i.d. trials are drawn in blocks of BLOCK_ENTRIES entries.
+# Experiments whose i.i.d. trials are Bartlett factors drawn in blocks of
+# BLOCK_ENTRIES entries (`numerics.bartlett_blocks`).
 BLOCK_DRAWN = ("svd-spread", "mrt-sumrate", "pilot-contamination")
 
 

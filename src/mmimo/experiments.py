@@ -2,7 +2,7 @@
 
 Every experiment is a pure function of its resolved configuration: trials
 derive their draws from per-index sub-seeds (one per block of trials for the
-block-drawn experiments, see `numerics.gaussian_blocks`), reductions run in
+block-drawn experiments, see `numerics.bartlett_blocks`), reductions run in
 trial order, and floats are written in shortest round-trip form, so reruns
 are byte-identical no matter how many workers execute the trials.
 """
@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__, capacity, channel, pilots, transceiver
 from .config import ExperimentConfig
 from .errors import DomainError
-from .numerics import EmpiricalCdf, Seed, gaussian_blocks, singular_value_spread_db
+from .numerics import EmpiricalCdf, Seed, bartlett_blocks, singular_value_spread_db
 
 
 @dataclass(frozen=True)
@@ -115,9 +115,12 @@ def emit_tables(result: ExperimentResult, output_dir) -> list[str]:
 
 def _channel_groups(config: ExperimentConfig):
     """Yield (M, K, stacks) per antenna count for svd-spread and mrt-sumrate,
-    each stack a (count, M, K) array in trial order: the measured CFCSV set as
-    one stack, or for `m_list` entry mi its i.i.d. draws in the blocks of
-    `gaussian_blocks(Seed(seed).child(mi), ...)`."""
+    each stack a (count, rows, K) array F in trial order with F^H F = H^H H:
+    the measured CFCSV set as one stack of its matrices H, or for `m_list`
+    entry mi the conjugate transposes of the Bartlett factors A of
+    `bartlett_blocks(Seed(seed).child(mi), M, K, trials)`. These have exactly
+    the singular values and Gram matrices of M x K i.i.d. CN(0, 1) draws,
+    also for M < K, without an M-length axis."""
     if config.channels_path is not None:
         measured = channel.load_measured_channels(config.channels_path)
         yield measured.m, measured.k, [measured.matrices]
@@ -125,7 +128,8 @@ def _channel_groups(config: ExperimentConfig):
     k = config.params["k"]
     seed = Seed(config.seed)
     for mi, m in enumerate(config.params["m_list"]):
-        yield m, k, gaussian_blocks(seed.child(mi), m, k, config.trials)
+        blocks = bartlett_blocks(seed.child(mi), m, k, config.trials)
+        yield m, k, (a.conj().transpose(0, 2, 1) for a, _ in blocks)
 
 
 def _run_svd_spread(config: ExperimentConfig):
@@ -144,19 +148,14 @@ def _run_svd_spread(config: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 
-def _mrt_sum_rates(h: np.ndarray, snr_linear: float) -> np.ndarray:
-    """Sum rate of each channel in a (count, M, K) stack."""
-    budget = transceiver.budget_for_mean_desired_snr(h, snr_linear, noise_power=1.0)
-    precoder = transceiver.mrt_precoder(h, budget)
-    return transceiver.evaluate_downlink(h, precoder, noise_power=1.0).sum_rate
-
-
 def _run_mrt_sumrate(config: ExperimentConfig):
     snr = 10.0 ** (config.params["target_snr_db"] / 10.0)
     rows: list[tuple] = []
     means: dict[str, float] = {}
     for m, k, stacks in _channel_groups(config):
-        rates = np.concatenate([_mrt_sum_rates(h, snr) for h in stacks])
+        # G = F^H F by einsum, not BLAS, so that no sum depends on the BLAS thread count.
+        grams = (np.einsum("tri,trj->tij", f.conj(), f) for f in stacks)
+        rates = np.concatenate([capacity.mrt_sum_rates(g, snr) for g in grams])
         rows.extend((m, k, t, r) for t, r in enumerate(rates))
         means[str(m)] = float(np.mean(rates))
     summary = {

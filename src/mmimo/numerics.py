@@ -12,9 +12,9 @@ from .errors import DimensionError, NumericError, RankError
 # (double-precision conditioning floor).
 RANK_TOLERANCE = 1e-12
 
-# Complex entries per block of block-drawn Monte Carlo trials (see
-# `gaussian_blocks` and `bartlett_blocks`). Part of the stream definition:
-# changing it changes the outputs of svd-spread, mrt-sumrate and
+# Complex entries per block of block-drawn Monte Carlo trials: a block of
+# `bartlett_blocks` holds BLOCK_ENTRIES // K^2 trials. Part of the stream
+# definition: changing it changes the outputs of svd-spread, mrt-sumrate and
 # pilot-contamination.
 BLOCK_ENTRIES = 2**15
 
@@ -29,18 +29,14 @@ class Seed:
     paths yield streams with no shared state, so Monte Carlo trials can be
     evaluated in any order or in parallel with bit-identical results.
 
-    Experiments give each trial its own path, except svd-spread and
-    mrt-sumrate, which draw their i.i.d. channels in blocks (block b of group
-    g comes from the path (g, b), see `gaussian_blocks`), and the Monte Carlo
-    that depends on the channels only through their inner products:
-    pilot-contamination and the capacity validators. These draw the K x K
-    sufficient statistics by the Bartlett decomposition, never an M x K
-    channel (`bartlett_blocks`): Z^H Z = A A^H for an M x K i.i.d. CN(0, 1)
-    Z, with A lower triangular (lower trapezoidal, K x M, when M < K), and
-    Z^H Z_e distributed as A X for an independent Z_e. Block b of those
-    streams comes from `seed.child(b)` as well. The outputs of the block-drawn
-    experiments and the validators' streams changed once with each of these
-    two stream layouts; the other experiments kept theirs.
+    Experiments give each trial its own path, except those that depend on
+    their i.i.d. channels only through the inner products: svd-spread,
+    mrt-sumrate, pilot-contamination and the capacity validators. These draw
+    the K x K sufficient statistics by the Bartlett decomposition, never an
+    M x K channel (`bartlett_blocks`): Z^H Z = A A^H for an M x K i.i.d.
+    CN(0, 1) Z, with A lower triangular (lower trapezoidal, K x M, when
+    M < K), and Z^H Z_e distributed as A X for an independent Z_e. Block b
+    draws from `seed.child(b)` of its group's seed.
     """
 
     master: int
@@ -89,20 +85,6 @@ def draw_complex_gaussian(
     np.multiply(parts[..., 0, :, :], _INV_SQRT2, out=out.real)
     np.multiply(parts[..., 1, :, :], _INV_SQRT2, out=out.imag)
     return out
-
-
-def gaussian_blocks(seed: Seed, rows: int, cols: int, trials: int):
-    """Yield `trials` i.i.d. (rows, cols) draws of `draw_complex_gaussian` in
-    trial order, as (count, rows, cols) stacks of one block each.
-
-    A block holds max(1, BLOCK_ENTRIES // (rows * cols)) trials and block b
-    draws from `seed.child(b)`. The block size does not depend on `trials`,
-    so the draws of the first T trials are the same for every trial count
-    of at least T.
-    """
-    size = max(1, BLOCK_ENTRIES // (rows * cols))
-    for index, start in enumerate(range(0, trials, size)):
-        yield draw_complex_gaussian(seed.child(index), rows, cols, min(size, trials - start))
 
 
 def draw_bartlett(seed: Seed, m: int, k: int, count: int, cross: bool = False):

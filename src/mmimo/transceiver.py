@@ -17,28 +17,21 @@ POWER_TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class Precoder:
-    """Downlink precoding matrix with columns per terminal stream, or a stack
-    of them with one budget per matrix."""
+    """Downlink precoding matrix with columns per terminal stream."""
 
-    w: np.ndarray  # M x K, or (..., M, K)
+    w: np.ndarray  # M x K
     scheme: str
-    power_budget: float | np.ndarray  # float, or shape w.shape[:-2]
+    power_budget: float
 
     def __post_init__(self):
-        radiated = np.sum(np.abs(self.w) ** 2, axis=(-2, -1))
-        budget = np.broadcast_to(self.power_budget, radiated.shape)
-        missed = np.abs(radiated - budget) > POWER_TOLERANCE * np.maximum(budget, 1.0)
-        if np.any(missed):
-            i = int(np.argmax(missed))
-            raise DomainError(
-                f"precoder radiates {radiated.flat[i]:.12g}, budget is {budget.flat[i]:.12g}"
-            )
+        radiated = float(np.sum(np.abs(self.w) ** 2))
+        if abs(radiated - self.power_budget) > POWER_TOLERANCE * max(self.power_budget, 1.0):
+            raise DomainError(f"precoder radiates {radiated:.12g}, budget is {self.power_budget:.12g}")
 
 
 @dataclass(frozen=True)
 class LinkReport:
-    """Per-terminal downlink link quality (all powers linear); arrays carry
-    the leading stack axes of the evaluated channels."""
+    """Per-terminal downlink link quality (all powers linear)."""
 
     signal_power: np.ndarray
     interference_power: np.ndarray
@@ -47,27 +40,22 @@ class LinkReport:
     rate_bits_per_s_per_hz: np.ndarray
 
     @property
-    def sum_rate(self):
-        """Sum over terminals: a float for one channel, an array for a stack."""
-        total = np.sum(self.rate_bits_per_s_per_hz, axis=-1)
-        return float(total) if total.ndim == 0 else total
+    def sum_rate(self) -> float:
+        return float(np.sum(self.rate_bits_per_s_per_hz))
 
 
-def mrt_precoder(h_hat: np.ndarray, power_budget) -> Precoder:
+def mrt_precoder(h_hat: np.ndarray, power_budget: float) -> Precoder:
     """Maximum-ratio transmission: columns proportional to the conjugated
     channel estimates, scaled so each of the K streams radiates
-    power_budget / K.
-
-    `h_hat` may be a (..., M, K) stack with one budget per matrix."""
+    power_budget / K."""
     h = np.asarray(h_hat, dtype=complex)
-    budget = np.asarray(power_budget, dtype=float)
-    if np.any(budget <= 0.0):
+    if power_budget <= 0.0:
         raise DomainError("power budget must be positive")
-    norms = np.linalg.norm(h, axis=-2)
+    norms = np.linalg.norm(h, axis=0)
     if np.any(norms == 0.0):
         raise DegenerateChannelError("cannot beamform toward an all-zero channel column")
-    scale = np.sqrt(budget[..., None] * (1.0 / h.shape[-1])) / norms
-    return Precoder(w=np.conj(h) * scale[..., None, :], scheme="mrt", power_budget=power_budget)
+    scale = np.sqrt(power_budget * (1.0 / h.shape[1])) / norms
+    return Precoder(w=np.conj(h) * scale, scheme="mrt", power_budget=power_budget)
 
 
 def zf_precoder(h_hat: np.ndarray, power_budget: float) -> Precoder:
@@ -88,17 +76,16 @@ def zf_precoder(h_hat: np.ndarray, power_budget: float) -> Precoder:
 
 
 def evaluate_downlink(h_true: np.ndarray, precoder: Precoder, noise_power: float) -> LinkReport:
-    """Signal, interference, SINR, and rate per terminal for a precoded
-    downlink, per matrix of a (..., M, K) stack."""
+    """Signal, interference, SINR, and rate per terminal for a precoded downlink."""
     h = np.asarray(h_true, dtype=complex)
     if noise_power < 0.0:
         raise DomainError("noise power must be >= 0")
     if h.shape != precoder.w.shape:
         raise DimensionError(f"channel {h.shape} and precoder {precoder.w.shape} differ")
-    effective = np.swapaxes(h, -1, -2) @ precoder.w  # entry (k, j): terminal k hearing stream j
+    effective = h.T @ precoder.w  # entry (k, j): terminal k hearing stream j
     powers = np.abs(effective) ** 2
-    signal = np.diagonal(powers, axis1=-2, axis2=-1).copy()
-    interference = powers.sum(axis=-1) - signal
+    signal = np.diag(powers).copy()
+    interference = powers.sum(axis=1) - signal
     sinr = signal / (interference + noise_power)
     return LinkReport(
         signal_power=signal,
@@ -109,16 +96,14 @@ def evaluate_downlink(h_true: np.ndarray, precoder: Precoder, noise_power: float
     )
 
 
-def budget_for_mean_desired_snr(h_true: np.ndarray, snr_linear: float, noise_power: float):
+def budget_for_mean_desired_snr(h_true: np.ndarray, snr_linear: float, noise_power: float) -> float:
     """Transmit budget making the interference-free per-terminal SNR equal
-    `snr_linear` on average over terminals, for this channel realisation: a
-    float for one channel, an array for a (..., M, K) stack."""
+    `snr_linear` on average over terminals, for this channel realisation."""
     h = np.asarray(h_true, dtype=complex)
-    desired_per_budget = np.mean((1.0 / h.shape[-1]) * np.linalg.norm(h, axis=-2) ** 2, axis=-1)
-    if np.any(desired_per_budget == 0.0):
+    desired_per_budget = float(np.mean((1.0 / h.shape[1]) * np.linalg.norm(h, axis=0) ** 2))
+    if desired_per_budget == 0.0:
         raise DegenerateChannelError("all channel columns are zero")
-    budget = snr_linear * noise_power / desired_per_budget
-    return float(budget) if budget.ndim == 0 else budget
+    return snr_linear * noise_power / desired_per_budget
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ import pytest
 from click.testing import CliRunner
 
 from mmimo import capacity as cap
-from mmimo.channel import gen_iid_channel, make_focusing_scene
+from mmimo.channel import make_focusing_scene
 from mmimo.cli import main as cli_main
-from mmimo.numerics import Seed, singular_value_spread_db
+from mmimo.numerics import Seed, draw_complex_gaussian, singular_value_spread_db
 from mmimo.pilots import contamination_sir_limit_db, simulate_contamination
 from mmimo.transceiver import (
     budget_for_mean_desired_snr,
@@ -37,7 +37,7 @@ def test_criterion_1_singular_value_spread_cdf():
     medians = {}
     for mi, m in enumerate((4, 32, 128)):
         spreads = [
-            singular_value_spread_db(gen_iid_channel(seed.child(mi, t), m, 4))
+            singular_value_spread_db(draw_complex_gaussian(seed.child(mi, t), m, 4))
             for t in range(10_000)
         ]
         medians[m] = float(np.median(spreads))
@@ -69,7 +69,7 @@ def test_criterion_2_mrt_sum_rate_vs_antennas():
     for mi, m in enumerate(m_values):
         rates = np.empty(2000)
         for t in range(2000):
-            h = gen_iid_channel(seed.child(mi, t), m, 4)
+            h = draw_complex_gaussian(seed.child(mi, t), m, 4)
             budget = budget_for_mean_desired_snr(h, 10.0, 1.0)
             rates[t] = evaluate_downlink(h, mrt_precoder(h, budget), 1.0).sum_rate
         means.append(float(np.mean(rates)))

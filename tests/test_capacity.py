@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from mmimo import capacity as cap
-from mmimo.errors import ConfigError, DimensionError, DomainError, RankError
+from mmimo.errors import ConfigError, DegenerateChannelError, DimensionError, DomainError, RankError
 from mmimo.numerics import Seed, draw_complex_gaussian
+from mmimo.transceiver import budget_for_mean_desired_snr, evaluate_downlink, mrt_precoder
 
 from mc_compare import assert_same_means
 
@@ -303,7 +304,7 @@ class TestRateSimulators:
         for scheme in ("mrc", "zf"):
             reduced = params.overhead_prefactor * cap._ul_rate_sums(scheme, gram, cross, params.rho_ul) / 20
             np.testing.assert_allclose(reduced, expected[scheme], rtol=1e-12, atol=0.0)
-        reduced = params.overhead_prefactor * cap._dl_rate_sums(cross, stream_power(params, betas, eta)) / 20
+        reduced = params.overhead_prefactor * cap._dl_rates(cross, stream_power(params, betas, eta)).sum(axis=0) / 20
         np.testing.assert_allclose(reduced, expected["dl"], rtol=1e-12, atol=0.0)
 
     def test_zf_needs_fewer_terminals_than_antennas(self):
@@ -366,12 +367,32 @@ class TestStatisticsDistribution:
             gram, cross = direct_statistics(h, h_hat)
             if scheme == "dl":
                 engine.append(cap.simulate_dl_rates(params, betas, eta, Seed(41).child(g), draws))
-                sums = cap._dl_rate_sums(cross, stream_power(params, betas, eta))
+                sums = cap._dl_rates(cross, stream_power(params, betas, eta)).sum(axis=0)
             else:
                 engine.append(cap.simulate_ul_rates(params, scheme, betas, Seed(41).child(g), draws))
                 sums = cap._ul_rate_sums(scheme, gram, cross, params.rho_ul)
             direct.append(params.overhead_prefactor * sums / draws)
         assert_same_means(engine, direct, f"{scheme} M={m} K={k}")
+
+
+class TestMrtSumRates:
+    """The Gram-domain MRT sum rate of mrt-sumrate against the per-matrix
+    precoder chain of `transceiver`, on the same channels."""
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 32, 128])
+    def test_matches_per_matrix_reference(self, m):
+        h = draw_complex_gaussian(Seed(60).child(m), m, 4, 50)
+        got = cap.mrt_sum_rates(np.einsum("tri,trj->tij", h.conj(), h), 10.0)
+        expected = [
+            evaluate_downlink(z, mrt_precoder(z, budget_for_mean_desired_snr(z, 10.0, 1.0)), 1.0).sum_rate for z in h
+        ]
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+    def test_zero_column_rejected(self):
+        h = draw_complex_gaussian(Seed(61), 4, 3, 5)
+        h[3, :, 1] = 0.0
+        with pytest.raises(DegenerateChannelError, match="all-zero channel column"):
+            cap.mrt_sum_rates(np.einsum("tri,trj->tij", h.conj(), h), 10.0)
 
 
 class TestDlBoundValidity:

@@ -8,7 +8,6 @@ from mmimo.channel import (
     ScattererScene,
     build_large_scale_profile,
     draw_shadow_db,
-    gen_iid_channel,
     load_measured_channels,
     make_focusing_scene,
     path_loss_db,
@@ -19,15 +18,15 @@ from mmimo.channel import (
     terminal_distance_km,
 )
 from mmimo.errors import DomainError, GeometryError, ParseError
-from mmimo.numerics import Seed, singular_value_spread_db
+from mmimo.numerics import Seed, draw_complex_gaussian, singular_value_spread_db
 
 
 class TestIidChannel:
     def test_deterministic(self):
-        assert np.array_equal(gen_iid_channel(Seed(0), 4, 4), gen_iid_channel(Seed(0), 4, 4))
+        assert np.array_equal(draw_complex_gaussian(Seed(0), 4, 4), draw_complex_gaussian(Seed(0), 4, 4))
 
     def test_single_entry(self):
-        h = gen_iid_channel(Seed(1), 1, 1)
+        h = draw_complex_gaussian(Seed(1), 1, 1)
         assert h.shape == (1, 1)
         assert np.iscomplexobj(h)
 
@@ -39,7 +38,7 @@ class TestIidChannel:
         cors = []
         draws = 10_000 // (k * (k - 1) // 2) + 1
         for t in range(draws):
-            h = gen_iid_channel(seed.child(t), m, k)
+            h = draw_complex_gaussian(seed.child(t), m, k)
             for i in range(k):
                 for j in range(i + 1, k):
                     num = abs(np.vdot(h[:, i], h[:, j]))
@@ -53,7 +52,7 @@ class TestIidChannel:
         medians = []
         for mi, m in enumerate((4, 32, 128)):
             spreads = [
-                singular_value_spread_db(gen_iid_channel(seed.child(mi, t), m, 4))
+                singular_value_spread_db(draw_complex_gaussian(seed.child(mi, t), m, 4))
                 for t in range(800)
             ]
             medians.append(np.median(spreads))
@@ -282,7 +281,7 @@ class TestMeasuredChannels:
         assert loaded.matrices[0, 1, 0] == -0.25 + 2.0j
 
     def test_round_trip_bit_exact(self, tmp_path):
-        h = gen_iid_channel(Seed(7), 4, 3)
+        h = draw_complex_gaussian(Seed(7), 4, 3)
         stack = np.stack([h, 2.0 * h])
         path = tmp_path / "round.cfcsv"
         save_measured_channels(stack, path)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -7,13 +10,15 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from mmimo import experiments, transceiver
-from mmimo.channel import gen_iid_channel, save_measured_channels
+from mmimo import capacity, experiments, transceiver
+from mmimo.channel import save_measured_channels
 from mmimo.cli import main
 from mmimo.config import EXPERIMENTS, parse_config
 from mmimo.errors import ConfigError, DomainError
 from mmimo.experiments import ExperimentResult, Table, emit_tables, run
-from mmimo.numerics import BLOCK_ENTRIES, Seed
+from mmimo.numerics import BLOCK_ENTRIES, Seed, draw_complex_gaussian, singular_value_spread_db
+
+from mc_compare import assert_same_means
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -76,7 +81,7 @@ class TestParseConfig:
         base = parse_config(path, output_dir="a")
         assert replace(base, output_dir="b").config_hash() == base.config_hash()
         measured = tmp_path / "set.cfcsv"
-        save_measured_channels(gen_iid_channel(Seed(0), 4, 4), measured)
+        save_measured_channels(draw_complex_gaussian(Seed(0), 4, 4), measured)
         for change in (
             {"seed": 1},
             {"trials": 3},
@@ -89,12 +94,12 @@ class TestParseConfig:
     def test_config_hash_follows_measured_file_content(self, tmp_path):
         path = write_config(tmp_path / "c.ini", "[experiment]\nexperiment = svd-spread\n")
         original, copy = tmp_path / "set.cfcsv", tmp_path / "copy.cfcsv"
-        save_measured_channels(gen_iid_channel(Seed(0), 4, 4), original)
+        save_measured_channels(draw_complex_gaussian(Seed(0), 4, 4), original)
         copy.write_bytes(original.read_bytes())
         first = parse_config(path, channels_path=str(original))
         assert parse_config(path, channels_path=str(copy)).config_hash() == first.config_hash()
         before = first.config_hash()
-        save_measured_channels(gen_iid_channel(Seed(1), 4, 4), original)
+        save_measured_channels(draw_complex_gaussian(Seed(1), 4, 4), original)
         assert first.config_hash() != before
         assert first.resolved()["channels_path"] == str(original)
 
@@ -208,13 +213,13 @@ class TestRunAndEmit:
         )
 
     # Trial counts T < T' such that a group crosses a block boundary before
-    # T: M = 128 with K = 4 (512 entries per trial), and one contaminator,
-    # whose Bartlett blocks count the 4 x 4 = 16 entries of W per trial.
+    # T: Bartlett blocks count the K x K = 16 entries per trial of K = 4
+    # terminals, or of one contaminator's 4 x 4 W.
     @pytest.mark.parametrize(
         "experiment, params, table, entries, short, long",
         [
-            ("svd-spread", "m_list = 4,128\n", "spread", 512, 130, 300),
-            ("mrt-sumrate", "m_list = 4,128\n", "sumrate", 512, 130, 300),
+            ("svd-spread", "m_list = 4,128\n", "spread", 16, 2060, 2100),
+            ("mrt-sumrate", "m_list = 4,128\n", "sumrate", 16, 2060, 2100),
             ("pilot-contamination", "m_list = 16,1024\nm_limit = 2048\n", "contamination", 16, 2060, 2100),
         ],
     )
@@ -233,12 +238,12 @@ class TestRunAndEmit:
             drawn = name in ("svd-spread", "mrt-sumrate", "pilot-contamination")
             assert resolved.get("block_entries") == (BLOCK_ENTRIES if drawn else None), name
         channels = tmp_path / "set.cfcsv"
-        save_measured_channels(gen_iid_channel(Seed(0), 4, 4), channels)
+        save_measured_channels(draw_complex_gaussian(Seed(0), 4, 4), channels)
         measured = parse_config(tmp_path / "svd-spread.ini", channels_path=str(channels))
         assert "block_entries" not in measured.resolved()
 
     def test_measured_channels_flow(self, tmp_path):
-        stack = np.stack([gen_iid_channel(Seed(1).child(f), 8, 3) for f in range(5)])
+        stack = np.stack([draw_complex_gaussian(Seed(1).child(f), 8, 3) for f in range(5)])
         channels = tmp_path / "set.cfcsv"
         save_measured_channels(stack, channels)
         path = write_config(tmp_path / "c.ini", "[experiment]\nexperiment = svd-spread\n")
@@ -249,6 +254,65 @@ class TestRunAndEmit:
         path2 = write_config(tmp_path / "c2.ini", "[experiment]\nexperiment = mrt-sumrate\n")
         result2 = run(parse_config(path2, channels_path=str(channels)))
         assert len(result2.tables["sumrate"].rows) == 5
+
+
+class TestGramChainDistribution:
+    """svd-spread and mrt-sumrate rows, drawn as Bartlett factors, against
+    the same quantities of directly drawn M x K i.i.d. channels, including
+    M = 1 and M < K."""
+
+    def test_rows_match_direct_draws(self, tmp_path):
+        k, trials, m_list = 4, 4000, (1, 2, 3, 8, 32)
+        tables = {}
+        for experiment, table in (("svd-spread", "spread"), ("mrt-sumrate", "sumrate")):
+            body = (
+                f"[experiment]\nexperiment = {experiment}\nseed = 5\ntrials = {trials}\n\n"
+                f"[{experiment}]\nm_list = {','.join(map(str, m_list))}\nk = {k}\n"
+            )
+            rows = run(parse_config(write_config(tmp_path / f"{experiment}.ini", body))).tables[table].rows
+            tables[experiment] = np.array([row[3] for row in rows]).reshape(len(m_list), trials)
+        for i, m in enumerate(m_list):
+            h = draw_complex_gaussian(Seed(6).child(m), m, k, trials)
+            direct = np.column_stack(
+                [singular_value_spread_db(h), capacity.mrt_sum_rates(np.einsum("tri,trj->tij", h.conj(), h), 10.0)]
+            )
+            engine = np.column_stack([tables["svd-spread"][i], tables["mrt-sumrate"][i]])
+            assert_same_means(engine, direct, f"spread and MRT sum rate M={m} K={k}")
+
+
+_BLAS_THREADS_SCRIPT = """
+import hashlib, sys
+from mmimo.channel import save_measured_channels
+from mmimo.config import parse_config
+from mmimo.experiments import run
+from mmimo.numerics import Seed, draw_complex_gaussian
+configs, channels = sys.argv[1], sys.argv[2]
+save_measured_channels(draw_complex_gaussian(Seed(3), 16, 4, 40), channels)
+for experiment, table in (("svd-spread", "spread"), ("mrt-sumrate", "sumrate")):
+    path = f"{configs}/{experiment}.ini"
+    for config in (parse_config(path, trials=500), parse_config(path, channels_path=channels)):
+        sys.stdout.write(hashlib.sha256(repr(run(config).tables[table].rows).encode()).hexdigest() + "\\n")
+"""
+
+
+class TestBlasThreads:
+    def test_blas_threads_do_not_change_rows(self, tmp_path):
+        # Bundled and measured rows of both Gram-chain experiments.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+            done = subprocess.run(
+                [sys.executable, "-c", _BLAS_THREADS_SCRIPT, str(CONFIGS_DIR), str(tmp_path / f"set{threads}.cfcsv")],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            )
+            outputs.append(done.stdout)
+        assert len(outputs[0].split()) == 4 and outputs[0] == outputs[1]
 
 
 class TestCliProcess:
@@ -292,6 +356,34 @@ class TestCliProcess:
             ["run", "--config", path, "--channels", str(bad), "--out", str(tmp_path / "o")],
         )
         assert outcome.exit_code == 3
+
+    @pytest.mark.parametrize(
+        "experiment, fault, message",
+        [
+            ("svd-spread", "zero", "error: singular value spread undefined for a rank-deficient matrix"),
+            ("mrt-sumrate", "zero", "error: cannot beamform toward an all-zero channel column"),
+            ("svd-spread", "nan", "error: "),
+            ("mrt-sumrate", "nan", "error: "),
+        ],
+        ids=["svd-spread-zero", "mrt-sumrate-zero", "svd-spread-nan", "mrt-sumrate-nan"],
+    )
+    def test_measured_channel_fault_exit_code_3(self, tmp_path, experiment, fault, message):
+        # An all-zero column or a NaN entry in one matrix of a measured set.
+        stack = draw_complex_gaussian(Seed(2), 8, 3, 4)
+        if fault == "zero":
+            stack[2, :, 1] = 0.0
+        else:
+            stack[1, 3, 2] = math.nan
+        channels = tmp_path / "set.cfcsv"
+        save_measured_channels(stack, channels)
+        path = write_config(tmp_path / "c.ini", f"[experiment]\nexperiment = {experiment}\n")
+        out = tmp_path / "o"
+        outcome = CliRunner().invoke(main, ["run", "--config", path, "--channels", str(channels), "--out", str(out)])
+        assert outcome.exit_code == 3
+        assert outcome.stderr.startswith(message)
+        assert len(outcome.stderr.splitlines()) == 1
+        assert "Traceback" not in outcome.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize(

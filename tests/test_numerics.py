@@ -11,7 +11,6 @@ from mmimo.numerics import (
     bartlett_blocks,
     draw_bartlett,
     draw_complex_gaussian,
-    gaussian_blocks,
     pseudo_inverse,
     singular_value_spread_db,
     singular_values,
@@ -85,49 +84,6 @@ class TestDrawComplexGaussian:
     def test_empty_stack_rejected(self):
         with pytest.raises(DimensionError):
             draw_complex_gaussian(Seed(0), 4, 4, 0)
-
-
-def _blocks(seed, rows, cols, trials):
-    return list(gaussian_blocks(seed, rows, cols, trials))
-
-
-class TestGaussianBlocks:
-    def test_block_size_follows_matrix_size(self):
-        per_block = BLOCK_ENTRIES // (4 * 4)
-        sizes = [b.shape[0] for b in _blocks(Seed(40), 4, 4, per_block + 5)]
-        assert sizes == [per_block, 5]
-        # A matrix of more than BLOCK_ENTRIES entries still makes a block of one.
-        big = _blocks(Seed(40), BLOCK_ENTRIES + 1, 1, 2)
-        assert [b.shape for b in big] == [(1, BLOCK_ENTRIES + 1, 1)] * 2
-
-    def test_block_b_draws_from_child_b(self):
-        rows, cols = 64, 64
-        blocks = _blocks(Seed(41), rows, cols, 2 * (BLOCK_ENTRIES // (rows * cols)) + 3)
-        assert len(blocks) == 3
-        for index, block in enumerate(blocks):
-            expected = draw_complex_gaussian(Seed(41).child(index), rows, cols, block.shape[0])
-            assert np.array_equal(block, expected)
-
-    def test_prefix_stable_across_trial_counts(self):
-        rows, cols = 64, 64
-        short = BLOCK_ENTRIES // (rows * cols) + 3  # crosses a block boundary
-        first = np.concatenate(_blocks(Seed(42), rows, cols, short))
-        longer = np.concatenate(_blocks(Seed(42), rows, cols, 3 * short))
-        assert np.array_equal(first, longer[:short])
-
-    def test_moments_and_no_correlation_between_blocks(self):
-        # 8 blocks of BLOCK_ENTRIES entries. sqrt(2) x each part is standard normal;
-        # neighbouring blocks are independent, so their entrywise correlation
-        # is within a few standard errors (1/sqrt(n)) of zero.
-        blocks = [np.sqrt(2.0) * b.ravel() for b in _blocks(Seed(43), 16, 16, 8 * (BLOCK_ENTRIES // 256))]
-        assert len(blocks) == 8
-        n = blocks[0].size
-        for part in (np.real, np.imag):
-            values = np.concatenate([part(b) for b in blocks])
-            assert abs(np.mean(values)) < 5.0 / np.sqrt(values.size)
-            assert np.var(values) == pytest.approx(1.0, abs=5.0 * np.sqrt(2.0 / values.size))
-            for a, b in zip(blocks, blocks[1:]):
-                assert abs(np.corrcoef(part(a), part(b))[0, 1]) < 5.0 / np.sqrt(n)
 
 
 class TestBartlettBlocks:

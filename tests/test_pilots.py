@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mmimo.errors import DomainError
-from mmimo.numerics import BLOCK_ENTRIES, Seed, gaussian_blocks
+from mmimo.numerics import BLOCK_ENTRIES, Seed, draw_complex_gaussian
 from mmimo.pilots import _contamination_sample, contamination_sir_limit_db, simulate_contamination
 
 from mc_compare import assert_same_means
@@ -35,8 +35,12 @@ class TestContaminationLimit:
 
 def direct_columns(seed, m, n_contaminating, trials):
     """(trials, M, n + 3) unit-variance columns drawn as M-length vectors:
-    the distributional reference for the Bartlett draw."""
-    return np.concatenate(list(gaussian_blocks(seed, m, n_contaminating + 3, trials)))
+    the distributional reference for the Bartlett draw. Blocks hold
+    max(1, BLOCK_ENTRIES // (M (n + 3))) trials, block b from `seed.child(b)`."""
+    cols = n_contaminating + 3
+    size = max(1, BLOCK_ENTRIES // (m * cols))
+    blocks = enumerate(range(0, trials, size))
+    return np.concatenate([draw_complex_gaussian(seed.child(b), m, cols, min(size, trials - s)) for b, s in blocks])
 
 
 def direct_sample(m, beta_home, betas, rho_pilot, tau, trials, seed):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmimo import channel, transceiver
-from mmimo.channel import gen_iid_channel, make_focusing_scene, scatterer_channel_matrix
+from mmimo.channel import make_focusing_scene, scatterer_channel_matrix
 from mmimo.errors import (
     DegenerateChannelError,
     DimensionError,
@@ -41,7 +41,7 @@ class TestMrtPrecoder:
         assert np.max(np.abs(off)) < 1e-12
 
     def test_power_budget_split(self):
-        h = gen_iid_channel(Seed(0), 16, 3)
+        h = draw_complex_gaussian(Seed(0), 16, 3)
         precoder = mrt_precoder(h, 4.0)
         per_stream = np.sum(np.abs(precoder.w) ** 2, axis=0)
         assert np.allclose(per_stream, 4.0 / 3.0, rtol=1e-12)
@@ -52,13 +52,26 @@ class TestMrtPrecoder:
         with pytest.raises(DegenerateChannelError):
             mrt_precoder(h, 1.0)
 
+    def test_all_zero_channel_has_no_budget(self):
+        with pytest.raises(DegenerateChannelError):
+            budget_for_mean_desired_snr(np.zeros((4, 2), dtype=complex), 10.0, 1.0)
+
+    def test_nonpositive_budget_rejected(self):
+        with pytest.raises(DomainError):
+            mrt_precoder(draw_complex_gaussian(Seed(27), 4, 2), 0.0)
+
+    def test_budget_mismatch_rejected(self):
+        w = mrt_precoder(draw_complex_gaussian(Seed(28), 4, 2), 1.0).w
+        with pytest.raises(DomainError, match="radiates"):
+            Precoder(w=w, scheme="mrt", power_budget=2.0)
+
     def test_mean_sum_rate_near_ceiling(self):
         # Many antennas, few users: Monte Carlo sum rate approaches the
         # interference-free ceiling K log2(1 + snr) at a 10 dB target.
         seed = Seed(2)
         rates = []
         for t in range(300):
-            h = gen_iid_channel(seed.child(t), 128, 4)
+            h = draw_complex_gaussian(seed.child(t), 128, 4)
             budget = budget_for_mean_desired_snr(h, 10.0, 1.0)
             report = evaluate_downlink(h, mrt_precoder(h, budget), 1.0)
             rates.append(report.sum_rate)
@@ -71,7 +84,7 @@ class TestZfPrecoder:
         assert np.allclose(precoder.w, np.eye(3) / np.sqrt(3.0), rtol=1e-12)
 
     def test_zero_interference(self):
-        h = gen_iid_channel(Seed(3), 8, 3)
+        h = draw_complex_gaussian(Seed(3), 8, 3)
         precoder = zf_precoder(h, 2.0)
         effective = h.T @ precoder.w
         off = effective - np.diag(np.diag(effective))
@@ -79,7 +92,7 @@ class TestZfPrecoder:
 
     def test_wide_channel_rejected(self):
         with pytest.raises(RankError):
-            zf_precoder(gen_iid_channel(Seed(4), 3, 5), 1.0)
+            zf_precoder(draw_complex_gaussian(Seed(4), 3, 5), 1.0)
 
     def test_rank_deficient_rejected(self):
         h = np.ones((6, 2), dtype=complex)
@@ -105,21 +118,26 @@ class TestZfPrecoder:
 
 class TestEvaluateDownlink:
     def test_zf_interference_free(self):
-        h = gen_iid_channel(Seed(9), 8, 3)
+        h = draw_complex_gaussian(Seed(9), 8, 3)
         report = evaluate_downlink(h, zf_precoder(h, 1.0), 0.1)
         assert np.all(report.interference_power < 1e-15)
 
     def test_single_user_mrt_sinr(self):
-        h = gen_iid_channel(Seed(10), 8, 1)
+        h = draw_complex_gaussian(Seed(10), 8, 1)
         budget, noise = 2.0, 0.25
         report = evaluate_downlink(h, mrt_precoder(h, budget), noise)
         expected = budget * np.linalg.norm(h) ** 2 / noise
         assert report.sinr[0] == pytest.approx(expected, rel=1e-12)
 
     def test_negative_noise_rejected(self):
-        h = gen_iid_channel(Seed(11), 4, 2)
+        h = draw_complex_gaussian(Seed(11), 4, 2)
         with pytest.raises(DomainError):
             evaluate_downlink(h, mrt_precoder(h, 1.0), -1.0)
+
+    def test_shape_mismatch_rejected(self):
+        h = draw_complex_gaussian(Seed(29), 4, 2)
+        with pytest.raises(DimensionError):
+            evaluate_downlink(h[:3], mrt_precoder(h, 1.0), 1.0)
 
     def test_small_array_below_large_and_ceiling(self):
         seed = Seed(12)
@@ -127,14 +145,14 @@ class TestEvaluateDownlink:
         for m in (4, 128):
             rates = []
             for t in range(400):
-                h = gen_iid_channel(seed.child(m, t), m, 4)
+                h = draw_complex_gaussian(seed.child(m, t), m, 4)
                 budget = budget_for_mean_desired_snr(h, 10.0, 1.0)
                 rates.append(evaluate_downlink(h, mrt_precoder(h, budget), 1.0).sum_rate)
             sums[m] = float(np.mean(rates))
         assert sums[4] < sums[128] < 4 * np.log2(11.0)
 
     def test_scale_covariance(self):
-        h = gen_iid_channel(Seed(13), 8, 3)
+        h = draw_complex_gaussian(Seed(13), 8, 3)
         precoder = mrt_precoder(h, 1.0)
         c = 3.0
         base = evaluate_downlink(h, precoder, 0.5)
@@ -144,56 +162,6 @@ class TestEvaluateDownlink:
         assert np.allclose(scaled.sinr, base.sinr, rtol=1e-12)
 
 
-class TestStackedKernels:
-    """The stacked MRT chain against one call per matrix."""
-
-    @pytest.mark.parametrize("m", [4, 32, 128])
-    def test_stack_matches_per_matrix(self, m):
-        stack = draw_complex_gaussian(Seed(24).child(m), m, 4, 100)
-        budgets = budget_for_mean_desired_snr(stack, 10.0, 1.0)
-        precoder = mrt_precoder(stack, budgets)
-        report = evaluate_downlink(stack, precoder, 1.0)
-        assert budgets.shape == (100,) and report.sum_rate.shape == (100,)
-        for t, h in enumerate(stack):
-            budget = budget_for_mean_desired_snr(h, 10.0, 1.0)
-            alone = mrt_precoder(h, budget)
-            single = evaluate_downlink(h, alone, 1.0)
-            assert budgets[t] == budget
-            assert np.array_equal(precoder.w[t], alone.w)
-            for field in ("signal_power", "interference_power", "sinr", "rate_bits_per_s_per_hz"):
-                assert np.array_equal(getattr(report, field)[t], getattr(single, field)), field
-            assert report.sum_rate[t] == single.sum_rate
-
-    def test_zero_column_in_stack_rejected(self):
-        stack = draw_complex_gaussian(Seed(25), 4, 2, 3)
-        stack[1, :, 0] = 0.0
-        with pytest.raises(DegenerateChannelError):
-            mrt_precoder(stack, np.ones(3))
-
-    def test_all_zero_matrix_in_stack_rejected(self):
-        stack = draw_complex_gaussian(Seed(26), 4, 2, 3)
-        stack[2] = 0.0
-        with pytest.raises(DegenerateChannelError):
-            budget_for_mean_desired_snr(stack, 10.0, 1.0)
-
-    def test_nonpositive_budget_in_stack_rejected(self):
-        stack = draw_complex_gaussian(Seed(27), 4, 2, 3)
-        with pytest.raises(DomainError):
-            mrt_precoder(stack, np.array([1.0, 0.0, 1.0]))
-
-    def test_budget_mismatch_in_stack_rejected(self):
-        stack = draw_complex_gaussian(Seed(28), 4, 2, 3)
-        w = mrt_precoder(stack, np.ones(3)).w
-        with pytest.raises(DomainError, match="radiates"):
-            Precoder(w=w, scheme="mrt", power_budget=np.array([1.0, 2.0, 1.0]))
-
-    def test_stack_shape_mismatch_rejected(self):
-        stack = draw_complex_gaussian(Seed(29), 4, 2, 3)
-        precoder = mrt_precoder(stack, np.ones(3))
-        with pytest.raises(DimensionError):
-            evaluate_downlink(stack[:2], precoder, 1.0)
-
-
 class TestInvariants:
     @settings(max_examples=20, deadline=None)
     @given(
@@ -201,14 +169,14 @@ class TestInvariants:
         st.floats(min_value=0.1, max_value=100.0),
     )
     def test_power_conservation(self, master, budget):
-        h = gen_iid_channel(Seed(master), 6, 3)
+        h = draw_complex_gaussian(Seed(master), 6, 3)
         for precoder in (mrt_precoder(h, budget), zf_precoder(h, budget)):
             radiated = np.sum(np.abs(precoder.w) ** 2)
             assert radiated == pytest.approx(budget, rel=1e-9)
 
     def test_uplink_downlink_symmetry(self):
         # Single user, equal power and noise: MRC uplink SNR == MRT downlink SNR.
-        h = gen_iid_channel(Seed(14), 32, 1)
+        h = draw_complex_gaussian(Seed(14), 32, 1)
         rho, noise = 1.7, 0.3
         downlink = evaluate_downlink(h, mrt_precoder(h, rho), noise)
         uplink_snr = rho * np.linalg.norm(h) ** 2 / noise
