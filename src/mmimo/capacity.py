@@ -6,11 +6,14 @@ estimates of per-terminal quality gamma = rho_p tau beta^2 / (1 + rho_p tau
 beta). They are lower bounds: the Monte Carlo simulators in this module
 evaluate the same estimator and receiver directly and must always sit at or
 above them. The simulators read the channels only through the K x K products
-G = H_hat^H H_hat and C = H_hat^H H, and draw those directly by the Bartlett
-decomposition of the complex Wishart matrix (Z^H Z = A A^H, A lower
-triangular, or K x M lower trapezoidal when M < K; see
-`numerics.draw_bartlett`), never an M x K channel. The perfect-CSI MRT sum
-rate of mrt-sumrate (`mrt_sum_rates`) is the downlink reduction with C = G.
+G = H_hat^H H_hat = B B^H and C = H_hat^H H = B (B^H + E), and draw the
+factors B and E directly by the Bartlett decomposition of the complex Wishart
+matrix (Z^H Z = A A^H, A lower triangular, or K x M lower trapezoidal when
+M < K; see `numerics.draw_bartlett`), never an M x K channel. They reduce one
+cache-sized piece of BLOCK_ENTRIES // K^2 draws at a time: C is one product,
+MRC reads diag G as the squared row norms of B, and ZF reads B^-1 of the
+triangular B, so G is never formed or inverted. The perfect-CSI MRT sum rate
+of mrt-sumrate (`mrt_sum_rates`) is the downlink reduction with C = G.
 """
 
 from __future__ import annotations
@@ -27,6 +30,12 @@ from .numerics import Seed, bartlett_blocks
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 
 _SCHEMES = ("mrc", "zf")
+
+# Draws per block of the Monte Carlo rate simulators: block i of a call
+# draws from `seed.child(i)` (`_statistic_pieces`). Part of the stream
+# definition: changing it changes every simulated rate. Memory is bounded by
+# the pieces of `numerics.bartlett_blocks`, not by this.
+VALIDATOR_BLOCK = 250
 
 
 def noise_power_w(bandwidth_hz: float, noise_figure_db: float) -> float:
@@ -82,12 +91,14 @@ def estimate_quality(betas, rho_pilot: float, tau: int) -> np.ndarray:
     return energy * b**2 / (1.0 + energy * b)
 
 
-def ul_mrc_sinr(m: int, rho_ul: float, betas, gammas) -> np.ndarray:
+def ul_mrc_sinr(m: int, rho_ul, betas, gammas) -> np.ndarray:
     """Effective uplink SINR of the conjugate combiner with estimated CSI.
 
     Two standard lower-bound forms exist for this receiver; the (m - 1)
     variant is usually tighter but degenerates at m = 1, so the elementwise
     best of the two is used (both individually lower-bound the same rate).
+    `rho_ul` is a scalar, or an (R, 1) column with gammas (R, K), one row per
+    transmit SNR.
     """
     b = np.asarray(betas, dtype=float)
     g = np.asarray(gammas, dtype=float)
@@ -97,14 +108,19 @@ def ul_mrc_sinr(m: int, rho_ul: float, betas, gammas) -> np.ndarray:
     return np.maximum(tight, hardening)
 
 
-def ul_zf_sinr(m: int, rho_ul: float, betas, gammas) -> np.ndarray:
-    """Effective uplink SINR of the zero-forcing receiver with estimated CSI."""
+def ul_zf_sinr(m: int, rho_ul, betas, gammas) -> np.ndarray:
+    """Effective uplink SINR of the zero-forcing receiver with estimated CSI.
+    `rho_ul` and `gammas` are as in `ul_mrc_sinr`; the residual estimation
+    error is summed per row."""
     b = np.asarray(betas, dtype=float)
     g = np.asarray(gammas, dtype=float)
     if b.size >= m:
         raise RankError(f"zero-forcing bound needs K < M, got K={b.size}, M={m}")
-    residual = float(np.sum(b - g))
+    residual = np.sum(b - g, axis=-1, keepdims=True)
     return rho_ul * (m - b.size) * g / (1.0 + rho_ul * residual)
+
+
+_UL_SINR = {"mrc": ul_mrc_sinr, "zf": ul_zf_sinr}
 
 
 def dl_mrt_sinr(m: int, rho_dl: float, betas, gammas, eta) -> np.ndarray:
@@ -130,10 +146,7 @@ def ul_rate_bound(params: SystemParams, scheme: str, betas) -> np.ndarray:
     if b.size != params.k:
         raise DimensionError(f"need {params.k} slow-fading coefficients, got {b.size}")
     g = estimate_quality(b, params.pilot_snr, params.tau)
-    if scheme == "mrc":
-        sinr = ul_mrc_sinr(params.m, params.rho_ul, b, g)
-    else:
-        sinr = ul_zf_sinr(params.m, params.rho_ul, b, g)
+    sinr = _UL_SINR[scheme](params.m, params.rho_ul, b, g)
     return params.overhead_prefactor * np.log2(1.0 + sinr)
 
 
@@ -142,45 +155,81 @@ def ul_rate_bound(params: SystemParams, scheme: str, betas) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _statistic_batches(params: SystemParams, betas: np.ndarray, seed: Seed, n_draws: int, batch: int):
-    """Yield per batch the stacked (draws, K, K) products G = H_hat^H H_hat
-    and C = H_hat^H H of the true channels H and their MMSE estimates H_hat,
-    drawn without the channels; batch i draws from `seed.child(i)`.
+def _statistic_pieces(params: SystemParams, betas: np.ndarray, seed: Seed, n_draws: int):
+    """Yield per piece of `bartlett_blocks` the factors B = D_gamma^1/2 A and
+    E = X D_(beta-gamma)^1/2 of the products G = H_hat^H H_hat = B B^H and
+    C = H_hat^H H = B (B^H + E) of the true channels H and their MMSE
+    estimates H_hat, drawn without the channels in blocks of
+    VALIDATOR_BLOCK draws, block i from `seed.child(i)`.
 
     H_hat = Z D_gamma^1/2 and H = H_hat + Z_e D_(beta-gamma)^1/2, with Z and
-    the estimation error Z_e independent M x K i.i.d. CN(0, 1) matrices. With
-    the Bartlett factors of `bartlett_blocks` (Z^H Z = A A^H, Z^H Z_e = A X in
-    distribution), G = D_gamma^1/2 A A^H D_gamma^1/2 and
-    C = G + D_gamma^1/2 A X D_(beta-gamma)^1/2, also for M < K.
+    the estimation error Z_e independent M x K i.i.d. CN(0, 1) matrices, and
+    Z^H Z = A A^H, Z^H Z_e = A X in distribution, also for M < K (then B is
+    K x M). For K < M, B is K x K lower triangular.
     """
     energy = params.pilot_snr * params.tau
     estimate_scale = np.sqrt(estimate_quality(betas, params.pilot_snr, params.tau))[:, None]
     error_scale = np.sqrt(betas / (1.0 + energy * betas))  # beta - gamma, without cancellation
-    for a, x in bartlett_blocks(seed, params.m, betas.size, n_draws, batch, cross=True):
-        b = estimate_scale * a
-        gram = b @ b.conj().transpose(0, 2, 1)
-        yield gram, gram + (b @ x) * error_scale
+    for a, x in bartlett_blocks(seed, params.m, betas.size, n_draws, VALIDATOR_BLOCK, cross=True):
+        yield estimate_scale * a, x * error_scale
 
 
-def _ul_rate_sums(scheme: str, gram: np.ndarray, cross: np.ndarray, rho: float) -> np.ndarray:
+def _cross(b: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """C = H_hat^H H = B (B^H + E), one batched product."""
+    return b @ (b.conj().transpose(0, 2, 1) + e)
+
+
+def _lower_inverse(lower: np.ndarray) -> np.ndarray:
+    """Inverse of each matrix of a (draws, K, K) stack of lower-triangular
+    matrices with nonzero diagonals.
+
+    The stack is halved recursively: [[L11, 0], [L21, L22]]^-1 has the
+    diagonal blocks L11^-1 and L22^-1 and the lower-left block
+    -L22^-1 L21 L11^-1. Blocks of size 4 or less use forward substitution.
+    """
+    k = lower.shape[-1]
+    inverse = np.zeros_like(lower)
+    if k <= 4:
+        for i in range(k):
+            pivot = 1.0 / lower[:, i, i]
+            inverse[:, i, i] = pivot
+            if i:
+                row = lower[:, i : i + 1, :i] @ inverse[:, :i, :i]
+                inverse[:, i, :i] = -row[:, 0] * pivot[:, None]
+        return inverse
+    h = k // 2
+    top, bottom = _lower_inverse(lower[:, :h, :h]), _lower_inverse(lower[:, h:, h:])
+    inverse[:, :h, :h] = top
+    inverse[:, h:, h:] = bottom
+    inverse[:, h:, :h] = -bottom @ (lower[:, h:, :h] @ top)
+    return inverse
+
+
+def _ul_rate_sums(scheme: str, b: np.ndarray, e: np.ndarray, rho: float) -> np.ndarray:
     """Per-terminal sums over a stack of draws of log2(1 + SINR) for the
-    uplink receiver, from the stacked G = H_hat^H H_hat and C = H_hat^H H.
+    uplink receiver, from the factors B and E of `_statistic_pieces`.
 
     With combiner columns a_k, terminal k's SINR is rho |a_k^H h_k|^2 /
     (rho sum_{j != k} |a_k^H h_j|^2 + ||a_k||^2). For MRC (A = H_hat),
-    A^H H = C and ||a_k||^2 = G_kk; for ZF (A = H_hat G^-1 = pinv(H_hat)^H at
-    full column rank), A^H H = G^-1 C and ||a_k||^2 = [G^-1]_kk.
+    A^H H = C and ||a_k||^2 = G_kk, the squared norm of row k of B. For ZF
+    (A = H_hat G^-1 = pinv(H_hat)^H at full column rank, B square),
+    A^H H = G^-1 C = I + B^-H E and ||a_k||^2 = [G^-1]_kk, the squared norm of
+    column k of B^-1, so G is never formed or inverted.
     """
     if scheme == "zf":
-        try:
-            gram = np.linalg.inv(gram)
-        except np.linalg.LinAlgError as exc:
-            raise RankError("zero-forcing: singular estimate Gram matrix") from exc
-        cross = gram @ cross
+        diag = np.arange(b.shape[-1])
+        if np.any(b[:, diag, diag] == 0.0):
+            raise RankError("zero-forcing: singular estimate Gram matrix")
+        inverse = _lower_inverse(b)
+        cross = inverse.conj().transpose(0, 2, 1) @ e
+        cross[:, diag, diag] += 1.0
+        combiner_norm = np.sum(np.abs(inverse) ** 2, axis=1)
+    else:
+        cross = _cross(b, e)
+        combiner_norm = np.sum(np.abs(b) ** 2, axis=2)
     powers = np.abs(cross) ** 2
     signal = np.diagonal(powers, axis1=1, axis2=2)
     interference = powers.sum(axis=2) - signal
-    combiner_norm = np.diagonal(gram, axis1=1, axis2=2).real
     sinr = rho * signal / (rho * interference + combiner_norm)
     return np.sum(np.log2(1.0 + sinr), axis=0)
 
@@ -212,22 +261,16 @@ def mrt_sum_rates(gram: np.ndarray, snr_linear: float) -> np.ndarray:
     return _dl_rates(gram, (budget / k)[:, None, None] / gains[:, :, None]).sum(axis=-1)
 
 
-def simulate_ul_rates(
-    params: SystemParams,
-    scheme: str,
-    betas,
-    seed: Seed,
-    n_draws: int = 10_000,
-    batch: int = 250,
-) -> np.ndarray:
+def simulate_ul_rates(params: SystemParams, scheme: str, betas, seed: Seed, n_draws: int = 10_000) -> np.ndarray:
     """Ergodic per-terminal net uplink rate of the actual receiver, averaged
     over channel and estimation noise. Upper-bounds the closed forms.
 
-    The SINR terms are read from G = H_hat^H H_hat and C = H_hat^H H
-    (`_ul_rate_sums`), which are drawn directly in batches of `batch` draws by
-    the Bartlett identity Z^H Z = A A^H, Z^H Z_e = A X (`_statistic_batches`),
-    so no M x K channel is formed; for M < K, A is K x M. ZF raises
-    `RankError` unless K < M and every G is nonsingular.
+    The SINR terms are read from the factors B and E of G = H_hat^H H_hat =
+    B B^H and C = H_hat^H H = B (B^H + E) (`_ul_rate_sums`), which are drawn
+    directly, piece by piece, by the Bartlett identity Z^H Z = A A^H,
+    Z^H Z_e = A X (`_statistic_pieces`), so no M x K channel is formed; for
+    M < K, A is K x M. ZF raises `RankError` unless K < M and every G is
+    nonsingular.
     """
     if scheme not in _SCHEMES:
         raise DomainError(f"scheme must be one of {_SCHEMES}")
@@ -237,26 +280,20 @@ def simulate_ul_rates(
     if scheme == "zf" and b.size >= params.m:
         raise RankError(f"zero-forcing needs K < M, got K={b.size}, M={params.m}")
     total_rate = np.zeros(b.size)
-    for gram, cross in _statistic_batches(params, b, seed, n_draws, batch):
-        total_rate += _ul_rate_sums(scheme, gram, cross, params.rho_ul)
+    for factor, error in _statistic_pieces(params, b, seed, n_draws):
+        total_rate += _ul_rate_sums(scheme, factor, error, params.rho_ul)
     return params.overhead_prefactor * total_rate / n_draws
 
 
-def simulate_dl_rates(
-    params: SystemParams,
-    betas,
-    eta,
-    seed: Seed,
-    n_draws: int = 10_000,
-    batch: int = 250,
-) -> np.ndarray:
+def simulate_dl_rates(params: SystemParams, betas, eta, seed: Seed, n_draws: int = 10_000) -> np.ndarray:
     """Ergodic per-terminal net downlink rate under conjugate beamforming with
     statistically normalised streams (the convention of `dl_mrt_sinr`).
 
     Stream j is sent on s_j conj(h_hat_j) with s_j^2 = rho_dl eta_j / (M gamma_j),
-    so terminal k hears it with power s_j^2 |C_jk|^2 (`_dl_rates`). C =
-    H_hat^H H is drawn as in `simulate_ul_rates`, by the Bartlett identity
-    Z^H Z = A A^H, Z^H Z_e = A X (A is K x M when M < K), without a channel.
+    so terminal k hears it with power s_j^2 |C_jk|^2 (`_dl_rates`). Only
+    C = H_hat^H H = B (B^H + E) is formed, from the factors drawn as in
+    `simulate_ul_rates` (`_statistic_pieces`; B is K x M when M < K),
+    without a channel.
     """
     if params.rho_dl is None:
         raise DomainError("downlink simulation needs rho_dl")
@@ -265,8 +302,8 @@ def simulate_dl_rates(
     g = estimate_quality(b, params.pilot_snr, params.tau)
     stream_power = (params.rho_dl * e / (params.m * g))[:, None]
     total_rate = np.zeros(b.size)
-    for _, cross in _statistic_batches(params, b, seed, n_draws, batch):
-        total_rate += _dl_rates(cross, stream_power).sum(axis=0)
+    for factor, error in _statistic_pieces(params, b, seed, n_draws):
+        total_rate += _dl_rates(_cross(factor, error), stream_power).sum(axis=0)
     return params.overhead_prefactor * total_rate / n_draws
 
 
@@ -320,26 +357,22 @@ def ee_se_sweep(
 
     Pilots are as short as orthogonality allows (tau = K) and are sent at the
     data power, so the average radiated power per terminal equals rho and
-    EE = SE / (K rho). Unit slow fading throughout.
+    EE = SE / (K rho). Unit slow fading throughout. The whole grid is one
+    evaluation of the closed forms, with rho as an (R, 1) column.
     """
     rho = np.asarray(rho_grid, dtype=float)
     if rho.size == 0:
         raise DomainError("transmit SNR sweep grid is empty")
     if np.any(rho <= 0.0):
         raise DomainError("sweep grid must be positive")
+    column = rho.reshape(-1, 1)
     curves = {}
     for system in systems:
+        params = SystemParams(m=system.m, k=system.k, tau=system.k, coherence_symbols=coherence_symbols)
         betas = np.ones(system.k)
-        se = np.empty(rho.size)
-        for i, r in enumerate(rho):
-            params = SystemParams(
-                m=system.m,
-                k=system.k,
-                tau=system.k,
-                coherence_symbols=coherence_symbols,
-                rho_ul=float(r),
-            )
-            se[i] = float(np.sum(ul_rate_bound(params, system.scheme, betas)))
+        gammas = estimate_quality(betas, column, system.k)
+        sinr = _UL_SINR[system.scheme](system.m, column, betas, gammas)
+        se = np.sum(params.overhead_prefactor * np.log2(1.0 + sinr), axis=1)
         ee = se / (system.k * rho)
         curves[system.label] = SweepCurve(rho=rho.copy(), spectral_efficiency=se, energy_efficiency=ee)
     return curves

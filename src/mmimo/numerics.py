@@ -13,9 +13,11 @@ from .errors import DimensionError, NumericError, RankError
 RANK_TOLERANCE = 1e-12
 
 # Complex entries per block of block-drawn Monte Carlo trials: a block of
-# `bartlett_blocks` holds BLOCK_ENTRIES // K^2 trials. Part of the stream
-# definition: changing it changes the outputs of svd-spread, mrt-sumrate and
-# pilot-contamination.
+# `bartlett_blocks` holds BLOCK_ENTRIES // K^2 trials by default. Part of the
+# stream definition: changing it changes the outputs of svd-spread,
+# mrt-sumrate and pilot-contamination. Longer blocks (the capacity
+# validators' 250 draws) are drawn and reduced in pieces of that many trials,
+# 20 at K = 40, which keeps their temporaries in cache and changes no draw.
 BLOCK_ENTRIES = 2**15
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -102,10 +104,21 @@ def draw_bartlett(seed: Seed, m: int, k: int, count: int, cross: bool = False):
     rank M and A is K x M lower trapezoidal: rows M..K-1 are all CN(0, 1).
     No operand has an M-length axis. Without `cross`, X is None.
 
+    The stack is the concatenation of the pieces of `_bartlett_pieces`.
+    """
+    a, x = zip(*_bartlett_pieces(seed, m, k, count, cross))
+    return np.concatenate(a), (np.concatenate(x) if cross else None)
+
+
+def _bartlett_pieces(seed: Seed, m: int, k: int, count: int, cross: bool):
+    """Yield the (A, X) stacks of `draw_bartlett(seed, m, k, count, cross)` in
+    trial order, in pieces of at most max(1, BLOCK_ENTRIES // K^2) trials.
+
     The diagonal comes from one `standard_gamma` call on `seed.child(0)`, the
-    below-diagonal entries and then X from one `draw_complex_gaussian` call
-    on `seed.child(1)`, both trial-major; so the first matrices of a stack do
-    not depend on its length.
+    below-diagonal entries and then X from `draw_complex_gaussian` calls that
+    continue one generator on `seed.child(1)`, both trial-major. So the
+    pieces do not depend on the piece size, and the first matrices of a
+    stack do not depend on its length.
     """
     if m < 1 or k < 1:
         raise DimensionError(f"Wishart dimensions must be >= 1, got M={m}, K={k}")
@@ -114,26 +127,33 @@ def draw_bartlett(seed: Seed, m: int, k: int, count: int, cross: bool = False):
     r = min(m, k)
     diag = np.arange(r)
     rows, cols = np.tril_indices(k, -1, r)
+    width = rows.size + (r * k if cross else 0)
     chi = seed.child(0).generator().standard_gamma(m - diag, size=(count, r))
-    a = np.zeros((count, k, r), dtype=complex)
-    a[:, diag, diag] = np.sqrt(chi)
-    z = draw_complex_gaussian(seed.child(1), 1, rows.size + (r * k if cross else 0), count)[:, 0]
-    a[:, rows, cols] = z[:, : rows.size]
-    return a, (z[:, rows.size :].reshape(count, r, k) if cross else None)
+    normals = seed.child(1).generator()
+    piece = max(1, BLOCK_ENTRIES // (k * k))
+    for start in range(0, count, piece):
+        n = min(piece, count - start)
+        a = np.zeros((n, k, r), dtype=complex)
+        a[:, diag, diag] = np.sqrt(chi[start : start + n])
+        if width:  # K = 1 without cross terms draws no normals
+            z = draw_complex_gaussian(normals, 1, width, n)[:, 0]
+            a[:, rows, cols] = z[:, : rows.size]
+        yield a, (z[:, rows.size :].reshape(n, r, k) if cross else None)
 
 
 def bartlett_blocks(seed: Seed, m: int, k: int, trials: int, size: int | None = None, cross: bool = False):
     """Yield `trials` draws of `draw_bartlett` in trial order, as (A, X)
-    stacks of one block each.
+    stacks of at most max(1, BLOCK_ENTRIES // K^2) trials each.
 
     A block holds `size` trials, by default max(1, BLOCK_ENTRIES // K^2), and
-    block b draws from `seed.child(b)`. The block size does not depend on
-    `trials`, so the draws of the first T trials are the same for every trial
-    count of at least T.
+    block b is `draw_bartlett(seed.child(b), ...)`, yielded in the pieces of
+    `_bartlett_pieces`: a block of the default size is a single piece. The
+    block size does not depend on `trials`, so the draws of the first T
+    trials are the same for every trial count of at least T.
     """
     size = max(1, BLOCK_ENTRIES // (k * k)) if size is None else size
     for index, start in enumerate(range(0, trials, size)):
-        yield draw_bartlett(seed.child(index), m, k, min(size, trials - start), cross)
+        yield from _bartlett_pieces(seed.child(index), m, k, min(size, trials - start), cross)
 
 
 def _checked_matrix(h) -> np.ndarray:

@@ -8,7 +8,7 @@ import pytest
 
 from mmimo import capacity as cap
 from mmimo.errors import ConfigError, DegenerateChannelError, DimensionError, DomainError, RankError
-from mmimo.numerics import Seed, draw_complex_gaussian
+from mmimo.numerics import Seed, draw_bartlett, draw_complex_gaussian
 from mmimo.transceiver import budget_for_mean_desired_snr, evaluate_downlink, mrt_precoder
 
 from mc_compare import assert_same_means
@@ -109,7 +109,7 @@ class TestEstimateQuality:
         m, betas = 4, np.array([1.0, 0.25])
         params = cap.SystemParams(m=m, k=2, tau=8, coherence_symbols=100, rho_pilot=2.0)
         gammas = cap.estimate_quality(betas, 2.0, 8)
-        gram, cross = map(np.concatenate, zip(*cap._statistic_batches(params, betas, Seed(3), 20_000, 2500)))
+        gram, cross = engine_statistics(params, betas, Seed(3), 20_000)
         samples = {
             "G_kk": np.diagonal(gram, axis1=1, axis2=2).real,
             "C_kk": np.diagonal(cross, axis1=1, axis2=2).real,
@@ -254,6 +254,21 @@ def direct_statistics(h, h_hat):
     return h_hat_h @ h_hat, h_hat_h @ h
 
 
+def direct_factors(h, h_hat):
+    """The validators' factors of a stack of draws, by QR: H_hat = Q R,
+    B = R^H and E = Q^H (H - H_hat), so that G = B B^H and C = B (B^H + E),
+    also for M < K (then R is M x K)."""
+    q, r = np.linalg.qr(h_hat)
+    return r.conj().transpose(0, 2, 1), q.conj().transpose(0, 2, 1) @ (h - h_hat)
+
+
+def engine_statistics(params, betas, seed, draws):
+    """G = B B^H and C = B (B^H + E) from the factors of every piece the
+    validators draw."""
+    b, e = map(np.concatenate, zip(*cap._statistic_pieces(params, betas, seed, draws)))
+    return b @ b.conj().transpose(0, 2, 1), cap._cross(b, e)
+
+
 def stream_power(params, betas, eta):
     """The downlink's s_j^2 column, as `simulate_dl_rates` forms it."""
     gammas = cap.estimate_quality(betas, params.pilot_snr, params.tau)
@@ -300,10 +315,11 @@ class TestRateSimulators:
         eta = np.array([0.2, 0.3, 0.5])
         h, h_hat = direct_channels(Seed(9), params.m, betas, params.pilot_snr, params.tau, 20)
         expected = per_draw_reference_rates(params, betas, eta, h, h_hat)
-        gram, cross = direct_statistics(h, h_hat)
+        factor, error = direct_factors(h, h_hat)
         for scheme in ("mrc", "zf"):
-            reduced = params.overhead_prefactor * cap._ul_rate_sums(scheme, gram, cross, params.rho_ul) / 20
+            reduced = params.overhead_prefactor * cap._ul_rate_sums(scheme, factor, error, params.rho_ul) / 20
             np.testing.assert_allclose(reduced, expected[scheme], rtol=1e-12, atol=0.0)
+        cross = cap._cross(factor, error)
         reduced = params.overhead_prefactor * cap._dl_rates(cross, stream_power(params, betas, eta)).sum(axis=0) / 20
         np.testing.assert_allclose(reduced, expected["dl"], rtol=1e-12, atol=0.0)
 
@@ -317,6 +333,16 @@ class TestRateSimulators:
         params = cap.SystemParams(m=4, k=2, tau=2, coherence_symbols=100, rho_ul=1.0)
         with pytest.raises(RankError):
             cap.simulate_ul_rates(params, "zf", np.array([1.0, 0.0]), Seed(0), n_draws=10)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 17, 40])
+    def test_lower_inverse_matches_dense_inverse(self, k):
+        lower = draw_bartlett(Seed(8).child(k), k + 3, k, 6)[0]
+        got = cap._lower_inverse(lower)
+        expected = np.linalg.inv(lower)
+        # The dense LU inverse leaves rounding noise above the diagonal.
+        assert np.all(np.triu(got, 1) == 0.0)
+        assert np.abs(np.triu(expected, 1)).max() <= 1e-12 * np.abs(expected).max()
+        np.testing.assert_allclose(got, np.tril(expected), rtol=1e-12, atol=0.0)
 
     def test_blas_threads_do_not_change_rates(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -337,15 +363,16 @@ class TestRateSimulators:
 
 
 class TestStatisticsDistribution:
-    """The validators' Bartlett draw of (G, C) against G and C formed from
-    directly drawn M x K channels, at small M and K and with K > M."""
+    """The validators' Bartlett draw of (G, C), formed from the factors of
+    their pieces, against G and C formed from directly drawn M x K channels,
+    at small M and K and with K > M."""
 
     @pytest.mark.parametrize("m, k", [(1, 2), (2, 4), (3, 3), (5, 2)])
     def test_moments_match_direct_draw(self, m, k):
         betas = np.linspace(0.4, 1.6, k)
         params = cap.SystemParams(m=m, k=k, tau=k, coherence_symbols=100, rho_pilot=0.7)
         draws = 6000
-        engine = map(np.concatenate, zip(*cap._statistic_batches(params, betas, Seed(31), draws, 1000)))
+        engine = engine_statistics(params, betas, Seed(31), draws)
         direct = direct_statistics(*direct_channels(Seed(32), m, betas, params.pilot_snr, params.tau, draws))
         for label, e, d in zip("GC", engine, direct):
             # Entrywise first moments and second absolute moments.
@@ -364,13 +391,13 @@ class TestStatisticsDistribution:
         engine, direct = [], []
         for g in range(groups):
             h, h_hat = direct_channels(Seed(42).child(g), m, betas, params.pilot_snr, params.tau, draws)
-            gram, cross = direct_statistics(h, h_hat)
+            factor, error = direct_factors(h, h_hat)
             if scheme == "dl":
                 engine.append(cap.simulate_dl_rates(params, betas, eta, Seed(41).child(g), draws))
-                sums = cap._dl_rates(cross, stream_power(params, betas, eta)).sum(axis=0)
+                sums = cap._dl_rates(cap._cross(factor, error), stream_power(params, betas, eta)).sum(axis=0)
             else:
                 engine.append(cap.simulate_ul_rates(params, scheme, betas, Seed(41).child(g), draws))
-                sums = cap._ul_rate_sums(scheme, gram, cross, params.rho_ul)
+                sums = cap._ul_rate_sums(scheme, factor, error, params.rho_ul)
             direct.append(params.overhead_prefactor * sums / draws)
         assert_same_means(engine, direct, f"{scheme} M={m} K={k}")
 

@@ -212,6 +212,14 @@ class TestRunAndEmit:
             4 * np.log2(11.0)
         )
 
+    def test_single_terminal_runs(self, tmp_path):
+        # K = 1 draws no normals: one singular value (a 0 dB spread), and an
+        # MRT stream that hears no interference.
+        for experiment, table, value in (("svd-spread", "spread", 0.0), ("mrt-sumrate", "sumrate", np.log2(11.0))):
+            body = f"[experiment]\nexperiment = {experiment}\ntrials = 5\n\n[{experiment}]\nm_list = 1,4\nk = 1\n"
+            rows = run(parse_config(write_config(tmp_path / f"{experiment}.ini", body))).tables[table].rows
+            assert len(rows) == 10 and all(row[3] == pytest.approx(value, rel=1e-12, abs=1e-12) for row in rows)
+
     # Trial counts T < T' such that a group crosses a block boundary before
     # T: Bartlett blocks count the K x K = 16 entries per trial of K = 4
     # terminals, or of one contaminator's 4 x 4 W.

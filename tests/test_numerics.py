@@ -86,6 +86,20 @@ class TestDrawComplexGaussian:
             draw_complex_gaussian(Seed(0), 4, 4, 0)
 
 
+def one_shot_bartlett(seed, m, k, count, cross):
+    """Reference for the stream of `draw_bartlett`: the diagonal from one
+    `standard_gamma` call on seed.child(0), then the below-diagonal entries
+    and X from one `draw_complex_gaussian` call on seed.child(1), trial-major."""
+    r = min(m, k)
+    diag = np.arange(r)
+    rows, cols = np.tril_indices(k, -1, r)
+    a = np.zeros((count, k, r), dtype=complex)
+    a[:, diag, diag] = np.sqrt(seed.child(0).generator().standard_gamma(m - diag, size=(count, r)))
+    z = draw_complex_gaussian(seed.child(1), 1, rows.size + (r * k if cross else 0), count)[:, 0]
+    a[:, rows, cols] = z[:, : rows.size]
+    return a, (z[:, rows.size :].reshape(count, r, k) if cross else None)
+
+
 class TestBartlettBlocks:
     def test_block_size_follows_terminal_count(self):
         per_block = BLOCK_ENTRIES // (5 * 5)
@@ -109,6 +123,50 @@ class TestBartlettBlocks:
         longer = [np.concatenate(p) for p in zip(*bartlett_blocks(Seed(52), 10, 4, 3 * short, cross=True))]
         for a, b in zip(first, longer):
             assert np.array_equal(a, b[:short])
+
+    @pytest.mark.parametrize(
+        "m, k, trials, size, cross",
+        [
+            (100, 40, 260, 250, True),
+            (100, 40, 260, 250, False),
+            (1, 40, 70, 45, False),  # M = 1
+            (3, 40, 50, 50, True),  # M < K
+            (60, 50, 40, 33, True),  # pieces of 13: 33 = 13 + 13 + 7
+        ],
+    )
+    def test_pieces_concatenate_to_one_shot_blocks(self, m, k, trials, size, cross):
+        # Blocks longer than max(1, BLOCK_ENTRIES // K^2) trials come in pieces
+        # of that many (the last shorter), and the pieces of block b are byte
+        # for byte the block drawn in one shot from seed.child(b): one gamma
+        # call and one complex normal call for the whole block.
+        piece = max(1, BLOCK_ENTRIES // (k * k))
+        pieces = list(bartlett_blocks(Seed(57), m, k, trials, size=size, cross=cross))
+        blocks = [min(size, trials - start) for start in range(0, trials, size)]
+        assert [a.shape[0] for a, _ in pieces] == [
+            min(piece, n - start) for n in blocks for start in range(0, n, piece)
+        ]
+        a = np.concatenate([a for a, _ in pieces])
+        x = np.concatenate([x for _, x in pieces]) if cross else None
+        start = 0
+        for index, n in enumerate(blocks):
+            expected_a, expected_x = one_shot_bartlett(Seed(57).child(index), m, k, n, cross)
+            assert a[start : start + n].tobytes() == expected_a.tobytes()
+            assert (x is None) if not cross else x[start : start + n].tobytes() == expected_x.tobytes()
+            drawn_a, drawn_x = draw_bartlett(Seed(57).child(index), m, k, n, cross)
+            assert drawn_a.tobytes() == expected_a.tobytes()
+            assert (drawn_x is None) if not cross else drawn_x.tobytes() == expected_x.tobytes()
+            start += n
+
+    def test_terminal_count_of_a_thousand_draws_one_trial_per_piece(self):
+        a, x = next(bartlett_blocks(Seed(58), 1000, 1000, 250, 250))
+        assert a.shape == (1, 1000, 1000) and x is None
+
+    def test_single_terminal_without_cross_terms(self):
+        # K = 1 has no entry below the diagonal: A is sqrt(Gamma(M, 1)) alone.
+        a, x = draw_bartlett(Seed(59), 4, 1, 3)
+        expected = np.sqrt(Seed(59).child(0).generator().standard_gamma(4.0, size=3))
+        assert x is None and a.shape == (3, 1, 1)
+        assert np.array_equal(a[:, 0, 0], expected)
 
     @pytest.mark.parametrize("m, k", [(7, 3), (3, 3), (2, 5), (1, 4)])
     def test_factor_shape_and_structure(self, m, k):
