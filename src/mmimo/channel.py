@@ -26,9 +26,13 @@ TERMINAL_HEIGHT_M = 5.0
 # Terminals in the default focusing scene: the target plus four co-scheduled users.
 FOCUSING_TERMINALS = 5
 
-# Rows of the point leg that `scatterer_field` builds and applies at a time:
-# 128 x 400 scatterers is an 800 kB block, fastest of 64-512 rows when measured.
+# Rows of the point leg that `scatterer_field` builds and applies at a time.
+# At 400 scatterers the leg block is 800 kB and its workspace (129 rows of
+# 40 bytes per entry) about 2 MB. Of 64-512 rows, 64-128 were fastest and
+# within 3% of one another; 192 rows and more were 15-60% slower.
 FIELD_BLOCK_ROWS = 128
+
+_ZERO_RAY = "coincident antenna/scatterer/point produces a zero-length ray"
 
 
 def path_loss_db(distance_km) -> np.ndarray | float:
@@ -144,45 +148,79 @@ class ScattererScene:
         return self.antenna_positions.shape[0]
 
 
-def _ray_leg(origins: np.ndarray, scene: ScattererScene, floor: float) -> np.ndarray:
-    """(rows, S) complex128 leg amp * exp(-j*2*pi*d/lambda) from each origin to
-    each scatterer, with amp = 1/max(d, floor).
+def _axis_squares(coords, scatterer_coords, wavelength: float) -> np.ndarray:
+    """(len(coords), S) squared differences of one coordinate to each
+    scatterer's, in wavelengths squared."""
+    squares = np.subtract.outer(coords, scatterer_coords)
+    squares *= squares
+    squares /= wavelength * wavelength
+    return squares
 
-    Accuracy contract: the whole turns of d/lambda are removed in float64, and
-    the phasor is the float32 cos/sin of the remaining phase in [-pi, pi],
+
+class _LegWorkspace:
+    """The buffers `_phasor_leg` works in, for up to `rows` x S entries:
+    float64 squared distances and turns, float32 phase and trig values, and
+    the complex128 leg. One workspace serves every block of a field."""
+
+    def __init__(self, rows: int, s: int):
+        self.squares = np.empty((rows, s))
+        self.turns = np.empty((rows, s))
+        self.phase = np.empty((rows, s), dtype=np.float32)
+        self.trig = np.empty((rows, s), dtype=np.float32)
+        self.leg = np.empty((rows, s), dtype=np.complex128)
+
+
+def _phasor_leg(work: _LegWorkspace, rows: int, floor: float) -> np.ndarray:
+    """The leg amp * exp(-j*2*pi*d) of the squared distances d^2 (in
+    wavelengths squared, all positive) in the first `rows` rows of
+    `work.squares`, with amp = 1/max(d, floor). Returns a view of `work.leg`;
+    every buffer of `work` is overwritten.
+
+    Accuracy contract: the whole turns of d are removed in float64, and the
+    phasor is the float32 cos/sin of the remaining phase in [-pi, pi],
     stored in complex128. Each phasor is within about 2e-7 (relative) of
-    exp(-j*2*pi*d/lambda) however long the ray; the amplitude is float64.
-    Only the two coordinate differences and the complex leg are allocated;
-    every other step works in place."""
-    dx = origins[:, 0:1] - scene.scatterer_positions[:, 0]
-    dy = origins[:, 1:2] - scene.scatterer_positions[:, 1]
-    dx *= dx
-    dy *= dy
-    d = np.sqrt(np.add(dx, dy, out=dx), out=dx)
-    if not d.all():
-        raise GeometryError("coincident antenna/scatterer/point produces a zero-length ray")
-    d /= scene.wavelength
+    exp(-j*2*pi*d) however long the ray; the amplitude is float64."""
+    d = np.sqrt(work.squares[:rows], out=work.squares[:rows])
     # Reduce in float64: casting d (thousands of turns) to float32 first would
     # cost about 1e-4 turns of phase.
-    theta = np.subtract(d, np.rint(d, out=dy), out=dy)
-    theta *= -2.0 * np.pi
-    leg = np.empty(d.shape, dtype=np.complex128)
-    # dtype=float32 runs the float32 loop on chunks cast from theta, so no
-    # float32 copy of the phase is allocated.
-    np.cos(theta, out=leg.real, dtype=np.float32)
-    np.sin(theta, out=leg.imag, dtype=np.float32)
+    turns = np.subtract(d, np.rint(d, out=work.turns[:rows]), out=work.turns[:rows])
+    # The float64 product is rounded to float32 once, as it is stored.
+    phase = np.multiply(turns, -2.0 * np.pi, out=work.phase[:rows])
     # d > 0 here, so a floor <= 0 leaves the amplitude at 1/d.
-    amp = np.maximum(d, floor, out=dy)
-    np.divide(1.0, amp, out=amp)
-    leg.real *= amp
-    leg.imag *= amp
+    amp = np.divide(1.0, np.maximum(d, floor, out=d), out=d)
+    leg, trig = work.leg[:rows], work.trig[:rows]
+    np.multiply(np.cos(phase, out=trig), amp, out=leg.real)
+    np.multiply(np.sin(phase, out=trig), amp, out=leg.imag)
     return leg
+
+
+def _ray_leg(origins: np.ndarray, scene: ScattererScene, floor: float) -> np.ndarray:
+    """(rows, S) complex128 leg from each origin to each scatterer: the
+    squared distances, then `_phasor_leg` in a workspace of its own."""
+    sx, sy = scene.scatterer_positions.T
+    work = _LegWorkspace(origins.shape[0], sx.size)
+    squares = np.add(
+        _axis_squares(origins[:, 0], sx, scene.wavelength),
+        _axis_squares(origins[:, 1], sy, scene.wavelength),
+        out=work.squares,
+    )
+    if not squares.all():
+        raise GeometryError(_ZERO_RAY)
+    return _phasor_leg(work, origins.shape[0], floor)
+
+
+def antenna_leg(scene: ScattererScene, min_amplitude_distance: float = 0.0) -> np.ndarray:
+    """(M, S) ray leg from every antenna to every scatterer, the factor that
+    `scatterer_channel_matrix` and the excitations of `scatterer_field` share."""
+    return _ray_leg(scene.antenna_positions, scene, min_amplitude_distance)
 
 
 def scatterer_channel_matrix(
     scene: ScattererScene,
     points,
     min_amplitude_distance: float = 0.0,
+    *,
+    ant_leg: np.ndarray | None = None,
 ) -> np.ndarray:
     """Channels from every antenna to every evaluation point via single-bounce rays.
 
@@ -191,46 +229,62 @@ def scatterer_channel_matrix(
     uses the exact distances; `min_amplitude_distance` floors only the leg
     lengths in the amplitude denominator, which keeps field maps finite when
     an evaluation point falls next to a scatterer. Returns (P, M) complex128.
+    `ant_leg`, if given, is this scene's `antenna_leg` at the same floor.
 
     Each leg's phasor is float32 cos/sin of its phase after the whole turns
-    are removed in float64 (see `_ray_leg`), so every ray is within about
+    are removed in float64 (see `_phasor_leg`), so every ray is within about
     2e-7 of its amplitude of the exact value; the legs and the sum over
-    scatterers are complex128. For the field of given antenna weights at many
-    points, `scatterer_field` gives the same rays without the P x M matrix.
+    scatterers are complex128. For the field at many points of a grid,
+    `scatterer_field` gives the same rays without the P x M matrix.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    ant_leg = _ray_leg(scene.antenna_positions, scene, min_amplitude_distance)
-    pts_leg = _ray_leg(pts, scene, min_amplitude_distance)
+    if ant_leg is None:
+        ant_leg = antenna_leg(scene, min_amplitude_distance)
     # The ray sum factorises over the shared scatterer index.
-    return pts_leg @ ant_leg.T
+    return _ray_leg(pts, scene, min_amplitude_distance) @ ant_leg.T
 
 
 def scatterer_field(
     scene: ScattererScene,
-    points,
-    weights,
+    grid_x,
+    grid_y,
+    excitations,
     min_amplitude_distance: float = 0.0,
 ) -> np.ndarray:
-    """Field at every point radiated by each column of the (M, columns)
-    antenna `weights`: row j is `scatterer_channel_matrix(...) @ weights[:, j]`
-    up to rounding, as a (columns, P) complex128 array.
+    """Field at every point of the grid `grid_x` x `grid_y` re-radiated by
+    the scatterers, for each S-vector of scatterer `excitations`, as a
+    (columns, P) complex128 array with points in row-major (y, x) order.
 
-    The sum is taken in the other order, point leg @ (antenna leg^T @ w), so
-    the P x M ray matrix is never formed: each column's S-vector is built
-    once, and the point leg is built and applied `FIELD_BLOCK_ROWS` rows at a
-    time while the block is in cache. One matrix-vector product per column and
-    block keeps each column's bytes independent of the others. The rays obey
-    the accuracy contract of `_ray_leg`.
+    For antenna weights w the excitation is v = antenna_leg(scene)^T @ w, and
+    row j is `scatterer_channel_matrix(...) @ w_j` up to rounding: the sum is
+    taken as point leg @ v, so the P x M ray matrix is never formed. Each
+    point's leg is built once, `FIELD_BLOCK_ROWS` rows at a time in one
+    workspace, and applied while the block is in cache. The squared
+    distances come from the lattice: dx^2 and dy^2 are formed once per call,
+    and a block is filled with one add per grid row it spans. One
+    matrix-vector product per excitation and block keeps each column's bytes
+    independent of the others. The rays obey the accuracy contract of
+    `_phasor_leg`.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    w = np.asarray(weights, dtype=complex)
-    ant_leg = _ray_leg(scene.antenna_positions, scene, min_amplitude_distance)
-    # Contiguous columns, so each product is the same call for any column count.
-    vectors = [ant_leg.T @ np.ascontiguousarray(w[:, j]) for j in range(w.shape[1])]
-    field = np.empty((len(vectors), pts.shape[0]), dtype=np.complex128)
-    for start, stop in _row_blocks(pts.shape[0]):
-        leg = _ray_leg(pts[start:stop], scene, min_amplitude_distance)
-        for row, v in zip(field, vectors):
+    gx = np.asarray(grid_x, dtype=float).ravel()
+    gy = np.asarray(grid_y, dtype=float).ravel()
+    sx, sy = scene.scatterer_positions.T
+    dx2 = _axis_squares(gx, sx, scene.wavelength)
+    dy2 = _axis_squares(gy, sy, scene.wavelength)
+    # d = 0 exactly where both squares of one scatterer's column vanish.
+    if np.any((dx2 == 0.0).any(axis=0) & (dy2 == 0.0).any(axis=0)):
+        raise GeometryError(_ZERO_RAY)
+    nx = gx.size
+    n = nx * gy.size
+    # A block holds up to FIELD_BLOCK_ROWS + 1 rows: a one-row tail is folded in.
+    work = _LegWorkspace(min(n, FIELD_BLOCK_ROWS + 1), sx.size)
+    field = np.empty((len(excitations), n), dtype=np.complex128)
+    for start, stop in _row_blocks(n):
+        for iy in range(start // nx, (stop - 1) // nx + 1):
+            lo, hi = max(start, iy * nx), min(stop, (iy + 1) * nx)
+            np.add(dx2[lo - iy * nx : hi - iy * nx], dy2[iy], out=work.squares[lo - start : hi - start])
+        leg = _phasor_leg(work, stop - start, min_amplitude_distance)
+        for row, v in zip(field, excitations):
             row[start:stop] = leg @ v
     return field
 

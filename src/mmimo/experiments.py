@@ -194,10 +194,10 @@ def _run_focusing_map(config: ExperimentConfig):
     tables: dict[str, Table] = {}
     summary: dict = {}
     for fmap in transceiver.field_map(scene, schemes, grid, grid, config.trials, seed.child(1), workers=config.workers):
-        rows = []
-        for iy, y in enumerate(fmap.y_lambda):
-            for ix, x in enumerate(fmap.x_lambda):
-                rows.append((float(x), float(y), float(fmap.power_db[iy, ix])))
+        # Row-major over (y, x), as Python floats.
+        xs = np.tile(fmap.x_lambda, fmap.y_lambda.size).tolist()
+        ys = np.repeat(fmap.y_lambda, fmap.x_lambda.size).tolist()
+        rows = list(zip(xs, ys, fmap.power_db.ravel().tolist()))
         tables[f"focusing_map_{fmap.scheme}"] = Table(("x_lambda", "y_lambda", "avg_power_db"), rows)
         # A ZF null that cancels exactly is -inf dB.
         summary[fmap.scheme] = {

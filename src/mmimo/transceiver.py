@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ScattererScene, redraw_scatterers, scatterer_channel_matrix, scatterer_field
+from .channel import ScattererScene, antenna_leg, redraw_scatterers, scatterer_channel_matrix, scatterer_field
 from .errors import DegenerateChannelError, DimensionError, DomainError, RankError
 from .numerics import Seed, pseudo_inverse
 from .parallel import ordered_trial_map
@@ -147,15 +147,17 @@ def field_map(
     """Average |field|^2 of the target terminal's stream over random scatterer
     placements, one map per precoder scheme in `schemes` ("mrt", "zf"), in order.
 
-    Each trial redraws the scatterers, builds perfect-CSI channels h to the
-    scene terminals (`scatterer_channel_matrix`), and evaluates the target
-    stream's field at the terminals as h^T w and at every grid point with
-    `scatterer_field`, which builds each grid point's ray leg once per trial
-    in row blocks and never forms the grid's ray matrix. All schemes share
-    each trial's scatterer draw and ray legs; only the precoder differs. The
-    precoders and the terminal field use the same channel rows, so
-    zero-forcing nulls land on the exact terminal coordinates at the float64
-    floor.
+    Each trial redraws the scatterers and builds the antenna leg once. From
+    it come the perfect-CSI channels h to the scene terminals
+    (`scatterer_channel_matrix`) and, per scheme, the scatterer excitation
+    v = (antenna leg)^T w. The target stream's field is h^T w at the
+    terminals and, at every grid point, `scatterer_field` of v, which builds
+    each grid point's ray leg once per trial in row blocks from the
+    lattice's squared distances and never forms the grid's ray matrix. All
+    schemes share each trial's scatterer draw and ray legs; only the
+    precoder differs. The precoders and the terminal field use the same
+    channel rows, so zero-forcing nulls land on the exact terminal
+    coordinates at the float64 floor.
 
     The default amplitude floor of two wavelengths caps the near-field gain
     of rays whose scatterer lands next to an evaluation point; without it
@@ -170,19 +172,20 @@ def field_map(
     gy = np.asarray(grid_y, dtype=float)
     if gx.size == 0 or gy.size == 0:
         raise DomainError("field map needs at least one grid point on each axis")
-    xs, ys = np.meshgrid(gx, gy)
-    grid_points = np.column_stack([xs.ravel(), ys.ravel()])
-    n_grid = grid_points.shape[0]
+    n_grid = gx.size * gy.size
 
     def one_trial(index: int) -> np.ndarray:
         trial_scene = redraw_scatterers(scene, seed.child(index))
+        ant_leg = antenna_leg(trial_scene, min_amplitude_distance)
         # Perfect CSI toward the K terminals.
-        h = scatterer_channel_matrix(trial_scene, scene.terminal_positions, min_amplitude_distance).T
+        h = scatterer_channel_matrix(trial_scene, scene.terminal_positions, min_amplitude_distance, ant_leg=ant_leg).T
         targets = []
         for scheme in schemes:
             precoder = mrt_precoder(h, power_budget) if scheme == "mrt" else zf_precoder(h, power_budget)
             targets.append(precoder.w[:, target_index])
-        grid_field = scatterer_field(trial_scene, grid_points, np.column_stack(targets), min_amplitude_distance)
+        # A contiguous copy of each precoder column keeps the product's call, and so its bytes, fixed.
+        excitations = [ant_leg.T @ np.ascontiguousarray(w) for w in targets]
+        grid_field = scatterer_field(trial_scene, gx, gy, excitations, min_amplitude_distance)
         # One matrix-vector product per scheme: stacking the precoders into
         # one matmul may round differently.
         terminal_field = np.array([h.T @ w for w in targets])

@@ -3,9 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from mmimo import channel
 from mmimo.channel import (
     LargeScaleProfile,
     ScattererScene,
+    antenna_leg,
     build_large_scale_profile,
     draw_shadow_db,
     load_measured_channels,
@@ -15,6 +17,7 @@ from mmimo.channel import (
     redraw_scatterers,
     save_measured_channels,
     scatterer_channel_matrix,
+    scatterer_field,
     terminal_distance_km,
 )
 from mmimo.errors import DomainError, GeometryError, ParseError
@@ -269,6 +272,80 @@ class TestScattererChannel:
         x = np.asarray(samples)
         kurtosis = np.mean(x**4) / np.mean(x**2) ** 2
         assert kurtosis == pytest.approx(3.0, abs=0.2)
+
+
+class TestScattererField:
+    def _scene(self, wavelength=1.0):
+        return dataclasses.replace(make_focusing_scene(Seed(8), m_antennas=6, n_scatterers=30), wavelength=wavelength)
+
+    def _excitations(self, scene, columns=2):
+        w = draw_complex_gaussian(Seed(9), scene.n_antennas, columns)
+        return [antenna_leg(scene, 2.0).T @ np.ascontiguousarray(w[:, j]) for j in range(columns)]
+
+    @pytest.mark.parametrize("rows", [2, 7, 40, 41, 42, 128])
+    @pytest.mark.parametrize(
+        "nx, ny",
+        # 165 = 4 * 41 + 1 points: a one-row tail at 2 and 41 rows.
+        [(9, 7), (1, 13), (13, 1), (55, 3)],
+    )
+    def test_lattice_bit_identical_to_point_leg(self, monkeypatch, rows, nx, ny):
+        scene = self._scene()
+        gx = np.linspace(-300.0, 250.0, nx)
+        gy = np.linspace(-120.0, 330.0, ny)
+        xs, ys = np.meshgrid(gx, gy)
+        points = np.column_stack([xs.ravel(), ys.ravel()])
+        excitations = self._excitations(scene)
+        point_leg = channel._ray_leg(points, scene, 2.0)
+        monkeypatch.setattr(channel, "FIELD_BLOCK_ROWS", rows)
+        field = scatterer_field(scene, gx, gy, excitations, 2.0)
+        assert field.shape == (2, nx * ny)
+        for row, v in zip(field, excitations):
+            assert np.array_equal(row, point_leg @ v)
+
+    def test_scatterer_on_grid_point_rejected(self):
+        scene = self._scene()
+        gx = np.linspace(-300.0, 300.0, 5)
+        gy = np.linspace(-200.0, 200.0, 4)
+        scatterers = scene.scatterer_positions.copy()
+        scatterers[3] = (gx[2], gy[1])
+        on_grid = dataclasses.replace(scene, scatterer_positions=scatterers)
+        with pytest.raises(GeometryError, match="zero-length ray"):
+            scatterer_field(on_grid, gx, gy, self._excitations(on_grid), 2.0)
+        # The same scatterer on a grid line but off the lattice is fine.
+        scatterers[3] = (gx[2], 0.5 * (gy[1] + gy[2]))
+        off_grid = dataclasses.replace(scene, scatterer_positions=scatterers)
+        assert np.all(np.isfinite(scatterer_field(off_grid, gx, gy, self._excitations(off_grid), 2.0)))
+
+    def test_shared_antenna_leg_bit_identical(self):
+        scene = self._scene()
+        pts = scene.terminal_positions
+        shared = scatterer_channel_matrix(scene, pts, 2.0, ant_leg=antenna_leg(scene, 2.0))
+        assert np.array_equal(shared, scatterer_channel_matrix(scene, pts, 2.0))
+
+    @pytest.mark.parametrize("floor", [0.0, 2.0])
+    def test_field_bounded_against_pairwise_reference(self, floor):
+        scene = self._scene(wavelength=0.75)
+        # A lattice plus points within the floor of two scatterers, where it binds.
+        gx = np.concatenate([np.linspace(-300.0, 300.0, 7), scene.scatterer_positions[:2, 0] + 0.4])
+        gy = np.concatenate([np.linspace(-300.0, 300.0, 5), scene.scatterer_positions[:2, 1] - 0.3])
+        xs, ys = np.meshgrid(gx, gy)
+        points = np.column_stack([xs.ravel(), ys.ravel()])
+        w = draw_complex_gaussian(Seed(10), scene.n_antennas, 1)[:, 0]
+
+        def reference_parts(a):
+            diff = a[:, None, :] - scene.scatterer_positions[None, :, :]
+            d = np.sqrt(np.sum(diff**2, axis=2)) / scene.wavelength
+            return d, 1.0 / (d if floor <= 0.0 else np.maximum(d, floor))
+
+        def reference_leg(a):
+            d, amp = reference_parts(a)
+            return amp * np.exp(-2j * np.pi * d)
+
+        expected = reference_leg(points) @ (reference_leg(scene.antenna_positions).T @ w)
+        (got,) = scatterer_field(scene, gx, gy, [antenna_leg(scene, floor).T @ w], floor)
+        # Float32 phasors: each ray's error is at most 1e-6 of its amplitude.
+        scale = reference_parts(points)[1] @ (reference_parts(scene.antenna_positions)[1].T @ np.abs(w))
+        assert np.all(np.abs(got - expected) <= 1e-6 * scale)
 
 
 class TestMeasuredChannels:

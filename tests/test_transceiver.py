@@ -230,31 +230,40 @@ class TestFieldMap:
     def test_one_ray_sum_per_trial_for_both_schemes(self, monkeypatch):
         calls = []
         leg_rows = Counter()
-        ray_leg = channel._ray_leg
+        phasor_leg = channel._phasor_leg
 
         def counting(*args, **kwargs):
             calls.append(1)
             return scatterer_channel_matrix(*args, **kwargs)
 
-        def counting_leg(origins, *args):
-            leg_rows.update(map(tuple, origins.tolist()))
-            return ray_leg(origins, *args)
+        def counting_leg(work, rows, floor):
+            # Each leg row is keyed by its squared distances to the scatterers.
+            leg_rows.update(row.tobytes() for row in work.squares[:rows])
+            return phasor_leg(work, rows, floor)
 
         monkeypatch.setattr(transceiver, "scatterer_channel_matrix", counting)
-        monkeypatch.setattr(channel, "_ray_leg", counting_leg)
+        monkeypatch.setattr(channel, "_phasor_leg", counting_leg)
         seed = Seed(21)
         scene = make_focusing_scene(seed.child(0), m_antennas=8, n_scatterers=20)
         grid = np.linspace(-50.0, 50.0, 3)
         terminals = set(map(tuple, scene.terminal_positions.tolist()))
         grid_only = [p for p in itertools.product(grid.tolist(), repeat=2) if p not in terminals]
         assert grid_only
+
+        def squares_row(trial, point):
+            diff = np.asarray(point) - trial.scatterer_positions
+            return (diff[:, 0] ** 2 + diff[:, 1] ** 2).tobytes()
+
         for schemes in (("mrt",), ("mrt", "zf")):
             calls.clear()
             leg_rows.clear()
             field_map(scene, schemes, grid, grid, 5, seed.child(1), workers=2)
             assert len(calls) == 5
             # Each grid point's leg is built once per trial, whatever the schemes.
-            assert [leg_rows[p] for p in grid_only] == [5] * len(grid_only)
+            trials = [channel.redraw_scatterers(scene, seed.child(1).child(t)) for t in range(5)]
+            assert [sum(leg_rows[squares_row(trial, p)] for trial in trials) for p in grid_only] == [5] * len(grid_only)
+            # The antenna leg too: one row per antenna and trial.
+            assert [sum(leg_rows[squares_row(trial, p)] for trial in trials) for p in scene.antenna_positions] == [5] * 8
 
     def test_phasor_accuracy_contract(self, monkeypatch):
         seed = Seed(24)
@@ -262,14 +271,17 @@ class TestFieldMap:
         grid = np.linspace(-50.0, 50.0, 11)
         got = field_map(scene, ("mrt", "zf"), grid, grid, 6, seed.child(1))
 
-        def complex128_leg(origins, trial_scene, floor):
-            diff = origins[:, None, :] - trial_scene.scatterer_positions[None, :, :]
-            d = np.sqrt(np.sum(diff**2, axis=2)) / trial_scene.wavelength
+        built = []
+
+        def complex128_leg(work, rows, floor):
+            built.append(rows)
+            d = np.sqrt(work.squares[:rows])
             return np.exp(-2j * np.pi * d) / np.maximum(d, floor)
 
-        # Both the terminal rows and the grid blocks are built from this leg.
-        monkeypatch.setattr(channel, "_ray_leg", complex128_leg)
+        monkeypatch.setattr(channel, "_phasor_leg", complex128_leg)
         expected = field_map(scene, ("mrt", "zf"), grid, grid, 6, seed.child(1))
+        # Every leg, the antennas', the terminals' and each grid point's, came from the reference.
+        assert sum(built) == 6 * (8 + len(scene.terminal_positions) + grid.size**2)
         for fmap, ref in zip(got, expected):
             for cells, ref_cells in ((fmap.power_db, ref.power_db), (fmap.terminal_power_db, ref.terminal_power_db)):
                 loud = ref_cells > -60.0
