@@ -328,7 +328,6 @@ class SweepSystem:
 
 @dataclass(frozen=True)
 class SweepCurve:
-    rho: np.ndarray
     spectral_efficiency: np.ndarray  # sum bits/s/Hz, overhead included
     energy_efficiency: np.ndarray  # bits per unit radiated energy
 
@@ -374,7 +373,7 @@ def ee_se_sweep(
         sinr = _UL_SINR[system.scheme](system.m, column, betas, gammas)
         se = np.sum(params.overhead_prefactor * np.log2(1.0 + sinr), axis=1)
         ee = se / (system.k * rho)
-        curves[system.label] = SweepCurve(rho=rho.copy(), spectral_efficiency=se, energy_efficiency=ee)
+        curves[system.label] = SweepCurve(spectral_efficiency=se, energy_efficiency=ee)
     return curves
 
 
@@ -385,15 +384,17 @@ def ee_se_sweep(
 
 @dataclass(frozen=True)
 class PowerControl:
-    """Per-terminal downlink power fractions with the excluded set."""
+    """Per-terminal downlink power fractions with the excluded set: `eta` is
+    (K,) with a float `sinr`, or (R, K) with an (R,) `sinr`, one row per
+    estimate quality."""
 
     eta: np.ndarray
     dropped: tuple[int, ...]
-    sinr: float
+    sinr: float | np.ndarray
 
     @property
     def served(self) -> np.ndarray:
-        mask = np.ones(self.eta.size, dtype=bool)
+        mask = np.ones(self.eta.shape[-1], dtype=bool)
         mask[list(self.dropped)] = False
         return np.flatnonzero(mask)
 
@@ -412,12 +413,16 @@ def maxmin_power_control(
     every served terminal sees the same effective SINR. With the total-power
     constraint the equalising split is closed-form:
     eta_k proportional to (1 + rho_dl beta_k) / gamma_k.
+
+    `gammas` is (K,), or (R, K) with one row per estimate quality (say, per
+    pilot power) over the same `betas`: the terminals are sorted once, every
+    row shares the served set, and each row is split as its own 1-D call.
     """
     b = np.asarray(betas, dtype=float)
     g = np.asarray(gammas, dtype=float)
     if b.size == 0:
         raise DomainError("no terminals to serve")
-    if b.shape != g.shape:
+    if b.ndim != 1 or g.ndim not in (1, 2) or g.shape[-1] != b.size:
         raise DimensionError("betas and gammas must align")
     if np.any(b <= 0.0) or np.any(g <= 0.0):
         raise DomainError("slow-fading and estimate-quality coefficients must be positive")
@@ -429,11 +434,12 @@ def maxmin_power_control(
     served = order[n_drop:]
     if served.size == 0:
         raise DomainError("power control dropped every terminal")
-    cost = (1.0 + rho_dl * b[served]) / (rho_dl * m * g[served])
-    sinr = 1.0 / float(np.sum(cost))
-    eta = np.zeros(b.size)
-    eta[served] = sinr * cost
-    return PowerControl(eta=eta, dropped=dropped, sinr=sinr)
+    cost = (1.0 + rho_dl * b[served]) / (rho_dl * m * g[..., served])
+    # Each row summed as a 1-D array: a 2-D sum along the last axis may round differently.
+    sinr = 1.0 / np.array([np.sum(row) for row in cost.reshape(-1, served.size)]).reshape(g.shape[:-1])
+    eta = np.zeros(g.shape)
+    eta[..., served] = sinr[..., None] * cost
+    return PowerControl(eta=eta, dropped=dropped, sinr=float(sinr) if g.ndim == 1 else sinr)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +505,6 @@ class RuralResult:
     equal_rate_mbps: np.ndarray  # per drop, the rate every served terminal gets
     sinr: np.ndarray
     served: int
-    n_terminals: int
     bandwidth_hz: float
     pilot_quality_min: float  # min over drops of min_k gamma_k / beta_k
     sensitivity_mbps: dict
@@ -529,67 +534,54 @@ class RuralResult:
         }
 
 
-def _rural_equal_rate(config: RuralConfig, betas: np.ndarray, pilot_scale: float = 1.0):
-    """Equalised per-terminal throughput for one drop's slow-fading draw."""
-    noise = noise_power_w(config.bandwidth_hz, config.noise_figure_db)
-    rho_dl = config.total_power_w / noise
-    rho_pilot = pilot_scale * config.terminal_pilot_power_w / noise
-    tau = int(round(config.pilot_fraction * config.coherence_s * config.bandwidth_hz))
-    gammas = estimate_quality(betas, rho_pilot, tau)
-    control = maxmin_power_control(betas, gammas, rho_dl, config.m, config.drop_fraction)
-    prefactor = 1.0 - config.pilot_fraction
-    rate_mbps = prefactor * math.log2(1.0 + control.sinr) * config.bandwidth_hz / 1e6
-    served = control.served
-    quality = float(np.min(gammas[served] / betas[served]))
-    return rate_mbps, control, quality
-
-
 def rural_broadband(config: RuralConfig, seed: Seed, drops: int) -> RuralResult:
     """Monte Carlo over terminal placement and shadow fading.
 
-    Each drop re-places the terminals, rebuilds the slow-fading profile, runs
-    max-min power control over the served set, and evaluates the conjugate
-    beamforming rate bound. Only slow-fading scalars are handled, so the
-    array size never materialises as a matrix. The summary also reports the
-    throughput under 10x weaker and 10x stronger pilots, since the scenario
-    fixes only that pilots are accurate enough.
+    Each drop re-places the terminals, rebuilds the slow-fading profile, and
+    runs one max-min power control over the served set, with one row of
+    estimate qualities per pilot power: the configured one, 10x weaker and
+    10x stronger (the scenario fixes only that pilots are accurate enough,
+    so the summary reports the last two as a sensitivity). Each row's
+    equalised SINR gives that pilot power's conjugate beamforming rate bound.
+    Only slow-fading scalars are handled, so the array size never
+    materialises as a matrix.
     """
     if drops < 1:
         raise DomainError("need at least one drop")
-
-    def one_drop(index: int):
+    noise = noise_power_w(config.bandwidth_hz, config.noise_figure_db)
+    rho_dl = config.total_power_w / noise
+    # Pilot powers x1 (the scenario), x0.1 and x10 (its sensitivity), as a column.
+    rho_pilot = np.array([[1.0], [0.1], [10.0]]) * config.terminal_pilot_power_w / noise
+    tau = int(round(config.pilot_fraction * config.coherence_s * config.bandwidth_hz))
+    sinr = np.empty((rho_pilot.size, drops))  # one row per pilot power
+    quality = np.empty(drops)
+    for index in range(drops):
         drop_seed = seed.child(index)
-        positions = place_terminals(
-            drop_seed.child(0), config.n_terminals, config.radius_km, config.exclusion_km
-        )
-        profile = build_large_scale_profile(
+        positions = place_terminals(drop_seed.child(0), config.n_terminals, config.radius_km, config.exclusion_km)
+        betas = build_large_scale_profile(
             positions,
             drop_seed.child(1),
             base_gain_db=config.base_gain_db,
             terminal_gain_db=config.terminal_gain_db,
             shadow_sigma_db=config.shadow_sigma_db,
-        )
-        rate, control, quality = _rural_equal_rate(config, profile.beta)
-        weaker, _, _ = _rural_equal_rate(config, profile.beta, pilot_scale=0.1)
-        stronger, _, _ = _rural_equal_rate(config, profile.beta, pilot_scale=10.0)
-        return rate, control.sinr, len(control.served), quality, weaker, stronger
-
-    rows = [one_drop(index) for index in range(drops)]
-    rates = np.array([r[0] for r in rows])
-    sinrs = np.array([r[1] for r in rows])
-    served_counts = {r[2] for r in rows}
-    if len(served_counts) != 1:
-        raise DomainError(f"served count varied across drops: {sorted(served_counts)}")
+        ).beta
+        gammas = estimate_quality(betas, rho_pilot, tau)
+        control = maxmin_power_control(betas, gammas, rho_dl, config.m, config.drop_fraction)
+        sinr[:, index] = control.sinr
+        served = control.served
+        quality[index] = np.min(gammas[0, served] / betas[served])
+    # math.log2 per SINR, not np.log2, which may differ in the last bit.
+    log_rates = [[math.log2(1.0 + s) for s in row] for row in sinr.tolist()]
+    rate, weaker, stronger = (1.0 - config.pilot_fraction) * np.array(log_rates) * config.bandwidth_hz / 1e6
     return RuralResult(
-        equal_rate_mbps=rates,
-        sinr=sinrs,
-        served=served_counts.pop(),
-        n_terminals=config.n_terminals,
+        equal_rate_mbps=rate,
+        sinr=sinr[0],
+        served=served.size,  # the same in every drop: it depends only on the counts
         bandwidth_hz=config.bandwidth_hz,
-        pilot_quality_min=float(min(r[3] for r in rows)),
+        pilot_quality_min=float(np.min(quality)),
         sensitivity_mbps={
-            "pilot_power_x0.1_mean": float(np.mean([r[4] for r in rows])),
-            "pilot_power_x10_mean": float(np.mean([r[5] for r in rows])),
+            "pilot_power_x0.1_mean": float(np.mean(weaker)),
+            "pilot_power_x10_mean": float(np.mean(stronger)),
         },
     )
 

@@ -90,9 +90,6 @@ class LargeScaleProfile:
     path_loss_db: np.ndarray
     beta: np.ndarray
 
-    def __len__(self) -> int:
-        return self.beta.size
-
 
 def build_large_scale_profile(
     positions: np.ndarray,

@@ -21,18 +21,6 @@ def main():
     """Deterministic massive MIMO experiments."""
 
 
-def _load_config(config_path, seed, trials, paper_scale, out_dir, channels, workers):
-    return parse_config(
-        config_path,
-        seed=seed,
-        trials=trials,
-        output_dir=out_dir,
-        workers=workers,
-        paper_scale=paper_scale,
-        channels_path=channels,
-    )
-
-
 @main.command(name="run")
 @click.option("--config", "config_path", required=True, type=click.Path(), help="Experiment INI file.")
 @click.option("--seed", type=int, default=None, help="Override the master seed.")
@@ -44,11 +32,15 @@ def _load_config(config_path, seed, trials, paper_scale, out_dir, channels, work
 def run_command(config_path, seed, trials, paper_scale, out_dir, channels, workers):
     """Run one experiment and emit its CSV tables and JSON summary."""
     try:
-        config = _load_config(config_path, seed, trials, paper_scale, out_dir, channels, workers)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    try:
+        config = parse_config(
+            config_path,
+            seed=seed,
+            trials=trials,
+            output_dir=out_dir,
+            workers=workers,
+            paper_scale=paper_scale,
+            channels_path=channels,
+        )
         result = run(config)
         written = emit_tables(result, config.output_dir)
     except ConfigError as exc:

@@ -224,16 +224,8 @@ def _run_ee_se(config: ExperimentConfig):
     summary: dict = {"reference_peak": {"se_bps_hz": ref_se, "ee": ref_ee}}
     for label, curve in curves.items():
         ee_rel = curve.energy_efficiency / ref_ee
-        for i in range(rho_db.size):
-            rows.append(
-                (
-                    label,
-                    float(rho_db[i]),
-                    float(curve.spectral_efficiency[i]),
-                    float(curve.energy_efficiency[i]),
-                    float(ee_rel[i]),
-                )
-            )
+        se, ee = curve.spectral_efficiency, curve.energy_efficiency
+        rows.extend(zip([label] * rho_db.size, rho_db.tolist(), se.tolist(), ee.tolist(), ee_rel.tolist()))
         se_rel = curve.spectral_efficiency / ref_se
         witness = (se_rel >= 10.0) & (ee_rel >= 100.0)
         summary[label] = {
@@ -268,8 +260,8 @@ def _run_pilot_contamination(config: ExperimentConfig):
             config.trials,
             seed.child(mi),
         )
-        for t in range(config.trials):
-            rows.append((m, t, float(sample.desired[t]), float(sample.directed[t]), float(sample.noise[t])))
+        powers = (sample.desired.tolist(), sample.directed.tolist(), sample.noise.tolist())
+        rows.extend(zip([m] * config.trials, range(config.trials), *powers))
         if mi < len(m_values):
             mean_desired.append(float(np.mean(sample.desired)))
             mean_directed.append(float(np.mean(sample.directed)))
@@ -301,17 +293,10 @@ def _run_rural(config: ExperimentConfig):
     p = dict(config.params)
     rural_config = capacity.RuralConfig(**p)
     result = capacity.rural_broadband(rural_config, Seed(config.seed), config.trials)
-    rows = []
-    for d in range(config.trials):
-        rows.append(
-            (
-                d,
-                result.served,
-                float(10.0 * np.log10(result.sinr[d])),
-                float(result.equal_rate_mbps[d]),
-                float(result.sum_throughput_gbps[d]),
-            )
-        )
+    sinr_db = (10.0 * np.log10(result.sinr)).tolist()
+    served = [result.served] * config.trials
+    rates = (result.equal_rate_mbps.tolist(), result.sum_throughput_gbps.tolist())
+    rows = list(zip(range(config.trials), served, sinr_db, *rates))
     table = Table(("drop", "served", "sinr_db", "throughput_mbps", "sum_gbps"), rows)
     return result.summary(), {"rural": table}
 

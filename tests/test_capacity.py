@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from mmimo import capacity as cap
+from mmimo.channel import build_large_scale_profile, place_terminals
 from mmimo.errors import ConfigError, DegenerateChannelError, DimensionError, DomainError, RankError
 from mmimo.numerics import Seed, draw_bartlett, draw_complex_gaussian
 from mmimo.transceiver import budget_for_mean_desired_snr, evaluate_downlink, mrt_precoder
@@ -236,6 +238,28 @@ class TestMaxMinPowerControl:
         with pytest.raises(DomainError):
             cap.maxmin_power_control(np.array([]), np.array([]), 1.0, 4)
 
+    @pytest.mark.parametrize("drop_fraction", [0.0, 0.05, 0.3])
+    def test_rows_equal_one_dimensional_calls(self, drop_fraction):
+        rng = np.random.default_rng(6)
+        betas = rng.lognormal(-20.0, 2.0, 300)
+        gammas = np.stack([betas * rng.uniform(0.5, 1.0, betas.size) for _ in range(3)])
+        control = cap.maxmin_power_control(betas, gammas, 1e12, 6400, drop_fraction)
+        assert control.eta.shape == gammas.shape and control.sinr.shape == (3,)
+        for r, row in enumerate(gammas):
+            single = cap.maxmin_power_control(betas, row, 1e12, 6400, drop_fraction)
+            assert np.array_equal(control.eta[r], single.eta)
+            assert control.sinr[r] == single.sinr
+            assert control.dropped == single.dropped
+            assert np.array_equal(control.served, single.served)
+
+    @pytest.mark.parametrize(
+        "betas_shape, gammas_shape",
+        [((5,), (4,)), ((5,), (3, 4)), ((5,), (2, 3, 5)), ((1, 5), (1, 5)), ((5,), ())],
+    )
+    def test_misaligned_shapes_rejected(self, betas_shape, gammas_shape):
+        with pytest.raises(DimensionError, match="must align"):
+            cap.maxmin_power_control(np.ones(betas_shape), np.full(gammas_shape, 0.5), 1.0, 4)
+
 
 def direct_channels(seed, m, betas, rho_pilot, tau, draws):
     """(draws, M, K) true channels H and MMSE estimates H_hat drawn as M x K
@@ -297,6 +321,7 @@ _BLAS_THREADS_SCRIPT = """
 import sys
 import numpy as np
 from mmimo import capacity as cap
+from mmimo.channel import build_large_scale_profile, place_terminals
 from mmimo.numerics import Seed
 params = cap.SystemParams(m=100, k=40, tau=40, coherence_symbols=196, rho_ul=1.0, rho_dl=1.0)
 betas = np.linspace(0.5, 2.0, 40)
@@ -435,7 +460,59 @@ class TestDlBoundValidity:
         assert np.all(bound <= simulated * 1.01)
 
 
+def reference_rural(config, seed, drops):
+    """`rural_broadband` by its former formula: per drop, one 1-D max-min
+    power control per pilot power (x1, x0.1, x10), each rate from math.log2.
+    Returns (rates per pilot power, the x1 SINRs, pilot_quality_min, served)."""
+    noise = cap.noise_power_w(config.bandwidth_hz, config.noise_figure_db)
+    rho_dl = config.total_power_w / noise
+    tau = int(round(config.pilot_fraction * config.coherence_s * config.bandwidth_hz))
+    rates, sinrs, qualities, served = ([], [], []), [], [], set()
+    for index in range(drops):
+        drop_seed = seed.child(index)
+        positions = place_terminals(drop_seed.child(0), config.n_terminals, config.radius_km, config.exclusion_km)
+        betas = build_large_scale_profile(
+            positions,
+            drop_seed.child(1),
+            base_gain_db=config.base_gain_db,
+            terminal_gain_db=config.terminal_gain_db,
+            shadow_sigma_db=config.shadow_sigma_db,
+        ).beta
+        for scale, scale_rates in zip((1.0, 0.1, 10.0), rates):
+            gammas = cap.estimate_quality(betas, scale * config.terminal_pilot_power_w / noise, tau)
+            control = cap.maxmin_power_control(betas, gammas, rho_dl, config.m, config.drop_fraction)
+            rate = (1.0 - config.pilot_fraction) * math.log2(1.0 + control.sinr) * config.bandwidth_hz / 1e6
+            scale_rates.append(rate)
+            if scale == 1.0:
+                sinrs.append(control.sinr)
+                qualities.append(float(np.min(gammas[control.served] / betas[control.served])))
+                served.add(len(control.served))
+    (count,) = served
+    return [np.array(r) for r in rates], np.array(sinrs), min(qualities), count
+
+
 class TestRuralBroadband:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            cap.RuralConfig(),
+            cap.RuralConfig(n_terminals=200, drop_fraction=0.0, allow_override=True),
+            cap.RuralConfig(n_terminals=200, drop_fraction=0.3, allow_override=True),
+        ],
+        ids=["pinned", "k200-drop0", "k200-drop0.3"],
+    )
+    def test_equals_three_pass_reference(self, config):
+        result = cap.rural_broadband(config, Seed(7), drops=6)
+        (rate, weaker, stronger), sinr, quality, served = reference_rural(config, Seed(7), 6)
+        assert np.array_equal(result.equal_rate_mbps, rate)
+        assert np.array_equal(result.sinr, sinr)
+        assert result.pilot_quality_min == quality
+        assert result.served == served
+        assert result.sensitivity_mbps == {
+            "pilot_power_x0.1_mean": float(np.mean(weaker)),
+            "pilot_power_x10_mean": float(np.mean(stronger)),
+        }
+
     def test_pinned_config_required(self):
         with pytest.raises(ConfigError):
             cap.RuralConfig(m=1000)
