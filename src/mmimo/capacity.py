@@ -12,8 +12,9 @@ matrix (Z^H Z = A A^H, A lower triangular, or K x M lower trapezoidal when
 M < K; see `numerics.draw_bartlett`), never an M x K channel. They reduce one
 cache-sized piece of BLOCK_ENTRIES // K^2 draws at a time: C is one product,
 MRC reads diag G as the squared row norms of B, and ZF reads B^-1 of the
-triangular B, so G is never formed or inverted. The perfect-CSI MRT sum rate
-of mrt-sumrate (`mrt_sum_rates`) is the downlink reduction with C = G.
+triangular B, so G is never formed or inverted. Uplink MRC and ZF, downlink
+MRT and the perfect-CSI MRT sum rate of mrt-sumrate (`mrt_sum_rates`, with
+C = G) all end in one per-draw SINR reduction, `_rates`.
 """
 
 from __future__ import annotations
@@ -179,29 +180,31 @@ def _cross(b: np.ndarray, e: np.ndarray) -> np.ndarray:
     return b @ (b.conj().transpose(0, 2, 1) + e)
 
 
+def _rates(cross: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    """Per-draw, per-terminal log2(1 + SINR) of a (draws, K, K) stack C with
+    unit noise: terminal k hears stream j with power gain |C_jk|^2. `gain`
+    is the downlink's column of s_j^2, (K, 1) or (draws, K, 1), or the
+    uplink's row of rho / ||a_k||^2, (draws, 1, K)."""
+    powers = gain * np.abs(cross) ** 2
+    signal = np.diagonal(powers, axis1=1, axis2=2)
+    interference = powers.sum(axis=1) - signal
+    return np.log2(1.0 + signal / (interference + 1.0))
+
+
 def _lower_inverse(lower: np.ndarray) -> np.ndarray:
     """Inverse of each matrix of a (draws, K, K) stack of lower-triangular
-    matrices with nonzero diagonals.
-
-    The stack is halved recursively: [[L11, 0], [L21, L22]]^-1 has the
-    diagonal blocks L11^-1 and L22^-1 and the lower-left block
-    -L22^-1 L21 L11^-1. Blocks of size 4 or less use forward substitution.
+    matrices with nonzero diagonals, by forward substitution: row i of the
+    inverse is -L[i, :i] (L^-1)[:i, :i] / L_ii left of its diagonal 1 / L_ii,
+    one batched row-by-block product per row.
     """
     k = lower.shape[-1]
     inverse = np.zeros_like(lower)
-    if k <= 4:
-        for i in range(k):
-            pivot = 1.0 / lower[:, i, i]
-            inverse[:, i, i] = pivot
-            if i:
-                row = lower[:, i : i + 1, :i] @ inverse[:, :i, :i]
-                inverse[:, i, :i] = -row[:, 0] * pivot[:, None]
-        return inverse
-    h = k // 2
-    top, bottom = _lower_inverse(lower[:, :h, :h]), _lower_inverse(lower[:, h:, h:])
-    inverse[:, :h, :h] = top
-    inverse[:, h:, h:] = bottom
-    inverse[:, h:, :h] = -bottom @ (lower[:, h:, :h] @ top)
+    for i in range(k):
+        pivot = 1.0 / lower[:, i, i]
+        inverse[:, i, i] = pivot
+        if i:
+            row = lower[:, i : i + 1, :i] @ inverse[:, :i, :i]
+            inverse[:, i, :i] = -row[:, 0] * pivot[:, None]
     return inverse
 
 
@@ -210,8 +213,9 @@ def _ul_rate_sums(scheme: str, b: np.ndarray, e: np.ndarray, rho: float) -> np.n
     uplink receiver, from the factors B and E of `_statistic_pieces`.
 
     With combiner columns a_k, terminal k's SINR is rho |a_k^H h_k|^2 /
-    (rho sum_{j != k} |a_k^H h_j|^2 + ||a_k||^2). For MRC (A = H_hat),
-    A^H H = C and ||a_k||^2 = G_kk, the squared norm of row k of B. For ZF
+    (rho sum_{j != k} |a_k^H h_j|^2 + ||a_k||^2): `_rates` of (A^H H)^T with
+    gain rho / ||a_k||^2 on column k. For MRC (A = H_hat), A^H H = C and
+    ||a_k||^2 = G_kk, the squared norm of row k of B. For ZF
     (A = H_hat G^-1 = pinv(H_hat)^H at full column rank, B square),
     A^H H = G^-1 C = I + B^-H E and ||a_k||^2 = [G^-1]_kk, the squared norm of
     column k of B^-1, so G is never formed or inverted.
@@ -223,26 +227,11 @@ def _ul_rate_sums(scheme: str, b: np.ndarray, e: np.ndarray, rho: float) -> np.n
         inverse = _lower_inverse(b)
         cross = inverse.conj().transpose(0, 2, 1) @ e
         cross[:, diag, diag] += 1.0
-        combiner_norm = np.sum(np.abs(inverse) ** 2, axis=1)
+        norm = np.sum(np.abs(inverse) ** 2, axis=1)
     else:
         cross = _cross(b, e)
-        combiner_norm = np.sum(np.abs(b) ** 2, axis=2)
-    powers = np.abs(cross) ** 2
-    signal = np.diagonal(powers, axis1=1, axis2=2)
-    interference = powers.sum(axis=2) - signal
-    sinr = rho * signal / (rho * interference + combiner_norm)
-    return np.sum(np.log2(1.0 + sinr), axis=0)
-
-
-def _dl_rates(cross: np.ndarray, stream_power: np.ndarray) -> np.ndarray:
-    """Per-draw, per-terminal log2(1 + SINR) of a stack of draws under
-    conjugate beamforming with unit noise: terminal k hears stream j with
-    power s_j^2 |C_jk|^2, C = H_hat^H H, `stream_power` the column of s_j^2,
-    (K, 1) or per draw (draws, K, 1)."""
-    powers = stream_power * np.abs(cross) ** 2
-    signal = np.diagonal(powers, axis1=1, axis2=2)
-    interference = powers.sum(axis=1) - signal
-    return np.log2(1.0 + signal / (interference + 1.0))
+        norm = np.sum(np.abs(b) ** 2, axis=2)
+    return _rates(cross.transpose(0, 2, 1), rho / norm[:, None, :]).sum(axis=0)
 
 
 def mrt_sum_rates(gram: np.ndarray, snr_linear: float) -> np.ndarray:
@@ -251,14 +240,14 @@ def mrt_sum_rates(gram: np.ndarray, snr_linear: float) -> np.ndarray:
 
     The budget P = snr / mean_k(G_kk / K) sets the mean interference-free SNR
     to `snr_linear`. Stream j is sent on s_j conj(h_j), s_j^2 = (P / K) / G_jj,
-    so terminal k hears it with power s_j^2 |G_jk|^2: `_dl_rates` with C = G.
+    so terminal k hears it with power s_j^2 |G_jk|^2: `_rates` with C = G.
     """
     gains = np.diagonal(gram, axis1=1, axis2=2).real
     if np.any(gains == 0.0):
         raise DegenerateChannelError("cannot beamform toward an all-zero channel column")
     k = gram.shape[-1]
     budget = snr_linear / np.mean(gains / k, axis=-1)
-    return _dl_rates(gram, (budget / k)[:, None, None] / gains[:, :, None]).sum(axis=-1)
+    return _rates(gram, (budget / k)[:, None, None] / gains[:, :, None]).sum(axis=-1)
 
 
 def simulate_ul_rates(params: SystemParams, scheme: str, betas, seed: Seed, n_draws: int = 10_000) -> np.ndarray:
@@ -290,7 +279,7 @@ def simulate_dl_rates(params: SystemParams, betas, eta, seed: Seed, n_draws: int
     statistically normalised streams (the convention of `dl_mrt_sinr`).
 
     Stream j is sent on s_j conj(h_hat_j) with s_j^2 = rho_dl eta_j / (M gamma_j),
-    so terminal k hears it with power s_j^2 |C_jk|^2 (`_dl_rates`). Only
+    so terminal k hears it with power s_j^2 |C_jk|^2 (`_rates`). Only
     C = H_hat^H H = B (B^H + E) is formed, from the factors drawn as in
     `simulate_ul_rates` (`_statistic_pieces`; B is K x M when M < K),
     without a channel.
@@ -303,7 +292,7 @@ def simulate_dl_rates(params: SystemParams, betas, eta, seed: Seed, n_draws: int
     stream_power = (params.rho_dl * e / (params.m * g))[:, None]
     total_rate = np.zeros(b.size)
     for factor, error in _statistic_pieces(params, b, seed, n_draws):
-        total_rate += _dl_rates(_cross(factor, error), stream_power).sum(axis=0)
+        total_rate += _rates(_cross(factor, error), stream_power).sum(axis=0)
     return params.overhead_prefactor * total_rate / n_draws
 
 
@@ -473,17 +462,8 @@ class RuralConfig:
 
     # Scenario invariants; terminal_pilot_power_w is deliberately free because
     # the scenario only requires pilots accurate enough that gamma ~ beta.
-    _PINNED = (
-        ("m", 6400),
-        ("n_terminals", 1000),
-        ("total_power_w", 120.0),
-        ("bandwidth_hz", 20e6),
-        ("radius_km", 6.0),
-        ("pilot_fraction", 0.25),
-        ("noise_figure_db", 9.0),
-        ("terminal_gain_db", 8.0),
-        ("shadow_sigma_db", 8.0),
-    )
+    _PINNED = ("m", "n_terminals", "total_power_w", "bandwidth_hz", "radius_km", "pilot_fraction",
+               "noise_figure_db", "terminal_gain_db", "shadow_sigma_db")
 
     def __post_init__(self):
         if not self.terminal_pilot_power_w > 0.0:
@@ -491,7 +471,8 @@ class RuralConfig:
             raise ConfigError(f"terminal_pilot_power_w must be > 0, got {self.terminal_pilot_power_w}")
         if self.allow_override:
             return
-        for name, pinned in self._PINNED:
+        for name in self._PINNED:
+            pinned = getattr(type(self), name)  # the class attribute is the field's default
             if getattr(self, name) != pinned:
                 raise ConfigError(
                     f"rural scenario pins {name}={pinned}; set allow_override to study {getattr(self, name)}"

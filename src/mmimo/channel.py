@@ -387,8 +387,13 @@ class MeasuredChannelSet:
 
 def load_measured_channels(path) -> MeasuredChannelSet:
     """Parse a CFCSV v1 file; errors carry the offending line number."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        # One read decodes the whole file, so exc.object holds every byte before the bad one.
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"not UTF-8: {exc.reason} at byte {exc.start}", line=line) from None
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:

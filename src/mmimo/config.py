@@ -59,6 +59,18 @@ def _parse_positive_float(text: str) -> float:
     return value
 
 
+def _parse_db(text: str) -> float:
+    """A level in dB whose linear value 10^(x/10) is a finite float > 0."""
+    value = _parse_finite_float(text)
+    try:
+        linear = 10.0 ** (value / 10.0)
+    except OverflowError:
+        linear = math.inf
+    if not 0.0 < linear < math.inf:
+        raise ValueError(f"must be a dB level whose linear value is a finite float > 0, got {text.strip()!r}")
+    return value
+
+
 def _list_of(parse: Callable[[str], Any]) -> Callable[[str], list]:
     """Parser of a non-empty comma-separated list whose entries each pass `parse`."""
 
@@ -100,7 +112,7 @@ SCHEMAS: dict[str, dict[str, Option]] = {
     "mrt-sumrate": {
         "m_list": Option(_list_of(_parse_positive_int), [4, 8, 16, 32, 64, 128]),
         "k": Option(_parse_positive_int, 4),
-        "target_snr_db": Option(_parse_finite_float, 10.0),
+        "target_snr_db": Option(_parse_db, 10.0),
     },
     "focusing-map": {
         "m": Option(_parse_positive_int, 64),
@@ -114,8 +126,8 @@ SCHEMAS: dict[str, dict[str, Option]] = {
         "grid_points": Option(_parse_positive_int, 41),
     },
     "ee-se-tradeoff": {
-        "rho_min_db": Option(_parse_finite_float, -30.0),
-        "rho_max_db": Option(_parse_finite_float, 20.0),
+        "rho_min_db": Option(_parse_db, -30.0),
+        "rho_max_db": Option(_parse_db, 20.0),
         "rho_points": Option(_parse_positive_int, 201),
         "coherence_symbols": Option(_parse_positive_int, 196),
         "m_massive": Option(_parse_positive_int, 100),
@@ -209,6 +221,8 @@ def parse_config(
             parser.read_file(fh, source=str(path))
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file is not UTF-8: {exc}") from exc
     except configparser.DuplicateOptionError as exc:
         raise ConfigError(f"duplicate key '{exc.section}.{exc.option}'") from exc
     except configparser.DuplicateSectionError as exc:

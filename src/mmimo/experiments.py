@@ -52,27 +52,16 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     )
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-# Formatters for a column whose cells all have one of these exact types, with
-# the same output as `_format_cell`. np.float64 subclasses float, so
-# float.__repr__ gives repr(float(v)); bool is excluded by the exact type.
+# The CSV formatter of each cell type a table holds; every cell of a column
+# shares one formatter. np.float64 subclasses float, so float.__repr__ gives
+# repr(float(v)).
 _COLUMN_FORMATS = {float: float.__repr__, np.float64: float.__repr__, int: int.__repr__, str: str}
 
 
 def _format_column(column: tuple) -> list[str]:
-    """`_format_cell` of every cell, in one pass for a single-typed column."""
-    kinds = set(map(type, column))
-    fmt = _COLUMN_FORMATS.get(kinds.pop()) if len(kinds) == 1 else None
-    return list(map(fmt or _format_cell, column))
+    """The CSV text of every cell of a column, through its one formatter."""
+    (fmt,) = {_COLUMN_FORMATS[kind] for kind in set(map(type, column))}
+    return list(map(fmt, column))
 
 
 def emit_tables(result: ExperimentResult, output_dir) -> list[str]:

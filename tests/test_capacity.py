@@ -345,7 +345,7 @@ class TestRateSimulators:
             reduced = params.overhead_prefactor * cap._ul_rate_sums(scheme, factor, error, params.rho_ul) / 20
             np.testing.assert_allclose(reduced, expected[scheme], rtol=1e-12, atol=0.0)
         cross = cap._cross(factor, error)
-        reduced = params.overhead_prefactor * cap._dl_rates(cross, stream_power(params, betas, eta)).sum(axis=0) / 20
+        reduced = params.overhead_prefactor * cap._rates(cross, stream_power(params, betas, eta)).sum(axis=0) / 20
         np.testing.assert_allclose(reduced, expected["dl"], rtol=1e-12, atol=0.0)
 
     def test_zf_needs_fewer_terminals_than_antennas(self):
@@ -419,7 +419,7 @@ class TestStatisticsDistribution:
             factor, error = direct_factors(h, h_hat)
             if scheme == "dl":
                 engine.append(cap.simulate_dl_rates(params, betas, eta, Seed(41).child(g), draws))
-                sums = cap._dl_rates(cap._cross(factor, error), stream_power(params, betas, eta)).sum(axis=0)
+                sums = cap._rates(cap._cross(factor, error), stream_power(params, betas, eta)).sum(axis=0)
             else:
                 engine.append(cap.simulate_ul_rates(params, scheme, betas, Seed(41).child(g), draws))
                 sums = cap._ul_rate_sums(scheme, factor, error, params.rho_ul)

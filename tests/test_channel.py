@@ -383,6 +383,12 @@ class TestMeasuredChannels:
         with pytest.raises(ParseError, match="line 2"):
             load_measured_channels(path)
 
+    def test_non_utf8_byte_names_line(self, tmp_path):
+        path = tmp_path / "enc.cfcsv"
+        path.write_bytes(b"2,1,1\n1.0,0.0\n2.0,\xff0.0\n")
+        with pytest.raises(ParseError, match="line 3: not UTF-8"):
+            load_measured_channels(path)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "hdr.cfcsv"
         path.write_text("2,1\n")

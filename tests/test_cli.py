@@ -193,6 +193,20 @@ class TestRunAndEmit:
             emit_tables(result, str(out))
         assert not out.exists()
 
+    @pytest.mark.parametrize("cells, error", [((1, 2.0), ValueError), ((True, False), KeyError)], ids=["mixed", "bool"])
+    def test_column_without_one_formatter_rejected(self, tmp_path, cells, error):
+        # Every column holds one cell type of `_COLUMN_FORMATS`; no cell is formatted on its own.
+        result = ExperimentResult(
+            experiment="svd-spread",
+            summary={},
+            tables={"spread": Table(("M",), [(cell,) for cell in cells])},
+            resolved_config={},
+            config_hash="0",
+            seed=0,
+        )
+        with pytest.raises(error):
+            emit_tables(result, str(tmp_path / "out"))
+
     def test_config_closure(self, tmp_path):
         # Every schema default appears in the emitted resolved config.
         from mmimo.config import SCHEMAS
@@ -342,6 +356,30 @@ class TestCliProcess:
         outcome = runner.invoke(main, ["run", "--config", "/nonexistent/x.ini"])
         assert outcome.exit_code == 2
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_non_utf8_config_exit_code_2(self, tmp_path, command):
+        path = tmp_path / "c.ini"
+        path.write_bytes(b"# caf\xe9\n[experiment]\nexperiment = svd-spread\ntrials = 2\n")
+        args = [command, "--config", str(path)]
+        if command == "run":
+            args += ["--out", str(tmp_path / "o")]
+        outcome = CliRunner().invoke(main, args)
+        assert outcome.exit_code == 2
+        assert outcome.stderr.startswith("config error: config file is not UTF-8")
+        assert outcome.stderr.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_non_utf8_channels_exit_code_3(self, tmp_path):
+        channels = tmp_path / "set.cfcsv"
+        channels.write_bytes(b"2,1,1\n1.0,0.0\n2.0,\xff0.0\n")
+        path = write_config(tmp_path / "c.ini", "[experiment]\nexperiment = mrt-sumrate\n")
+        out = tmp_path / "o"
+        outcome = CliRunner().invoke(main, ["run", "--config", path, "--channels", str(channels), "--out", str(out)])
+        assert outcome.exit_code == 3
+        assert outcome.stderr.startswith("error: line 3: not UTF-8")
+        assert outcome.stderr.count("\n") == 1
+        assert not out.exists()
+
     def test_pinned_scenario_violation_exit_code_2(self, tmp_path):
         # Pinned rural scenario rejects overrides without the explicit flag.
         body = (
@@ -417,8 +455,11 @@ class TestCliProcess:
             ("svd-spread", 1, "m_list=4,0"),
             ("mrt-sumrate", 1, "m_list=-4"),
             ("mrt-sumrate", 1, "target_snr_db=nan"),
+            ("mrt-sumrate", 1, "target_snr_db=4000"),
             ("ee-se-tradeoff", 1, "rho_min_db=nan"),
+            ("ee-se-tradeoff", 1, "rho_min_db=-4000"),
             ("ee-se-tradeoff", 1, "rho_max_db=inf"),
+            ("ee-se-tradeoff", 1, "rho_max_db=4000"),
             ("ee-se-tradeoff", 1, "rho_points=0"),
             ("ee-se-tradeoff", 1, "coherence_symbols=0"),
             ("ee-se-tradeoff", 1, "m_massive=0"),
