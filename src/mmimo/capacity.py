@@ -302,20 +302,6 @@ def simulate_dl_rates(params: SystemParams, betas, eta, seed: Seed, n_draws: int
 
 
 @dataclass(frozen=True)
-class SweepSystem:
-    """One curve of the tradeoff sweep."""
-
-    label: str
-    m: int
-    k: int
-    scheme: str = "mrc"
-
-    def __post_init__(self):
-        if self.scheme not in _SCHEMES:
-            raise DomainError(f"scheme must be one of {_SCHEMES}")
-
-
-@dataclass(frozen=True)
 class SweepCurve:
     spectral_efficiency: np.ndarray  # sum bits/s/Hz, overhead included
     energy_efficiency: np.ndarray  # bits per unit radiated energy
@@ -325,23 +311,17 @@ class SweepCurve:
         return float(self.spectral_efficiency[i]), float(self.energy_efficiency[i])
 
 
-def default_tradeoff_systems(m_massive: int = 100, k_massive: int = 40, m_beamforming: int = 100):
-    """Reference single-antenna link, single-terminal beamforming, and the
-    multi-terminal array with both linear receivers."""
-    return (
-        SweepSystem("reference", 1, 1, "mrc"),
-        SweepSystem("beamforming", m_beamforming, 1, "mrc"),
-        SweepSystem("mrc", m_massive, k_massive, "mrc"),
-        SweepSystem("zf", m_massive, k_massive, "zf"),
-    )
-
-
 def ee_se_sweep(
-    systems,
     rho_grid,
-    coherence_symbols: int = 196,
+    coherence_symbols: int,
+    m_massive: int,
+    k_massive: int,
+    m_beamforming: int,
 ) -> dict[str, SweepCurve]:
-    """Sweep per-terminal transmit SNR and trace each system's (SE, EE) curve.
+    """Sweep per-terminal transmit SNR and trace the (SE, EE) curve of four
+    uplink systems: the single-antenna reference link, single-terminal
+    beamforming with `m_beamforming` antennas, and the `m_massive`-antenna
+    array serving `k_massive` terminals with the MRC and the ZF receiver.
 
     Pilots are as short as orthogonality allows (tau = K) and are sent at the
     data power, so the average radiated power per terminal equals rho and
@@ -354,15 +334,19 @@ def ee_se_sweep(
     if np.any(rho <= 0.0):
         raise DomainError("sweep grid must be positive")
     column = rho.reshape(-1, 1)
+    systems = (
+        ("reference", 1, 1, ul_mrc_sinr),
+        ("beamforming", m_beamforming, 1, ul_mrc_sinr),
+        ("mrc", m_massive, k_massive, ul_mrc_sinr),
+        ("zf", m_massive, k_massive, ul_zf_sinr),
+    )
     curves = {}
-    for system in systems:
-        params = SystemParams(m=system.m, k=system.k, tau=system.k, coherence_symbols=coherence_symbols)
-        betas = np.ones(system.k)
-        gammas = estimate_quality(betas, column, system.k)
-        sinr = _UL_SINR[system.scheme](system.m, column, betas, gammas)
+    for label, m, k, ul_sinr in systems:
+        params = SystemParams(m=m, k=k, tau=k, coherence_symbols=coherence_symbols)
+        betas = np.ones(k)
+        sinr = ul_sinr(m, column, betas, estimate_quality(betas, column, k))
         se = np.sum(params.overhead_prefactor * np.log2(1.0 + sinr), axis=1)
-        ee = se / (system.k * rho)
-        curves[system.label] = SweepCurve(spectral_efficiency=se, energy_efficiency=ee)
+        curves[label] = SweepCurve(spectral_efficiency=se, energy_efficiency=se / (k * rho))
     return curves
 
 
@@ -545,7 +529,7 @@ def rural_broadband(config: RuralConfig, seed: Seed, drops: int) -> RuralResult:
             base_gain_db=config.base_gain_db,
             terminal_gain_db=config.terminal_gain_db,
             shadow_sigma_db=config.shadow_sigma_db,
-        ).beta
+        )
         gammas = estimate_quality(betas, rho_pilot, tau)
         control = maxmin_power_control(betas, gammas, rho_dl, config.m, config.drop_fraction)
         sinr[:, index] = control.sinr
@@ -569,7 +553,6 @@ def rural_broadband(config: RuralConfig, seed: Seed, drops: int) -> RuralResult:
 
 __all__ = [
     "SystemParams",
-    "SweepSystem",
     "SweepCurve",
     "PowerControl",
     "RuralConfig",
@@ -583,7 +566,6 @@ __all__ = [
     "simulate_ul_rates",
     "simulate_dl_rates",
     "mrt_sum_rates",
-    "default_tradeoff_systems",
     "ee_se_sweep",
     "maxmin_power_control",
     "rural_broadband",

@@ -23,8 +23,10 @@ PATH_LOSS_EXPONENT = 3.52
 BASE_HEIGHT_M = 30.0
 TERMINAL_HEIGHT_M = 5.0
 
-# Terminals in the default focusing scene: the target plus four co-scheduled users.
-FOCUSING_TERMINALS = 5
+# Terminals of the focusing scene in units of the other users' offset: the
+# target (terminal 0) at the region centre plus four co-scheduled users.
+FOCUSING_OFFSETS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
+FOCUSING_TERMINALS = len(FOCUSING_OFFSETS)
 
 # Rows of the point leg that `scatterer_field` builds and applies at a time.
 # At 400 scatterers the leg block is 800 kB and its workspace (129 rows of
@@ -44,13 +46,12 @@ def path_loss_db(distance_km) -> np.ndarray | float:
     return float(loss) if np.isscalar(distance_km) else loss
 
 
-def draw_shadow_db(seed: Seed, sigma_db: float, n: int | None = None):
-    """Zero-mean log-normal shadow fading in dB with the given std deviation."""
+def draw_shadow_db(seed: Seed, sigma_db: float, n: int) -> np.ndarray:
+    """`n` draws of zero-mean log-normal shadow fading in dB with the given
+    std deviation."""
     if sigma_db < 0.0:
         raise DomainError("shadow fading standard deviation must be >= 0 dB")
-    rng = seed.generator()
-    draws = sigma_db * rng.standard_normal(n if n is not None else 1)
-    return draws if n is not None else float(draws[0])
+    return sigma_db * seed.generator().standard_normal(n)
 
 
 def place_terminals(seed: Seed, n: int, radius_km: float, exclusion_km: float = 0.0) -> np.ndarray:
@@ -67,28 +68,12 @@ def place_terminals(seed: Seed, n: int, radius_km: float, exclusion_km: float = 
     return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
 
 
-def terminal_distance_km(
-    positions: np.ndarray,
-    base_height_m: float = BASE_HEIGHT_M,
-    terminal_height_m: float = TERMINAL_HEIGHT_M,
-) -> np.ndarray:
-    """3-D distance from the array to each terminal, accounting for heights."""
+def terminal_distance_km(positions: np.ndarray) -> np.ndarray:
+    """3-D distance from the array, BASE_HEIGHT_M up, to each terminal,
+    TERMINAL_HEIGHT_M up."""
     xy = np.asarray(positions, dtype=float).reshape(-1, 2)
-    dz_km = (base_height_m - terminal_height_m) / 1000.0
+    dz_km = (BASE_HEIGHT_M - TERMINAL_HEIGHT_M) / 1000.0
     return np.sqrt(xy[:, 0] ** 2 + xy[:, 1] ** 2 + dz_km**2)
-
-
-@dataclass(frozen=True)
-class LargeScaleProfile:
-    """Per-terminal slow-fading record.
-
-    `beta` is the linear power gain composed from path loss, shadow fading,
-    and antenna gains: beta = 10^((-path_loss + shadow + gains)/10). Receiver
-    noise is accounted scenario-side, never inside beta.
-    """
-
-    path_loss_db: np.ndarray
-    beta: np.ndarray
 
 
 def build_large_scale_profile(
@@ -98,19 +83,18 @@ def build_large_scale_profile(
     base_gain_db: float = 0.0,
     terminal_gain_db: float = 8.0,
     shadow_sigma_db: float = 8.0,
-    base_height_m: float = BASE_HEIGHT_M,
-    terminal_height_m: float = TERMINAL_HEIGHT_M,
-) -> LargeScaleProfile:
-    """Compose per-terminal slow-fading coefficients for the given drop."""
+) -> np.ndarray:
+    """Per-terminal slow-fading coefficients beta of the given drop: the
+    linear power gain 10^((-path_loss + shadow + gains)/10) of path loss,
+    shadow fading and antenna gains. Receiver noise is accounted
+    scenario-side, never inside beta."""
     xy = np.asarray(positions, dtype=float).reshape(-1, 2)
     if xy.shape[0] == 0:
         raise DomainError("need at least one terminal position")
-    distance = terminal_distance_km(xy, base_height_m, terminal_height_m)
-    loss = path_loss_db(distance)
+    loss = path_loss_db(terminal_distance_km(xy))
     shadow = draw_shadow_db(seed, shadow_sigma_db, n=xy.shape[0])
     gains = base_gain_db + terminal_gain_db
-    beta = 10.0 ** ((-loss + shadow + gains) / 10.0)
-    return LargeScaleProfile(path_loss_db=loss, beta=beta)
+    return 10.0 ** ((-loss + shadow + gains) / 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -127,30 +111,22 @@ class ScattererScene:
     antenna_positions: np.ndarray
     scatterer_positions: np.ndarray
     terminal_positions: np.ndarray
-    wavelength: float = 1.0
 
     def __post_init__(self):
         for name in ("antenna_positions", "scatterer_positions", "terminal_positions"):
             arr = np.asarray(getattr(self, name), dtype=float).reshape(-1, 2)
             object.__setattr__(self, name, arr)
-        if self.wavelength <= 0.0:
-            raise GeometryError("wavelength must be positive")
         if self.scatterer_positions.shape[0] < 1:
             raise GeometryError("scene needs at least one scatterer")
         if self.antenna_positions.shape[0] < 1:
             raise GeometryError("scene needs at least one antenna")
 
-    @property
-    def n_antennas(self) -> int:
-        return self.antenna_positions.shape[0]
 
-
-def _axis_squares(coords, scatterer_coords, wavelength: float) -> np.ndarray:
+def _axis_squares(coords, scatterer_coords) -> np.ndarray:
     """(len(coords), S) squared differences of one coordinate to each
     scatterer's, in wavelengths squared."""
     squares = np.subtract.outer(coords, scatterer_coords)
     squares *= squares
-    squares /= wavelength * wavelength
     return squares
 
 
@@ -197,8 +173,8 @@ def _ray_leg(origins: np.ndarray, scene: ScattererScene, floor: float) -> np.nda
     sx, sy = scene.scatterer_positions.T
     work = _LegWorkspace(origins.shape[0], sx.size)
     squares = np.add(
-        _axis_squares(origins[:, 0], sx, scene.wavelength),
-        _axis_squares(origins[:, 1], sy, scene.wavelength),
+        _axis_squares(origins[:, 0], sx),
+        _axis_squares(origins[:, 1], sy),
         out=work.squares,
     )
     if not squares.all():
@@ -221,11 +197,11 @@ def scatterer_channel_matrix(
 ) -> np.ndarray:
     """Channels from every antenna to every evaluation point via single-bounce rays.
 
-    Each path contributes exp(-j*2*pi*(d1+d2)/lambda) / (d1*d2) where d1 and
-    d2 are the antenna-scatterer and scatterer-point legs. The phase always
-    uses the exact distances; `min_amplitude_distance` floors only the leg
-    lengths in the amplitude denominator, which keeps field maps finite when
-    an evaluation point falls next to a scatterer. Returns (P, M) complex128.
+    Each path contributes exp(-j*2*pi*(d1+d2)) / (d1*d2) where d1 and d2 are
+    the antenna-scatterer and scatterer-point legs, in wavelengths. The phase
+    always uses the exact distances; `min_amplitude_distance` floors only the
+    leg lengths in the amplitude denominator, which keeps field maps finite
+    when an evaluation point falls next to a scatterer. Returns (P, M) complex128.
     `ant_leg`, if given, is this scene's `antenna_leg` at the same floor.
 
     Each leg's phasor is float32 cos/sin of its phase after the whole turns
@@ -266,8 +242,8 @@ def scatterer_field(
     gx = np.asarray(grid_x, dtype=float).ravel()
     gy = np.asarray(grid_y, dtype=float).ravel()
     sx, sy = scene.scatterer_positions.T
-    dx2 = _axis_squares(gx, sx, scene.wavelength)
-    dy2 = _axis_squares(gy, sy, scene.wavelength)
+    dx2 = _axis_squares(gx, sx)
+    dy2 = _axis_squares(gy, sy)
     # d = 0 exactly where both squares of one scatterer's column vanish.
     if np.any((dx2 == 0.0).any(axis=0) & (dy2 == 0.0).any(axis=0)):
         raise GeometryError(_ZERO_RAY)
@@ -308,31 +284,26 @@ def make_focusing_scene(
     bs_distance_lambda: float = 1600.0,
     antenna_spacing_lambda: float = 4.0,
     other_user_offset_lambda: float = 40.0,
-    n_other_users: int = FOCUSING_TERMINALS - 1,
 ) -> ScattererScene:
-    """Scene with a target terminal at the region centre, nearby co-scheduled
-    terminals, and a linear array placed `bs_distance_lambda` to the left.
+    """Scene with the terminals at FOCUSING_OFFSETS times
+    `other_user_offset_lambda` (the target, terminal 0, at the region
+    centre) and a linear array placed `bs_distance_lambda` to the left.
 
     The default antenna spacing is several wavelengths so that the array
     aperture resolves the scatterer cloud; with half-wavelength spacing the
     channel would offer far fewer effective dimensions than antennas.
     """
-    if n_other_users > 0 and other_user_offset_lambda <= 0.0:
+    if other_user_offset_lambda <= 0.0:
         raise GeometryError("other users need a positive offset from the target")
     half = region_side_lambda / 2.0
     scatterers = draw_scatterers(seed, n_scatterers, region_side_lambda)
     array_y = (np.arange(m_antennas) - (m_antennas - 1) / 2.0) * antenna_spacing_lambda
     antennas = np.column_stack([np.full(m_antennas, -half - bs_distance_lambda), array_y])
-    users = [(0.0, 0.0)]
-    offsets = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1)]
-    for i in range(n_other_users):
-        ox, oy = offsets[i % len(offsets)]
-        users.append((ox * other_user_offset_lambda, oy * other_user_offset_lambda))
     return ScattererScene(
         region=(region_side_lambda, region_side_lambda),
         antenna_positions=antennas,
         scatterer_positions=scatterers,
-        terminal_positions=np.asarray(users, dtype=float),
+        terminal_positions=np.array(FOCUSING_OFFSETS, dtype=float) * other_user_offset_lambda,
     )
 
 
@@ -360,33 +331,10 @@ def redraw_scatterers(scene: ScattererScene, seed: Seed) -> ScattererScene:
 # LF line endings, UTF-8/ASCII.
 
 
-@dataclass(frozen=True)
-class MeasuredChannelSet:
-    """Channel matrices measured at F narrowband frequency points."""
-
-    matrices: np.ndarray  # (F, M, K) complex
-
-    def __post_init__(self):
-        arr = np.asarray(self.matrices, dtype=complex)
-        if arr.ndim != 3 or arr.shape[0] < 1:
-            raise DimensionError("measured set must be (F, M, K) with F >= 1")
-        object.__setattr__(self, "matrices", arr)
-
-    @property
-    def f(self) -> int:
-        return self.matrices.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.matrices.shape[1]
-
-    @property
-    def k(self) -> int:
-        return self.matrices.shape[2]
-
-
-def load_measured_channels(path) -> MeasuredChannelSet:
-    """Parse a CFCSV v1 file; errors carry the offending line number."""
+def load_measured_channels(path) -> np.ndarray:
+    """Parse a CFCSV v1 file into its (F, M, K) complex channel matrices,
+    measured at F narrowband frequency points; errors carry the offending
+    line number."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().split("\n")
@@ -430,7 +378,7 @@ def load_measured_channels(path) -> MeasuredChannelSet:
             re = np.array(values[0::2])
             im = np.array(values[1::2])
             matrices[block, row, :] = re + 1j * im
-    return MeasuredChannelSet(matrices=matrices)
+    return matrices
 
 
 def save_measured_channels(matrices, path) -> None:

@@ -112,7 +112,7 @@ def _channel_groups(config: ExperimentConfig):
     also for M < K, without an M-length axis."""
     if config.channels_path is not None:
         measured = channel.load_measured_channels(config.channels_path)
-        yield measured.m, measured.k, [measured.matrices]
+        yield measured.shape[1], measured.shape[2], [measured]
         return
     k = config.params["k"]
     seed = Seed(config.seed)
@@ -204,10 +204,9 @@ def _run_focusing_map(config: ExperimentConfig):
 def _run_ee_se(config: ExperimentConfig):
     p = config.params
     rho_db = np.linspace(p["rho_min_db"], p["rho_max_db"], p["rho_points"])
-    systems = capacity.default_tradeoff_systems(
-        m_massive=p["m_massive"], k_massive=p["k_massive"], m_beamforming=p["m_beamforming"]
+    curves = capacity.ee_se_sweep(
+        10.0 ** (rho_db / 10.0), p["coherence_symbols"], p["m_massive"], p["k_massive"], p["m_beamforming"]
     )
-    curves = capacity.ee_se_sweep(systems, 10.0 ** (rho_db / 10.0), p["coherence_symbols"])
     ref_se, ref_ee = curves["reference"].peak_ee_point()
     rows = []
     summary: dict = {"reference_peak": {"se_bps_hz": ref_se, "ee": ref_ee}}

@@ -20,7 +20,6 @@ class Precoder:
     """Downlink precoding matrix with columns per terminal stream."""
 
     w: np.ndarray  # M x K
-    scheme: str
     power_budget: float
 
     def __post_init__(self):
@@ -55,7 +54,7 @@ def mrt_precoder(h_hat: np.ndarray, power_budget: float) -> Precoder:
     if np.any(norms == 0.0):
         raise DegenerateChannelError("cannot beamform toward an all-zero channel column")
     scale = np.sqrt(power_budget * (1.0 / h.shape[1])) / norms
-    return Precoder(w=np.conj(h) * scale, scheme="mrt", power_budget=power_budget)
+    return Precoder(w=np.conj(h) * scale, power_budget=power_budget)
 
 
 def zf_precoder(h_hat: np.ndarray, power_budget: float) -> Precoder:
@@ -72,7 +71,7 @@ def zf_precoder(h_hat: np.ndarray, power_budget: float) -> Precoder:
     directions = pseudo_inverse(np.conj(h)).conj().T
     norms = np.linalg.norm(directions, axis=0)
     scale = np.sqrt(power_budget * (1.0 / k)) / norms
-    return Precoder(w=directions * scale, scheme="zf", power_budget=power_budget)
+    return Precoder(w=directions * scale, power_budget=power_budget)
 
 
 def evaluate_downlink(h_true: np.ndarray, precoder: Precoder, noise_power: float) -> LinkReport:
@@ -110,6 +109,12 @@ def budget_for_mean_desired_snr(h_true: np.ndarray, snr_linear: float, noise_pow
 # Spatial field maps
 # ---------------------------------------------------------------------------
 
+# The field maps' amplitude floor, in wavelengths: it caps the near-field gain
+# of rays whose scatterer lands next to an evaluation point. Without it the
+# trial average is dominated by those rare close encounters, and a map needs
+# far more than a few hundred placements to settle.
+MIN_AMPLITUDE_DISTANCE = 2.0
+
 
 @dataclass(frozen=True)
 class FieldMap:
@@ -124,7 +129,6 @@ class FieldMap:
     power_db: np.ndarray  # (len(y), len(x))
     terminal_power_db: np.ndarray
     scheme: str
-    trials: int
 
     @property
     def target_gain_db(self) -> float:
@@ -139,13 +143,12 @@ def field_map(
     trials: int,
     seed: Seed,
     *,
-    target_index: int = 0,
-    power_budget: float = 1.0,
-    min_amplitude_distance: float = 2.0,
     workers: int = 1,
 ) -> tuple[FieldMap, ...]:
-    """Average |field|^2 of the target terminal's stream over random scatterer
-    placements, one map per precoder scheme in `schemes` ("mrt", "zf"), in order.
+    """Average |field|^2 of the target terminal's stream (terminal 0 of the
+    scene) over random scatterer placements, one map per precoder scheme in
+    `schemes` ("mrt", "zf"), in order. Each map is in dB relative to its own
+    spatial mean, so the precoders' unit power budget cancels.
 
     Each trial redraws the scatterers and builds the antenna leg once. From
     it come the perfect-CSI channels h to the scene terminals
@@ -157,12 +160,8 @@ def field_map(
     schemes share each trial's scatterer draw and ray legs; only the
     precoder differs. The precoders and the terminal field use the same
     channel rows, so zero-forcing nulls land on the exact terminal
-    coordinates at the float64 floor.
-
-    The default amplitude floor of two wavelengths caps the near-field gain
-    of rays whose scatterer lands next to an evaluation point; without it
-    the trial average is dominated by those rare close encounters and the
-    map needs far more than a few hundred placements to settle.
+    coordinates at the float64 floor. Every ray's amplitude is floored at
+    MIN_AMPLITUDE_DISTANCE.
     """
     if trials < 1:
         raise DomainError("need at least one trial")
@@ -176,16 +175,16 @@ def field_map(
 
     def one_trial(index: int) -> np.ndarray:
         trial_scene = redraw_scatterers(scene, seed.child(index))
-        ant_leg = antenna_leg(trial_scene, min_amplitude_distance)
+        ant_leg = antenna_leg(trial_scene, MIN_AMPLITUDE_DISTANCE)
         # Perfect CSI toward the K terminals.
-        h = scatterer_channel_matrix(trial_scene, scene.terminal_positions, min_amplitude_distance, ant_leg=ant_leg).T
+        h = scatterer_channel_matrix(trial_scene, scene.terminal_positions, MIN_AMPLITUDE_DISTANCE, ant_leg=ant_leg).T
         targets = []
         for scheme in schemes:
-            precoder = mrt_precoder(h, power_budget) if scheme == "mrt" else zf_precoder(h, power_budget)
-            targets.append(precoder.w[:, target_index])
+            precoder = mrt_precoder(h, 1.0) if scheme == "mrt" else zf_precoder(h, 1.0)
+            targets.append(precoder.w[:, 0])
         # A contiguous copy of each precoder column keeps the product's call, and so its bytes, fixed.
         excitations = [ant_leg.T @ np.ascontiguousarray(w) for w in targets]
-        grid_field = scatterer_field(trial_scene, gx, gy, excitations, min_amplitude_distance)
+        grid_field = scatterer_field(trial_scene, gx, gy, excitations, MIN_AMPLITUDE_DISTANCE)
         # One matrix-vector product per scheme: stacking the precoders into
         # one matmul may round differently.
         terminal_field = np.array([h.T @ w for w in targets])
@@ -207,7 +206,6 @@ def field_map(
                 power_db=rel_db[:n_grid].reshape(gy.size, gx.size),
                 terminal_power_db=rel_db[n_grid:],
                 scheme=scheme,
-                trials=trials,
             )
         )
     return tuple(maps)

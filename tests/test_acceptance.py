@@ -92,7 +92,7 @@ def test_criterion_3_energy_spectral_tradeoff_headline():
     """Multi-terminal sweep holds a (>=10x SE, >=100x EE) point over the reference."""
     start = time.monotonic()
     rho_grid = 10 ** (np.linspace(-30.0, 20.0, 201) / 10.0)
-    curves = cap.ee_se_sweep(cap.default_tradeoff_systems(), rho_grid)
+    curves = cap.ee_se_sweep(rho_grid, 196, 100, 40, 100)
     ref_se, ref_ee = curves["reference"].peak_ee_point()
     mrc = curves["mrc"]
     se_rel = mrc.spectral_efficiency / ref_se

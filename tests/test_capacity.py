@@ -134,7 +134,7 @@ class TestEeSeSweep:
     @staticmethod
     def curves():
         rho = 10 ** (np.linspace(-30, 20, 201) / 10.0)
-        return cap.ee_se_sweep(cap.default_tradeoff_systems(), rho)
+        return cap.ee_se_sweep(rho, 196, 100, 40, 100)
 
     def test_reference_normalised_to_one(self, curves):
         ref = curves["reference"]
@@ -152,7 +152,7 @@ class TestEeSeSweep:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
-            cap.ee_se_sweep(cap.default_tradeoff_systems(), [])
+            cap.ee_se_sweep([], 196, 100, 40, 100)
 
     def test_multi_terminal_frontier_headline(self, curves):
         # Multi-terminal operation must offer at least tenfold spectral
@@ -477,7 +477,7 @@ def reference_rural(config, seed, drops):
             base_gain_db=config.base_gain_db,
             terminal_gain_db=config.terminal_gain_db,
             shadow_sigma_db=config.shadow_sigma_db,
-        ).beta
+        )
         for scale, scale_rates in zip((1.0, 0.1, 10.0), rates):
             gammas = cap.estimate_quality(betas, scale * config.terminal_pilot_power_w / noise, tau)
             control = cap.maxmin_power_control(betas, gammas, rho_dl, config.m, config.drop_fraction)

@@ -5,7 +5,6 @@ import pytest
 
 from mmimo import channel
 from mmimo.channel import (
-    LargeScaleProfile,
     ScattererScene,
     antenna_leg,
     build_large_scale_profile,
@@ -81,7 +80,7 @@ class TestPathLoss:
 
 class TestShadowFading:
     def test_zero_sigma(self):
-        assert draw_shadow_db(Seed(0), 0.0) == 0.0
+        assert np.all(draw_shadow_db(Seed(0), 0.0, 3) == 0.0)
 
     def test_sample_std(self):
         draws = draw_shadow_db(Seed(1), 8.0, n=100_000)
@@ -93,7 +92,7 @@ class TestShadowFading:
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(DomainError):
-            draw_shadow_db(Seed(0), -1.0)
+            draw_shadow_db(Seed(0), -1.0, 1)
 
 
 class TestPlaceTerminals:
@@ -124,35 +123,37 @@ class TestPlaceTerminals:
 
 
 class TestLargeScaleProfile:
+    # The array is 30 m and each terminal 5 m above ground: 25 m of height.
+    DZ_KM = 0.025
+
     def _flat_profile(self, xy, **kw):
         kw.setdefault("shadow_sigma_db", 0.0)
         kw.setdefault("terminal_gain_db", 0.0)
         kw.setdefault("base_gain_db", 0.0)
-        kw.setdefault("base_height_m", 0.0)
-        kw.setdefault("terminal_height_m", 0.0)
         return build_large_scale_profile(xy, Seed(0), **kw)
 
     def test_beta_at_1km_anchor(self):
-        profile = self._flat_profile(np.array([[1.0, 0.0]]))
-        assert profile.beta[0] == pytest.approx(10 ** (-12.7), rel=1e-9)
+        beta = self._flat_profile(np.array([[1.0, 0.0]]))
+        # 127 dB at 1 km, 35.2 dB per decade of the 3-D distance.
+        expected = 10 ** (-(127.0 + 35.2 * np.log10(np.hypot(1.0, self.DZ_KM))) / 10.0)
+        assert beta[0] == pytest.approx(expected, rel=1e-9)
 
     def test_shadow_shift_scales_beta(self):
         base = self._flat_profile(np.array([[2.0, 0.0]]))
-        shifted_beta = base.beta[0] * 10**0.8
+        shifted_beta = base[0] * 10**0.8
         # +8 dB of shadow multiplies beta by exactly 10^0.8.
-        manual = 10 ** ((-base.path_loss_db[0] + 8.0) / 10.0)
+        manual = 10 ** ((-path_loss_db(np.hypot(2.0, self.DZ_KM)) + 8.0) / 10.0)
         assert manual == pytest.approx(shifted_beta, rel=1e-12)
 
     def test_monotone_in_distance(self):
         xy = np.column_stack([np.linspace(0.5, 6.0, 30), np.zeros(30)])
-        profile = self._flat_profile(xy)
-        assert np.all(np.diff(profile.beta) < 0)
+        assert np.all(np.diff(self._flat_profile(xy)) < 0)
 
     def test_gains_raise_beta(self):
         xy = np.array([[1.0, 0.0]])
         plain = self._flat_profile(xy)
         gained = self._flat_profile(xy, terminal_gain_db=8.0)
-        assert gained.beta[0] == pytest.approx(plain.beta[0] * 10**0.8, rel=1e-12)
+        assert gained[0] == pytest.approx(plain[0] * 10**0.8, rel=1e-12)
 
 
 class TestScattererChannel:
@@ -207,13 +208,13 @@ class TestScattererChannel:
 
     @pytest.mark.parametrize("floor", [0.0, 2.0])
     def test_matrix_bounded_against_pairwise_reference(self, floor):
-        scene = dataclasses.replace(make_focusing_scene(Seed(7), m_antennas=6, n_scatterers=30), wavelength=0.75)
+        scene = make_focusing_scene(Seed(7), m_antennas=6, n_scatterers=30)
         # Grid points plus points within the floor of a scatterer, where it binds.
         pts = np.vstack([np.linspace(-300.0, 300.0, 14).reshape(7, 2), scene.scatterer_positions[:5] + (0.4, -0.3)])
 
         def reference_parts(a):
             diff = a[:, None, :] - scene.scatterer_positions[None, :, :]
-            d = np.sqrt(np.sum(diff**2, axis=2)) / scene.wavelength
+            d = np.sqrt(np.sum(diff**2, axis=2))
             return d, 1.0 / (d if floor <= 0.0 else np.maximum(d, floor))
 
         def reference_leg(a):
@@ -275,11 +276,11 @@ class TestScattererChannel:
 
 
 class TestScattererField:
-    def _scene(self, wavelength=1.0):
-        return dataclasses.replace(make_focusing_scene(Seed(8), m_antennas=6, n_scatterers=30), wavelength=wavelength)
+    def _scene(self):
+        return make_focusing_scene(Seed(8), m_antennas=6, n_scatterers=30)
 
     def _excitations(self, scene, columns=2):
-        w = draw_complex_gaussian(Seed(9), scene.n_antennas, columns)
+        w = draw_complex_gaussian(Seed(9), scene.antenna_positions.shape[0], columns)
         return [antenna_leg(scene, 2.0).T @ np.ascontiguousarray(w[:, j]) for j in range(columns)]
 
     @pytest.mark.parametrize("rows", [2, 7, 40, 41, 42, 128])
@@ -324,17 +325,17 @@ class TestScattererField:
 
     @pytest.mark.parametrize("floor", [0.0, 2.0])
     def test_field_bounded_against_pairwise_reference(self, floor):
-        scene = self._scene(wavelength=0.75)
+        scene = self._scene()
         # A lattice plus points within the floor of two scatterers, where it binds.
         gx = np.concatenate([np.linspace(-300.0, 300.0, 7), scene.scatterer_positions[:2, 0] + 0.4])
         gy = np.concatenate([np.linspace(-300.0, 300.0, 5), scene.scatterer_positions[:2, 1] - 0.3])
         xs, ys = np.meshgrid(gx, gy)
         points = np.column_stack([xs.ravel(), ys.ravel()])
-        w = draw_complex_gaussian(Seed(10), scene.n_antennas, 1)[:, 0]
+        w = draw_complex_gaussian(Seed(10), scene.antenna_positions.shape[0], 1)[:, 0]
 
         def reference_parts(a):
             diff = a[:, None, :] - scene.scatterer_positions[None, :, :]
-            d = np.sqrt(np.sum(diff**2, axis=2)) / scene.wavelength
+            d = np.sqrt(np.sum(diff**2, axis=2))
             return d, 1.0 / (d if floor <= 0.0 else np.maximum(d, floor))
 
         def reference_leg(a):
@@ -353,9 +354,9 @@ class TestMeasuredChannels:
         path = tmp_path / "set.cfcsv"
         path.write_text("2,1,1\n1.0,0.5\n-0.25,2.0\n")
         loaded = load_measured_channels(path)
-        assert loaded.m == 2 and loaded.k == 1 and loaded.f == 1
-        assert loaded.matrices[0, 0, 0] == 1.0 + 0.5j
-        assert loaded.matrices[0, 1, 0] == -0.25 + 2.0j
+        assert loaded.shape == (1, 2, 1)
+        assert loaded[0, 0, 0] == 1.0 + 0.5j
+        assert loaded[0, 1, 0] == -0.25 + 2.0j
 
     def test_round_trip_bit_exact(self, tmp_path):
         h = draw_complex_gaussian(Seed(7), 4, 3)
@@ -363,7 +364,7 @@ class TestMeasuredChannels:
         path = tmp_path / "round.cfcsv"
         save_measured_channels(stack, path)
         loaded = load_measured_channels(path)
-        assert np.array_equal(loaded.matrices, stack)
+        assert np.array_equal(loaded, stack)
 
     def test_missing_row_names_counts(self, tmp_path):
         path = tmp_path / "short.cfcsv"

@@ -63,7 +63,7 @@ class TestMrtPrecoder:
     def test_budget_mismatch_rejected(self):
         w = mrt_precoder(draw_complex_gaussian(Seed(28), 4, 2), 1.0).w
         with pytest.raises(DomainError, match="radiates"):
-            Precoder(w=w, scheme="mrt", power_budget=2.0)
+            Precoder(w=w, power_budget=2.0)
 
     def test_mean_sum_rate_near_ceiling(self):
         # Many antennas, few users: Monte Carlo sum rate approaches the
@@ -187,7 +187,7 @@ class TestInvariants:
 class TestFieldMap:
     def test_single_antenna_map_is_flat(self):
         seed = Seed(15)
-        scene = make_focusing_scene(seed.child(0), m_antennas=1, n_other_users=0)
+        scene = make_focusing_scene(seed.child(0), m_antennas=1)
         grid = np.linspace(-150.0, 150.0, 21)
         (result,) = field_map(scene, ("mrt",), grid, grid, 1000, seed.child(1))
         assert abs(result.target_gain_db) < 3.0
