@@ -92,32 +92,44 @@ def estimate_quality(betas, rho_pilot: float, tau: int) -> np.ndarray:
     return energy * b**2 / (1.0 + energy * b)
 
 
-def ul_mrc_sinr(m: int, rho_ul, betas, gammas) -> np.ndarray:
-    """Effective uplink SINR of the conjugate combiner with estimated CSI.
+def estimate_error(betas, rho_pilot: float, tau: int) -> np.ndarray:
+    """Mean-square of the MMSE estimation error per terminal,
+    beta - gamma = beta / (1 + rho_pilot tau beta), formed without the
+    cancellation of the difference, which reaches 0 once gamma rounds to beta
+    (Ngo, Larsson & Marzetta, IEEE TCOM 2013)."""
+    b = np.asarray(betas, dtype=float)
+    return b / (1.0 + rho_pilot * tau * b)
+
+
+def ul_mrc_sinr(m: int, rho_ul, betas, rho_pilot, tau: int) -> np.ndarray:
+    """Effective uplink SINR of the conjugate combiner with MMSE estimates
+    from pilots of length `tau` sent at `rho_pilot`.
 
     Two standard lower-bound forms exist for this receiver; the (m - 1)
     variant is usually tighter but degenerates at m = 1, so the elementwise
     best of the two is used (both individually lower-bound the same rate).
-    `rho_ul` is a scalar, or an (R, 1) column with gammas (R, K), one row per
+    The tight form's interference is 1 + rho_ul (sum_{j != k} beta_j +
+    epsilon_k), with epsilon the estimation error, so it stays >= 1 at any
+    SNR. `rho_ul` and `rho_pilot` are scalars, or (R, 1) columns, one row per
     transmit SNR.
     """
     b = np.asarray(betas, dtype=float)
-    g = np.asarray(gammas, dtype=float)
+    g = estimate_quality(b, rho_pilot, tau)
     total = float(np.sum(b))
-    tight = rho_ul * (m - 1) * g / (1.0 + rho_ul * total - rho_ul * g)
+    tight = rho_ul * (m - 1) * g / (1.0 + rho_ul * (total - b + estimate_error(b, rho_pilot, tau)))
     hardening = rho_ul * m * g / (1.0 + rho_ul * total)
     return np.maximum(tight, hardening)
 
 
-def ul_zf_sinr(m: int, rho_ul, betas, gammas) -> np.ndarray:
-    """Effective uplink SINR of the zero-forcing receiver with estimated CSI.
-    `rho_ul` and `gammas` are as in `ul_mrc_sinr`; the residual estimation
-    error is summed per row."""
+def ul_zf_sinr(m: int, rho_ul, betas, rho_pilot, tau: int) -> np.ndarray:
+    """Effective uplink SINR of the zero-forcing receiver with MMSE
+    estimates. The arguments are as in `ul_mrc_sinr`; the estimation error
+    epsilon is summed per row."""
     b = np.asarray(betas, dtype=float)
-    g = np.asarray(gammas, dtype=float)
     if b.size >= m:
         raise RankError(f"zero-forcing bound needs K < M, got K={b.size}, M={m}")
-    residual = np.sum(b - g, axis=-1, keepdims=True)
+    g = estimate_quality(b, rho_pilot, tau)
+    residual = np.sum(estimate_error(b, rho_pilot, tau), axis=-1, keepdims=True)
     return rho_ul * (m - b.size) * g / (1.0 + rho_ul * residual)
 
 
@@ -146,8 +158,7 @@ def ul_rate_bound(params: SystemParams, scheme: str, betas) -> np.ndarray:
     b = np.asarray(betas, dtype=float)
     if b.size != params.k:
         raise DimensionError(f"need {params.k} slow-fading coefficients, got {b.size}")
-    g = estimate_quality(b, params.pilot_snr, params.tau)
-    sinr = _UL_SINR[scheme](params.m, params.rho_ul, b, g)
+    sinr = _UL_SINR[scheme](params.m, params.rho_ul, b, params.pilot_snr, params.tau)
     return params.overhead_prefactor * np.log2(1.0 + sinr)
 
 
@@ -168,9 +179,8 @@ def _statistic_pieces(params: SystemParams, betas: np.ndarray, seed: Seed, n_dra
     Z^H Z = A A^H, Z^H Z_e = A X in distribution, also for M < K (then B is
     K x M). For K < M, B is K x K lower triangular.
     """
-    energy = params.pilot_snr * params.tau
     estimate_scale = np.sqrt(estimate_quality(betas, params.pilot_snr, params.tau))[:, None]
-    error_scale = np.sqrt(betas / (1.0 + energy * betas))  # beta - gamma, without cancellation
+    error_scale = np.sqrt(estimate_error(betas, params.pilot_snr, params.tau))
     for a, x in bartlett_blocks(seed, params.m, betas.size, n_draws, VALIDATOR_BLOCK, cross=True):
         yield estimate_scale * a, x * error_scale
 
@@ -344,7 +354,7 @@ def ee_se_sweep(
     for label, m, k, ul_sinr in systems:
         params = SystemParams(m=m, k=k, tau=k, coherence_symbols=coherence_symbols)
         betas = np.ones(k)
-        sinr = ul_sinr(m, column, betas, estimate_quality(betas, column, k))
+        sinr = ul_sinr(m, column, betas, column, k)
         se = np.sum(params.overhead_prefactor * np.log2(1.0 + sinr), axis=1)
         curves[label] = SweepCurve(spectral_efficiency=se, energy_efficiency=se / (k * rho))
     return curves
@@ -559,6 +569,7 @@ __all__ = [
     "RuralResult",
     "noise_power_w",
     "estimate_quality",
+    "estimate_error",
     "ul_mrc_sinr",
     "ul_zf_sinr",
     "dl_mrt_sinr",

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -501,6 +502,22 @@ class TestCliProcess:
         assert outcome.stderr.count("\n") == 1
         assert "Traceback" not in outcome.stderr
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("rho_max_db", [200, 3000])
+    def test_ee_se_tradeoff_finite_at_high_snr(self, tmp_path, rho_max_db):
+        # 1 + rho sum(beta) - rho gamma cancelled to 0 from about 160 dB; the
+        # interference 1 + rho (sum_{j != k} beta_j + epsilon_k) stays >= 1.
+        body = f"[experiment]\nexperiment = ee-se-tradeoff\n\n[ee-se-tradeoff]\nrho_max_db = {rho_max_db}\n"
+        path = write_config(tmp_path / "c.ini", body)
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outcome = CliRunner().invoke(main, ["run", "--config", path, "--out", str(out)])
+        assert outcome.exit_code == 0, outcome.stderr
+        assert [str(w.message) for w in caught] == []
+        rows = [line.split(",") for line in (out / "tradeoff.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 4 * 201
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row[1:])
 
     @pytest.mark.parametrize("paper_scale", [False, True])
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
