@@ -8,6 +8,7 @@ columns = terminals). Scatterer-scene coordinates are in wavelengths.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -327,7 +328,7 @@ def redraw_scatterers(scene: ScattererScene, seed: Seed) -> ScattererScene:
 # ---------------------------------------------------------------------------
 #
 # Line 1: "M,K,F" in ASCII decimal. Then F blocks of M lines; each line holds
-# 2K comma-separated floats, re/im interleaved per terminal (k = 1..K).
+# 2K comma-separated finite floats, re/im interleaved per terminal (k = 1..K).
 # LF line endings, UTF-8/ASCII.
 
 
@@ -375,6 +376,9 @@ def load_measured_channels(path) -> np.ndarray:
                 values = [float(tok) for tok in tokens]
             except ValueError:
                 raise ParseError(f"non-numeric token in {lines[lineno - 1]!r}", line=lineno) from None
+            bad = [tok for tok, value in zip(tokens, values) if not math.isfinite(value)]
+            if bad:
+                raise ParseError(f"non-finite value {bad[0].strip()!r}; values must be finite floats", line=lineno)
             re = np.array(values[0::2])
             im = np.array(values[1::2])
             matrices[block, row, :] = re + 1j * im

@@ -384,6 +384,13 @@ class TestMeasuredChannels:
         with pytest.raises(ParseError, match="line 2"):
             load_measured_channels(path)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_value_names_line(self, tmp_path, token):
+        path = tmp_path / "nonfinite.cfcsv"
+        path.write_text(f"2,1,1\n1.0,0.0\n2.0,{token}\n")
+        with pytest.raises(ParseError, match=f"line 3: non-finite value '{token}'"):
+            load_measured_channels(path)
+
     def test_non_utf8_byte_names_line(self, tmp_path):
         path = tmp_path / "enc.cfcsv"
         path.write_bytes(b"2,1,1\n1.0,0.0\n2.0,\xff0.0\n")

@@ -432,6 +432,21 @@ class TestCliProcess:
         assert "Traceback" not in outcome.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment", ["svd-spread", "mrt-sumrate"])
+    def test_non_finite_channel_value_exit_code_3(self, tmp_path, experiment):
+        # Rejected by the parser with its line, before any matrix is reduced.
+        channels = tmp_path / "set.cfcsv"
+        channels.write_text("2,1,2\n1.0,0.0\n2.0,0.5\n1.0,-0.5\ninf,0.0\n")
+        path = write_config(tmp_path / "c.ini", f"[experiment]\nexperiment = {experiment}\n")
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outcome = CliRunner().invoke(main, ["run", "--config", path, "--channels", str(channels), "--out", str(out)])
+        assert outcome.exit_code == 3
+        assert outcome.stderr == "error: line 5: non-finite value 'inf'; values must be finite floats\n"
+        assert [str(w.message) for w in caught] == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize(
         "experiment, seed, value",
