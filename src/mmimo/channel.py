@@ -202,8 +202,9 @@ def scatterer_channel_matrix(
     the antenna-scatterer and scatterer-point legs, in wavelengths. The phase
     always uses the exact distances; `min_amplitude_distance` floors only the
     leg lengths in the amplitude denominator, which keeps field maps finite
-    when an evaluation point falls next to a scatterer. Returns (P, M) complex128.
-    `ant_leg`, if given, is this scene's `antenna_leg` at the same floor.
+    when an evaluation point falls next to a scatterer. Returns (P, M)
+    complex128. `ant_leg`, if given, is this scene's `antenna_leg` at the
+    same floor.
 
     Each leg's phasor is float32 cos/sin of its phase after the whole turns
     are removed in float64 (see `_phasor_leg`), so every ray is within about
