@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import build_large_scale_profile, place_terminals
+from .channel import draw_shadow_db, large_scale_gain, squared_ground_radii
 from .errors import ConfigError, DegenerateChannelError, DimensionError, DomainError, RankError
-from .numerics import Seed, bartlett_blocks
+from .numerics import BLOCK_ENTRIES, Seed, bartlett_blocks
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 
@@ -407,22 +407,40 @@ def maxmin_power_control(
         raise DomainError("no terminals to serve")
     if b.ndim != 1 or g.ndim not in (1, 2) or g.shape[-1] != b.size:
         raise DimensionError("betas and gammas must align")
+    served, cost, sinr = _equal_sinr(b[None], g.reshape(-1, 1, b.size), rho_dl, m, drop_fraction)
+    served, cost, sinr = served[0], cost[:, 0], sinr[:, 0]
+    eta = np.zeros(g.shape)
+    eta[..., served] = (sinr[:, None] * cost).reshape(*g.shape[:-1], served.size)
+    dropped = tuple(np.setdiff1d(np.arange(b.size), served).tolist())
+    return PowerControl(eta=eta, dropped=dropped, sinr=float(sinr[0]) if g.ndim == 1 else sinr)
+
+
+def _equal_sinr(b: np.ndarray, g: np.ndarray, rho_dl: float, m: int, drop_fraction: float):
+    """`maxmin_power_control` for D drops at once: `b` is (D, K) and `g`
+    (R, D, K). Returns each drop's served terminals in ascending order of
+    beta as (D, S) flat indices into `b`, their (R, D, S) costs
+    (1 + rho_dl beta) / (rho_dl m gamma), and the (R, D) equalised SINRs,
+    1 / a row's sum. Each row is summed as a 1-D array, whose bits a sum
+    along an axis of the 3-D costs need not match."""
     if np.any(b <= 0.0) or np.any(g <= 0.0):
         raise DomainError("slow-fading and estimate-quality coefficients must be positive")
     if not 0.0 <= drop_fraction < 1.0:
         raise DomainError("drop fraction must be in [0, 1)")
-    n_drop = int(math.floor(drop_fraction * b.size))
-    order = np.argsort(b, kind="stable")
-    dropped = tuple(sorted(int(i) for i in order[:n_drop]))
-    served = order[n_drop:]
-    if served.size == 0:
+    d, k = b.shape
+    n_drop = int(math.floor(drop_fraction * k))
+    if n_drop == k:
         raise DomainError("power control dropped every terminal")
-    cost = (1.0 + rho_dl * b[served]) / (rho_dl * m * g[..., served])
-    # Each row summed as a 1-D array: a 2-D sum along the last axis may round differently.
-    sinr = 1.0 / np.array([np.sum(row) for row in cost.reshape(-1, served.size)]).reshape(g.shape[:-1])
-    eta = np.zeros(g.shape)
-    eta[..., served] = sinr[..., None] * cost
-    return PowerControl(eta=eta, dropped=dropped, sinr=float(sinr) if g.ndim == 1 else sinr)
+    # Equal betas have equal costs, so only a tie across the cut needs the
+    # index tie-break of a stable sort; the default sort is about 4x faster.
+    order = np.argsort(b, axis=-1)
+    if n_drop > 0:
+        cut = np.take_along_axis(b, order[:, n_drop - 1 : n_drop + 1], axis=-1)
+        tied = cut[:, 0] == cut[:, 1]
+        order[tied] = np.argsort(b[tied], axis=-1, kind="stable")
+    served = order[:, n_drop:] + k * np.arange(d)[:, None]
+    cost = (1.0 + rho_dl * np.take(b, served)) / (rho_dl * m * np.take(g.reshape(len(g), -1), served, axis=1))
+    sums = np.array([np.sum(row) for row in cost.reshape(-1, k - n_drop)])
+    return served, cost, 1.0 / sums.reshape(cost.shape[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -509,49 +527,53 @@ class RuralResult:
         }
 
 
+# Drops of `rural_broadband` evaluated at once: at the pinned 1000 terminals
+# a piece's arrays span about BLOCK_ENTRIES float64 entries. Of 1 to 16 drops,
+# 4 was the fastest. The piece size changes no output.
+RURAL_PIECE_DROPS = BLOCK_ENTRIES // (8 * RuralConfig.n_terminals)
+
+
 def rural_broadband(config: RuralConfig, seed: Seed, drops: int) -> RuralResult:
     """Monte Carlo over terminal placement and shadow fading.
 
-    Each drop re-places the terminals, rebuilds the slow-fading profile, and
-    runs one max-min power control over the served set, with one row of
-    estimate qualities per pilot power: the configured one, 10x weaker and
-    10x stronger (the scenario fixes only that pilots are accurate enough,
-    so the summary reports the last two as a sensitivity). Each row's
-    equalised SINR gives that pilot power's conjugate beamforming rate bound.
-    Only slow-fading scalars are handled, so the array size never
+    Drop i draws its terminals' squared ground radii from
+    `seed.child(i).child(0)` (`squared_ground_radii`; the link budget needs
+    no azimuth) and their shadow fading from `seed.child(i).child(1)`. The
+    drops are then evaluated RURAL_PIECE_DROPS at a time: the slow-fading
+    profile, and one max-min power control per drop over the served set,
+    with one row of estimate qualities per pilot power: the configured one,
+    10x weaker and 10x stronger (the scenario fixes only that pilots are
+    accurate enough, so the summary reports the last two as a sensitivity).
+    Each row's equalised SINR gives that pilot power's conjugate beamforming
+    rate bound. Only slow-fading scalars are handled, so the array size never
     materialises as a matrix.
     """
     if drops < 1:
         raise DomainError("need at least one drop")
     noise = noise_power_w(config.bandwidth_hz, config.noise_figure_db)
     rho_dl = config.total_power_w / noise
-    # Pilot powers x1 (the scenario), x0.1 and x10 (its sensitivity), as a column.
-    rho_pilot = np.array([[1.0], [0.1], [10.0]]) * config.terminal_pilot_power_w / noise
+    # Pilot powers x1 (the scenario), x0.1 and x10 (its sensitivity), one per row.
+    rho_pilot = np.array([1.0, 0.1, 10.0])[:, None, None] * config.terminal_pilot_power_w / noise
     tau = int(round(config.pilot_fraction * config.coherence_s * config.bandwidth_hz))
+    k = config.n_terminals
     sinr = np.empty((rho_pilot.size, drops))  # one row per pilot power
     quality = np.empty(drops)
-    for index in range(drops):
-        drop_seed = seed.child(index)
-        positions = place_terminals(drop_seed.child(0), config.n_terminals, config.radius_km, config.exclusion_km)
-        betas = build_large_scale_profile(
-            positions,
-            drop_seed.child(1),
-            base_gain_db=config.base_gain_db,
-            terminal_gain_db=config.terminal_gain_db,
-            shadow_sigma_db=config.shadow_sigma_db,
-        )
+    for start in range(0, drops, RURAL_PIECE_DROPS):
+        piece = [seed.child(i) for i in range(start, min(start + RURAL_PIECE_DROPS, drops))]
+        squared_radii = [squared_ground_radii(s.child(0), k, config.radius_km, config.exclusion_km) for s in piece]
+        shadow = [draw_shadow_db(s.child(1), config.shadow_sigma_db, k) for s in piece]
+        betas = large_scale_gain(np.array(squared_radii), np.array(shadow), config.base_gain_db + config.terminal_gain_db)
         gammas = estimate_quality(betas, rho_pilot, tau)
-        control = maxmin_power_control(betas, gammas, rho_dl, config.m, config.drop_fraction)
-        sinr[:, index] = control.sinr
-        served = control.served
-        quality[index] = np.min(gammas[0, served] / betas[served])
+        served, _, piece_sinr = _equal_sinr(betas, gammas, rho_dl, config.m, config.drop_fraction)
+        sinr[:, start : start + len(piece)] = piece_sinr
+        quality[start : start + len(piece)] = np.min(np.take(gammas[0] / betas, served), axis=-1)
     # math.log2 per SINR, not np.log2, which may differ in the last bit.
     log_rates = [[math.log2(1.0 + s) for s in row] for row in sinr.tolist()]
     rate, weaker, stronger = (1.0 - config.pilot_fraction) * np.array(log_rates) * config.bandwidth_hz / 1e6
     return RuralResult(
         equal_rate_mbps=rate,
         sinr=sinr[0],
-        served=served.size,  # the same in every drop: it depends only on the counts
+        served=served.shape[-1],  # the same in every drop: it depends only on the counts
         bandwidth_hz=config.bandwidth_hz,
         pilot_quality_min=float(np.min(quality)),
         sensitivity_mbps={

@@ -1,5 +1,5 @@
 """Channel generation: geometric scatterer rays, large-scale link budgets,
-terminal placement, and measured-channel files (i.i.d. draws: `numerics`).
+terminal ground radii, and measured-channel files (i.i.d. draws: `numerics`).
 
 Conventions: channel matrices are M x K (rows = base-station antennas,
 columns = terminals). Scatterer-scene coordinates are in wavelengths.
@@ -57,45 +57,54 @@ def draw_shadow_db(seed: Seed, sigma_db: float, n: int) -> np.ndarray:
 
 def place_terminals(seed: Seed, n: int, radius_km: float, exclusion_km: float = 0.0) -> np.ndarray:
     """Drop `n` terminals uniformly over the annulus between the exclusion
-    radius and the cell radius. Returns (n, 2) ground coordinates in km."""
+    radius and the cell radius. Returns their (n,) ground radii in km: the
+    link budget is rotationally symmetric, so no azimuth is drawn."""
+    return np.sqrt(squared_ground_radii(seed, n, radius_km, exclusion_km))
+
+
+def squared_ground_radii(seed: Seed, n: int, radius_km: float, exclusion_km: float = 0.0) -> np.ndarray:
+    """The squared ground radii, in km^2, of `place_terminals`: the first
+    uniform draw of `seed`."""
     if n < 0:
         raise DomainError("terminal count must be >= 0")
     if not 0.0 <= exclusion_km < radius_km:
         raise DomainError("need 0 <= exclusion radius < cell radius")
-    rng = seed.generator()
-    # Uniform over area: CDF of the radial coordinate is (r^2 - r0^2)/(R^2 - r0^2).
-    r = np.sqrt(rng.uniform(exclusion_km**2, radius_km**2, size=n))
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+    # Uniform over area: r^2 is uniform between the two radii squared.
+    return seed.generator().uniform(exclusion_km**2, radius_km**2, size=n)
 
 
-def terminal_distance_km(positions: np.ndarray) -> np.ndarray:
-    """3-D distance from the array, BASE_HEIGHT_M up, to each terminal,
-    TERMINAL_HEIGHT_M up."""
-    xy = np.asarray(positions, dtype=float).reshape(-1, 2)
+def terminal_distance_km(squared_radii) -> np.ndarray:
+    """3-D distance from the array, BASE_HEIGHT_M up, to terminals
+    TERMINAL_HEIGHT_M up at the given squared ground radii (km^2)."""
     dz_km = (BASE_HEIGHT_M - TERMINAL_HEIGHT_M) / 1000.0
-    return np.sqrt(xy[:, 0] ** 2 + xy[:, 1] ** 2 + dz_km**2)
+    return np.sqrt(np.asarray(squared_radii, dtype=float) + dz_km**2)
+
+
+def large_scale_gain(squared_radii, shadow_db, gains_db: float) -> np.ndarray:
+    """Slow-fading coefficients beta, any shape: the linear power gain
+    10^((-path_loss + shadow + gains)/10) of terminals at the given squared
+    ground radii (km^2) with the given shadow fading (dB) and antenna gains.
+    Receiver noise is accounted scenario-side, never inside beta."""
+    loss = path_loss_db(terminal_distance_km(squared_radii))
+    return 10.0 ** ((-loss + shadow_db + gains_db) / 10.0)
 
 
 def build_large_scale_profile(
-    positions: np.ndarray,
+    radii: np.ndarray,
     seed: Seed,
     *,
     base_gain_db: float = 0.0,
     terminal_gain_db: float = 8.0,
     shadow_sigma_db: float = 8.0,
 ) -> np.ndarray:
-    """Per-terminal slow-fading coefficients beta of the given drop: the
-    linear power gain 10^((-path_loss + shadow + gains)/10) of path loss,
-    shadow fading and antenna gains. Receiver noise is accounted
-    scenario-side, never inside beta."""
-    xy = np.asarray(positions, dtype=float).reshape(-1, 2)
-    if xy.shape[0] == 0:
+    """Per-terminal slow-fading coefficients beta of a drop at the given
+    ground radii (km), with shadow fading drawn from `seed`
+    (`large_scale_gain`)."""
+    r = np.asarray(radii, dtype=float).reshape(-1)
+    if r.size == 0:
         raise DomainError("need at least one terminal position")
-    loss = path_loss_db(terminal_distance_km(xy))
-    shadow = draw_shadow_db(seed, shadow_sigma_db, n=xy.shape[0])
-    gains = base_gain_db + terminal_gain_db
-    return 10.0 ** ((-loss + shadow + gains) / 10.0)
+    shadow = draw_shadow_db(seed, shadow_sigma_db, n=r.size)
+    return large_scale_gain(r**2, shadow, base_gain_db + terminal_gain_db)
 
 
 # ---------------------------------------------------------------------------

@@ -60,14 +60,15 @@ def _parse_positive_float(text: str) -> float:
 
 
 def _parse_db(text: str) -> float:
-    """A level in dB whose linear value 10^(x/10) is a finite float > 0."""
+    """A level in dB whose linear value 10^(x/10) is a float in (0, 1e300]:
+    from about 3,063 dB the runs' own products of it overflow."""
     value = _parse_finite_float(text)
     try:
         linear = 10.0 ** (value / 10.0)
     except OverflowError:
         linear = math.inf
-    if not 0.0 < linear < math.inf:
-        raise ValueError(f"must be a dB level whose linear value is a finite float > 0, got {text.strip()!r}")
+    if not 0.0 < linear <= 1e300:
+        raise ValueError(f"must be a dB level of at most 3000 dB whose linear value is > 0, got {text.strip()!r}")
     return value
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mmimo import capacity as cap
-from mmimo.channel import build_large_scale_profile, place_terminals
+from mmimo.channel import BASE_HEIGHT_M, TERMINAL_HEIGHT_M, path_loss_db
 from mmimo.errors import ConfigError, DegenerateChannelError, DimensionError, DomainError, RankError
 from mmimo.numerics import Seed, draw_bartlett, draw_complex_gaussian
 from mmimo.transceiver import budget_for_mean_desired_snr, evaluate_downlink, mrt_precoder
@@ -252,6 +252,28 @@ class TestMaxMinPowerControl:
             assert control.dropped == single.dropped
             assert np.array_equal(control.served, single.served)
 
+    @pytest.mark.parametrize("drop_fraction", [0.0, 0.05, 0.3])
+    def test_piece_rows_equal_one_dimensional_calls(self, drop_fraction):
+        # The piece helper's (R, D, K) rows are D x R 1-D calls, bit for bit.
+        rng = np.random.default_rng(7)
+        betas = rng.lognormal(-20.0, 2.0, (4, 300))
+        gammas = betas * rng.uniform(0.5, 1.0, (3, *betas.shape))
+        served, _, sinr = cap._equal_sinr(betas, gammas, 1e12, 6400, drop_fraction)
+        assert sinr.shape == (3, 4) and served.shape == (4, 300 - math.floor(drop_fraction * 300))
+        for d in range(4):
+            for r in range(3):
+                single = cap.maxmin_power_control(betas[d], gammas[r, d], 1e12, 6400, drop_fraction)
+                assert sinr[r, d] == single.sinr
+                assert np.array_equal(np.sort(served[d] - 300 * d), single.served)
+
+    def test_piece_tie_break_is_stable(self):
+        # A tie across the cut drops the lowest indices, whatever the piece's
+        # other drops hold; the sort alone may order the 77 ties of 13 levels otherwise.
+        betas = np.stack([np.linspace(2.0, 1.0, 1000), np.ones(1000), 1.0 + np.arange(1000) % 13])
+        served, _, _ = cap._equal_sinr(betas, 0.9 * betas[None], 10.0, 64, 0.05)
+        dropped = [sorted(set(range(1000)) - set(row.tolist())) for row in served % 1000]
+        assert dropped == [list(range(950, 1000)), list(range(50)), list(range(0, 650, 13))]
+
     @pytest.mark.parametrize(
         "betas_shape, gammas_shape",
         [((5,), (4,)), ((5,), (3, 4)), ((5,), (2, 3, 5)), ((1, 5), (1, 5)), ((5,), ())],
@@ -461,23 +483,22 @@ class TestDlBoundValidity:
 
 
 def reference_rural(config, seed, drops):
-    """`rural_broadband` by its former formula: per drop, one 1-D max-min
-    power control per pilot power (x1, x0.1, x10), each rate from math.log2.
-    Returns (rates per pilot power, the x1 SINRs, pilot_quality_min, served)."""
+    """`rural_broadband` drop by drop: the link budget at the 3-D distance
+    over the squared ground radius (the first uniform draw of the drop's
+    `child(0)`) and one 1-D max-min power control per pilot power (x1, x0.1,
+    x10), each rate from math.log2. Returns (rates per pilot power, the x1
+    SINRs, pilot_quality_min, served)."""
     noise = cap.noise_power_w(config.bandwidth_hz, config.noise_figure_db)
     rho_dl = config.total_power_w / noise
     tau = int(round(config.pilot_fraction * config.coherence_s * config.bandwidth_hz))
+    k = config.n_terminals
     rates, sinrs, qualities, served = ([], [], []), [], [], set()
     for index in range(drops):
         drop_seed = seed.child(index)
-        positions = place_terminals(drop_seed.child(0), config.n_terminals, config.radius_km, config.exclusion_km)
-        betas = build_large_scale_profile(
-            positions,
-            drop_seed.child(1),
-            base_gain_db=config.base_gain_db,
-            terminal_gain_db=config.terminal_gain_db,
-            shadow_sigma_db=config.shadow_sigma_db,
-        )
+        squared_radii = drop_seed.child(0).generator().uniform(config.exclusion_km**2, config.radius_km**2, k)
+        distance = np.sqrt(squared_radii + ((BASE_HEIGHT_M - TERMINAL_HEIGHT_M) / 1000.0) ** 2)
+        shadow = config.shadow_sigma_db * drop_seed.child(1).generator().standard_normal(k)
+        betas = 10.0 ** ((-path_loss_db(distance) + shadow + (config.base_gain_db + config.terminal_gain_db)) / 10.0)
         for scale, scale_rates in zip((1.0, 0.1, 10.0), rates):
             gammas = cap.estimate_quality(betas, scale * config.terminal_pilot_power_w / noise, tau)
             control = cap.maxmin_power_control(betas, gammas, rho_dl, config.m, config.drop_fraction)
@@ -501,9 +522,10 @@ class TestRuralBroadband:
         ],
         ids=["pinned", "k200-drop0", "k200-drop0.3"],
     )
-    def test_equals_three_pass_reference(self, config):
-        result = cap.rural_broadband(config, Seed(7), drops=6)
-        (rate, weaker, stronger), sinr, quality, served = reference_rural(config, Seed(7), 6)
+    @pytest.mark.parametrize("drops", [1, cap.RURAL_PIECE_DROPS, cap.RURAL_PIECE_DROPS + 1, 6])
+    def test_equals_three_pass_reference(self, config, drops):
+        result = cap.rural_broadband(config, Seed(7), drops)
+        (rate, weaker, stronger), sinr, quality, served = reference_rural(config, Seed(7), drops)
         assert np.array_equal(result.equal_rate_mbps, rate)
         assert np.array_equal(result.sinr, sinr)
         assert result.pilot_quality_min == quality
@@ -512,6 +534,14 @@ class TestRuralBroadband:
             "pilot_power_x0.1_mean": float(np.mean(weaker)),
             "pilot_power_x10_mean": float(np.mean(stronger)),
         }
+
+    def test_piece_size_changes_no_byte(self, monkeypatch):
+        pieces = cap.rural_broadband(cap.RuralConfig(), Seed(8), drops=6)
+        monkeypatch.setattr(cap, "RURAL_PIECE_DROPS", 1)
+        single = cap.rural_broadband(cap.RuralConfig(), Seed(8), drops=6)
+        assert pieces.equal_rate_mbps.tobytes() == single.equal_rate_mbps.tobytes()
+        assert pieces.sinr.tobytes() == single.sinr.tobytes()
+        assert repr(pieces.summary()) == repr(single.summary())
 
     def test_pinned_config_required(self):
         with pytest.raises(ConfigError):

@@ -17,6 +17,7 @@ from mmimo.channel import (
     save_measured_channels,
     scatterer_channel_matrix,
     scatterer_field,
+    squared_ground_radii,
     terminal_distance_km,
 )
 from mmimo.errors import DomainError, GeometryError, ParseError
@@ -97,17 +98,15 @@ class TestShadowFading:
 
 class TestPlaceTerminals:
     def test_empty(self):
-        assert place_terminals(Seed(0), 0, 6.0).shape == (0, 2)
+        assert place_terminals(Seed(0), 0, 6.0).shape == (0,)
 
     def test_uniform_area(self):
         # P(R <= r) = r^2 / R^2 over the disk.
-        xy = place_terminals(Seed(1), 100_000, 6.0)
-        r = np.hypot(xy[:, 0], xy[:, 1])
+        r = place_terminals(Seed(1), 100_000, 6.0)
         assert np.mean(r <= 3.0) == pytest.approx(0.25, abs=0.01)
 
     def test_support_bounds(self):
-        xy = place_terminals(Seed(2), 5000, 6.0, exclusion_km=0.5)
-        r = np.hypot(xy[:, 0], xy[:, 1])
+        r = place_terminals(Seed(2), 5000, 6.0, exclusion_km=0.5)
         assert np.all(r <= 6.0)
         assert np.all(r >= 0.5)
 
@@ -117,8 +116,14 @@ class TestPlaceTerminals:
         with pytest.raises(DomainError):
             place_terminals(Seed(0), 5, 6.0, exclusion_km=6.0)
 
+    def test_radii_are_the_root_of_the_first_uniform_draw(self):
+        # No azimuth is drawn: the squared radii are the seed's first draw.
+        squared = Seed(3).generator().uniform(0.5**2, 6.0**2, size=50)
+        assert np.array_equal(squared_ground_radii(Seed(3), 50, 6.0, exclusion_km=0.5), squared)
+        assert np.array_equal(place_terminals(Seed(3), 50, 6.0, exclusion_km=0.5), np.sqrt(squared))
+
     def test_heights_enter_distance(self):
-        d = terminal_distance_km(np.array([[0.03, 0.0]]))
+        d = terminal_distance_km(np.array([0.03**2]))
         assert d[0] == pytest.approx(np.sqrt(0.03**2 + 0.025**2))
 
 
@@ -126,33 +131,31 @@ class TestLargeScaleProfile:
     # The array is 30 m and each terminal 5 m above ground: 25 m of height.
     DZ_KM = 0.025
 
-    def _flat_profile(self, xy, **kw):
+    def _flat_profile(self, radii, **kw):
         kw.setdefault("shadow_sigma_db", 0.0)
         kw.setdefault("terminal_gain_db", 0.0)
         kw.setdefault("base_gain_db", 0.0)
-        return build_large_scale_profile(xy, Seed(0), **kw)
+        return build_large_scale_profile(radii, Seed(0), **kw)
 
     def test_beta_at_1km_anchor(self):
-        beta = self._flat_profile(np.array([[1.0, 0.0]]))
+        beta = self._flat_profile(np.array([1.0]))
         # 127 dB at 1 km, 35.2 dB per decade of the 3-D distance.
         expected = 10 ** (-(127.0 + 35.2 * np.log10(np.hypot(1.0, self.DZ_KM))) / 10.0)
         assert beta[0] == pytest.approx(expected, rel=1e-9)
 
     def test_shadow_shift_scales_beta(self):
-        base = self._flat_profile(np.array([[2.0, 0.0]]))
+        base = self._flat_profile(np.array([2.0]))
         shifted_beta = base[0] * 10**0.8
         # +8 dB of shadow multiplies beta by exactly 10^0.8.
         manual = 10 ** ((-path_loss_db(np.hypot(2.0, self.DZ_KM)) + 8.0) / 10.0)
         assert manual == pytest.approx(shifted_beta, rel=1e-12)
 
     def test_monotone_in_distance(self):
-        xy = np.column_stack([np.linspace(0.5, 6.0, 30), np.zeros(30)])
-        assert np.all(np.diff(self._flat_profile(xy)) < 0)
+        assert np.all(np.diff(self._flat_profile(np.linspace(0.5, 6.0, 30))) < 0)
 
     def test_gains_raise_beta(self):
-        xy = np.array([[1.0, 0.0]])
-        plain = self._flat_profile(xy)
-        gained = self._flat_profile(xy, terminal_gain_db=8.0)
+        plain = self._flat_profile(np.array([1.0]))
+        gained = self._flat_profile(np.array([1.0]), terminal_gain_db=8.0)
         assert gained[0] == pytest.approx(plain[0] * 10**0.8, rel=1e-12)
 
 

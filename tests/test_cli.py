@@ -461,10 +461,12 @@ class TestCliProcess:
             ("mrt-sumrate", 1, "m_list=-4"),
             ("mrt-sumrate", 1, "target_snr_db=nan"),
             ("mrt-sumrate", 1, "target_snr_db=4000"),
+            ("mrt-sumrate", 1, "target_snr_db=3079"),
             ("ee-se-tradeoff", 1, "rho_min_db=nan"),
             ("ee-se-tradeoff", 1, "rho_min_db=-4000"),
             ("ee-se-tradeoff", 1, "rho_max_db=inf"),
             ("ee-se-tradeoff", 1, "rho_max_db=4000"),
+            ("ee-se-tradeoff", 1, "rho_max_db=3063"),
             ("ee-se-tradeoff", 1, "rho_points=0"),
             ("ee-se-tradeoff", 1, "coherence_symbols=0"),
             ("ee-se-tradeoff", 1, "m_massive=0"),
@@ -522,6 +524,19 @@ class TestCliProcess:
         rows = [line.split(",") for line in (out / "tradeoff.csv").read_text().splitlines()[1:]]
         assert len(rows) == 4 * 201
         assert all(math.isfinite(float(cell)) for row in rows for cell in row[1:])
+
+    def test_mrt_sumrate_finite_at_3000_db(self, tmp_path):
+        # The highest accepted level: 10^300, from which the run's own products stay finite.
+        body = "[experiment]\nexperiment = mrt-sumrate\ntrials = 20\n\n[mrt-sumrate]\ntarget_snr_db = 3000\n"
+        path = write_config(tmp_path / "c.ini", body)
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outcome = CliRunner().invoke(main, ["run", "--config", path, "--out", str(out)])
+        assert outcome.exit_code == 0, outcome.stderr
+        assert [str(w.message) for w in caught] == []
+        rows = [line.split(",") for line in (out / "sumrate.csv").read_text().splitlines()[1:]]
+        assert rows and all(math.isfinite(float(cell)) for row in rows for cell in row)
 
     @pytest.mark.parametrize("paper_scale", [False, True])
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
