@@ -3,8 +3,10 @@
 Each run below goes through the CLI at a small fixed trial count. The
 fixture `golden_digests.json` holds the SHA-256 of each CSV it writes and of
 its summary.json without the `output_dir` and `channels_path` lines (they
-name where the run wrote and read, not what it computed). A change that
-moves no stream must leave every digest as it is.
+name where the run wrote and read, not what it computed). It also holds the
+SHA-256 of the rates of the three Monte Carlo validators at M = 100, K = 40
+and one 250-draw block, which no bundled config runs. A change that moves no
+stream must leave every digest as it is.
 
 A change that does move a stream regenerates the fixture on purpose:
 
@@ -25,7 +27,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from mmimo import capacity
 from mmimo.cli import main
+from mmimo.numerics import Seed
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = Path(__file__).resolve().parent / "golden_digests.json"
@@ -41,6 +45,11 @@ RUNS = {
     "pilot-contamination": ("pilot-contamination.ini", ["--trials", "50"], False),
     "rural-broadband": ("rural-broadband.ini", ["--trials", "5"], False),
 }
+
+# The capacity validators at M = 100, K = 40 in one VALIDATOR_BLOCK of draws.
+VALIDATOR_PARAMS = dict(m=100, k=40, tau=40, coherence_symbols=196, rho_ul=1.0, rho_dl=10.0)
+VALIDATOR_DRAWS = 250
+VALIDATORS = ("ul-mrc", "ul-zf", "dl-mrt")
 
 # Lines of summary.json that name paths rather than results.
 _PATH_KEYS = ('"output_dir":', '"channels_path":')
@@ -72,8 +81,25 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def validator_digests() -> dict:
+    """{validator: {"rates": sha256}} of the simulated per-terminal rates."""
+    params = capacity.SystemParams(**VALIDATOR_PARAMS)
+    k = VALIDATOR_PARAMS["k"]
+    betas = np.linspace(1.0, 0.1, k)
+    digests = {}
+    for index, name in enumerate(VALIDATORS):
+        seed = Seed(2013).child(index)
+        if name == "dl-mrt":
+            rates = capacity.simulate_dl_rates(params, betas, np.full(k, 1.0 / k), seed, VALIDATOR_DRAWS)
+        else:
+            rates = capacity.simulate_ul_rates(params, name[3:], betas, seed, VALIDATOR_DRAWS)
+        digests[name] = {"rates": hashlib.sha256(rates.tobytes()).hexdigest()}
+    return digests
+
+
 def compute_digests(workdir: Path, workers: int = 1) -> dict:
-    """Run every entry of RUNS into `workdir` and return {run: {file: sha256}}."""
+    """Run every entry of RUNS into `workdir` and the validators, and return
+    {run: {file: sha256}}."""
     channels = workdir / "measured.cfcsv"
     write_measured_set(channels)
     runner = CliRunner()
@@ -85,7 +111,7 @@ def compute_digests(workdir: Path, workers: int = 1) -> dict:
         outcome = runner.invoke(main, args)
         assert outcome.exit_code == 0, f"{name}: exit {outcome.exit_code}: {outcome.output}"
         digests[name] = {p.name: _digest(p) for p in sorted(out.iterdir())}
-    return digests
+    return digests | validator_digests()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
