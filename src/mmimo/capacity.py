@@ -6,12 +6,14 @@ estimates of per-terminal quality gamma = rho_p tau beta^2 / (1 + rho_p tau
 beta). They are lower bounds: the Monte Carlo simulators in this module
 evaluate the same estimator and receiver directly and must always sit at or
 above them. The simulators read the channels only through the K x K products
-G = H_hat^H H_hat = B B^H and C = H_hat^H H = B (B^H + E), and draw the
-factors B and E directly by the Bartlett decomposition of the complex Wishart
-matrix (Z^H Z = A A^H, A lower triangular, or K x M lower trapezoidal when
-M < K; see `numerics.draw_bartlett`), never an M x K channel. They reduce one
+G = H_hat^H H_hat = B B^H and C = H_hat^H H = B F, and draw the factors B and
+F = Q^H H = B^H + E (in the QR frame H_hat = Q R) directly by the Bartlett
+decomposition of the complex Wishart matrix (Z^H Z = A A^H, A lower
+triangular, or K x M lower trapezoidal when M < K; see
+`numerics.draw_bartlett`), never an M x K channel. They reduce one
 cache-sized piece of BLOCK_ENTRIES // K^2 draws at a time: C is one product,
-MRC reads diag G as the squared row norms of B, and ZF reads B^-1 of the
+MRC reads diag G as the squared row norms of B, and ZF reads
+G^-1 C = B^-H F and the column norms of B^-1, inverted in blocks from the
 triangular B, so G is never formed or inverted. Uplink MRC and ZF, downlink
 MRT and the perfect-CSI MRT sum rate of mrt-sumrate (`mrt_sum_rates`, with
 C = G) all end in one per-draw SINR reduction, `_rates`.
@@ -169,25 +171,38 @@ def ul_rate_bound(params: SystemParams, scheme: str, betas) -> np.ndarray:
 
 def _statistic_pieces(params: SystemParams, betas: np.ndarray, seed: Seed, n_draws: int):
     """Yield per piece of `bartlett_blocks` the factors B = D_gamma^1/2 A and
-    E = X D_(beta-gamma)^1/2 of the products G = H_hat^H H_hat = B B^H and
-    C = H_hat^H H = B (B^H + E) of the true channels H and their MMSE
-    estimates H_hat, drawn without the channels in blocks of
+    F = B^H + E, E = X D_(beta-gamma)^1/2, of the products
+    G = H_hat^H H_hat = B B^H and C = H_hat^H H = B F of the true channels H
+    and their MMSE estimates H_hat, drawn without the channels in blocks of
     VALIDATOR_BLOCK draws, block i from `seed.child(i)`.
 
     H_hat = Z D_gamma^1/2 and H = H_hat + Z_e D_(beta-gamma)^1/2, with Z and
     the estimation error Z_e independent M x K i.i.d. CN(0, 1) matrices, and
     Z^H Z = A A^H, Z^H Z_e = A X in distribution, also for M < K (then B is
-    K x M). For K < M, B is K x K lower triangular.
+    K x M). For K < M, B is K x K lower triangular. In the QR frame
+    H_hat = Q R (B = R^H), F = Q^H H. Both are formed in the arrays of A and
+    X, which are scaled in place, and B^H is added into X's array.
     """
     estimate_scale = np.sqrt(estimate_quality(betas, params.pilot_snr, params.tau))[:, None]
     error_scale = np.sqrt(estimate_error(betas, params.pilot_snr, params.tau))
-    for a, x in bartlett_blocks(seed, params.m, betas.size, n_draws, VALIDATOR_BLOCK, cross=True):
-        yield estimate_scale * a, x * error_scale
+    for b, f in bartlett_blocks(seed, params.m, betas.size, n_draws, VALIDATOR_BLOCK, cross=True):
+        b *= estimate_scale
+        f *= error_scale
+        b_h = b.transpose(0, 2, 1)
+        f.real += b_h.real
+        f.imag -= b_h.imag
+        yield b, f
 
 
-def _cross(b: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """C = H_hat^H H = B (B^H + E), one batched product."""
-    return b @ (b.conj().transpose(0, 2, 1) + e)
+def _cross(b: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """C = H_hat^H H = B F, one batched product."""
+    return b @ f
+
+
+def _squared_magnitudes(values: np.ndarray) -> np.ndarray:
+    """np.abs(values) ** 2, squared in place in the one array of the moduli."""
+    moduli = np.abs(values)
+    return np.square(moduli, out=moduli)
 
 
 def _rates(cross: np.ndarray, gain: np.ndarray) -> np.ndarray:
@@ -195,13 +210,23 @@ def _rates(cross: np.ndarray, gain: np.ndarray) -> np.ndarray:
     unit noise: terminal k hears stream j with power gain |C_jk|^2. `gain`
     is the downlink's column of s_j^2, (K, 1) or (draws, K, 1), or the
     uplink's row of rho / ||a_k||^2, (draws, 1, K)."""
-    powers = gain * np.abs(cross) ** 2
+    powers = _squared_magnitudes(cross)
+    powers *= gain
     signal = np.diagonal(powers, axis1=1, axis2=2)
     interference = powers.sum(axis=1) - signal
     return np.log2(1.0 + signal / (interference + 1.0))
 
 
-def _lower_inverse(lower: np.ndarray) -> np.ndarray:
+# Rows per diagonal block of `_lower_inverse`. At the validators' K = 40 in
+# 20-draw pieces on one BLAS thread, blocks of 8 rows took 0.39-0.43 ms per
+# piece against 0.49-0.51 ms for `_row_inverse` over all of K; 10 and 16
+# rows were 4-10% slower than 8, and 4, 6, 12 and 20 rows about as slow as
+# the rows alone. At K = 64, 8 and 12 rows were the fastest. The block size
+# moves the inverse only in the last bits (1.5e-16 of its largest entry).
+INVERSE_BLOCK = 8
+
+
+def _row_inverse(lower: np.ndarray) -> np.ndarray:
     """Inverse of each matrix of a (draws, K, K) stack of lower-triangular
     matrices with nonzero diagonals, by forward substitution: row i of the
     inverse is -L[i, :i] (L^-1)[:i, :i] / L_ii left of its diagonal 1 / L_ii,
@@ -218,29 +243,58 @@ def _lower_inverse(lower: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def _ul_rate_sums(scheme: str, b: np.ndarray, e: np.ndarray, rho: float) -> np.ndarray:
+def _lower_inverse(lower: np.ndarray) -> np.ndarray:
+    """The inverses of `_row_inverse`, formed in blocks of
+    min(INVERSE_BLOCK, K) rows. The diagonal blocks L_ii of every draw, the
+    last padded with the identity when the block size does not divide K, are
+    inverted together as one stack by `_row_inverse`. Block row i left of
+    its diagonal block is then -inv(L_ii) (L[i, <i] inv(L)[<i, <i]), two
+    batched products. The upper triangle stays exactly 0.
+    """
+    draws, k = lower.shape[0], lower.shape[-1]
+    step = min(INVERSE_BLOCK, k)
+    spans = [slice(start, min(start + step, k)) for start in range(0, k, step)]
+    blocks = np.zeros((draws, len(spans), step, step), dtype=lower.dtype)
+    blocks[..., range(step), range(step)] = 1.0
+    for j, span in enumerate(spans):
+        size = span.stop - span.start
+        blocks[:, j, :size, :size] = lower[:, span, span]
+    block_inverses = _row_inverse(blocks.reshape(-1, step, step)).reshape(blocks.shape)
+    inverse = np.zeros_like(lower)
+    for j, span in enumerate(spans):
+        size = span.stop - span.start
+        diagonal = block_inverses[:, j, :size, :size]
+        inverse[:, span, span] = diagonal
+        if span.start:
+            left = slice(0, span.start)
+            inverse[:, span, left] = -diagonal @ (lower[:, span, left] @ inverse[:, left, left])
+    return inverse
+
+
+def _ul_rate_sums(scheme: str, b: np.ndarray, f: np.ndarray, rho: float) -> np.ndarray:
     """Per-terminal sums over a stack of draws of log2(1 + SINR) for the
-    uplink receiver, from the factors B and E of `_statistic_pieces`.
+    uplink receiver, from the factors B and F of `_statistic_pieces`.
 
     With combiner columns a_k, terminal k's SINR is rho |a_k^H h_k|^2 /
     (rho sum_{j != k} |a_k^H h_j|^2 + ||a_k||^2): `_rates` of (A^H H)^T with
-    gain rho / ||a_k||^2 on column k. For MRC (A = H_hat), A^H H = C and
+    gain rho / ||a_k||^2 on column k. For MRC (A = H_hat), A^H H = C = B F and
     ||a_k||^2 = G_kk, the squared norm of row k of B. For ZF
     (A = H_hat G^-1 = pinv(H_hat)^H at full column rank, B square),
-    A^H H = G^-1 C = I + B^-H E and ||a_k||^2 = [G^-1]_kk, the squared norm of
-    column k of B^-1, so G is never formed or inverted.
+    A^H H = G^-1 C = B^-H F and ||a_k||^2 = [G^-1]_kk, the squared norm of
+    column k of B^-1, which `_lower_inverse` forms in blocks, so G is never
+    formed or inverted.
     """
     if scheme == "zf":
         diag = np.arange(b.shape[-1])
         if np.any(b[:, diag, diag] == 0.0):
             raise RankError("zero-forcing: singular estimate Gram matrix")
         inverse = _lower_inverse(b)
-        cross = inverse.conj().transpose(0, 2, 1) @ e
-        cross[:, diag, diag] += 1.0
-        norm = np.sum(np.abs(inverse) ** 2, axis=1)
+        norm = _squared_magnitudes(inverse).sum(axis=1)
+        # B^-H without a copy: the column norms are read, so conjugate in place.
+        cross = np.conjugate(inverse, out=inverse).transpose(0, 2, 1) @ f
     else:
-        cross = _cross(b, e)
-        norm = np.sum(np.abs(b) ** 2, axis=2)
+        cross = _cross(b, f)
+        norm = _squared_magnitudes(b).sum(axis=2)
     return _rates(cross.transpose(0, 2, 1), rho / norm[:, None, :]).sum(axis=0)
 
 
@@ -264,9 +318,9 @@ def simulate_ul_rates(params: SystemParams, scheme: str, betas, seed: Seed, n_dr
     """Ergodic per-terminal net uplink rate of the actual receiver, averaged
     over channel and estimation noise. Upper-bounds the closed forms.
 
-    The SINR terms are read from the factors B and E of G = H_hat^H H_hat =
-    B B^H and C = H_hat^H H = B (B^H + E) (`_ul_rate_sums`), which are drawn
-    directly, piece by piece, by the Bartlett identity Z^H Z = A A^H,
+    The SINR terms are read from the factors B and F = B^H + E of
+    G = H_hat^H H_hat = B B^H and C = H_hat^H H = B F (`_ul_rate_sums`), which
+    are drawn directly, piece by piece, by the Bartlett identity Z^H Z = A A^H,
     Z^H Z_e = A X (`_statistic_pieces`), so no M x K channel is formed; for
     M < K, A is K x M. ZF raises `RankError` unless K < M and every G is
     nonsingular.
@@ -290,7 +344,7 @@ def simulate_dl_rates(params: SystemParams, betas, eta, seed: Seed, n_draws: int
 
     Stream j is sent on s_j conj(h_hat_j) with s_j^2 = rho_dl eta_j / (M gamma_j),
     so terminal k hears it with power s_j^2 |C_jk|^2 (`_rates`). Only
-    C = H_hat^H H = B (B^H + E) is formed, from the factors drawn as in
+    C = H_hat^H H = B F, F = B^H + E, is formed, from the factors drawn as in
     `simulate_ul_rates` (`_statistic_pieces`; B is K x M when M < K),
     without a channel.
     """

@@ -14,7 +14,9 @@ import math
 from dataclasses import dataclass, fields
 from typing import Any, Callable, get_type_hints
 
-from .capacity import RuralConfig
+import numpy as np
+
+from .capacity import RuralConfig, ul_mrc_sinr
 from .channel import FOCUSING_TERMINALS
 from .errors import ConfigError
 from .numerics import BLOCK_ENTRIES
@@ -163,6 +165,33 @@ _COMMON_KEYS = ("experiment", "seed", "trials", "output_dir", "workers")
 BLOCK_DRAWN = ("svd-spread", "mrt-sumrate", "pilot-contamination")
 
 
+def _check_sweep_top(params: dict[str, Any]) -> None:
+    """Reject an ee-se-tradeoff sweep whose largest level cannot give finite
+    outputs: rho x M overflows the closed forms, or the one-antenna
+    reference's rate is 0 at every level, so each relative column is 0/0."""
+    if params["coherence_symbols"] == 1:
+        raise ConfigError(
+            "key 'ee-se-tradeoff.coherence_symbols': must be >= 2, since the one-antenna reference's "
+            "pilot of one symbol leaves no payload in a coherence interval of 1"
+        )
+    # The grid's largest level: np.linspace ends on rho_max_db, but one point is rho_min_db alone.
+    points, low, high = params["rho_points"], params["rho_min_db"], params["rho_max_db"]
+    key = "rho_max_db" if points > 1 and high >= low else "rho_min_db"
+    level = params[key]
+    rho = 10.0 ** (np.array([level]) / 10.0)  # as `experiments._run_ee_se` forms the grid
+    antennas = max(params["m_massive"], params["m_beamforming"])
+    if not math.isfinite(float(rho[0]) * antennas):
+        raise ConfigError(
+            f"key 'ee-se-tradeoff.{key}': the largest level, {level} dB, times {antennas} antennas "
+            f"overflows a float"
+        )
+    if np.log2(1.0 + ul_mrc_sinr(1, rho, np.ones(1), rho, 1))[0] == 0.0:
+        raise ConfigError(
+            f"key 'ee-se-tradeoff.{key}': the largest level, {level} dB, leaves the one-antenna "
+            f"reference a rate of 0 at every level (it needs more than about -79.77 dB)"
+        )
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully resolved run description (every default made explicit)."""
@@ -286,6 +315,7 @@ def parse_config(
                 f"key 'ee-se-tradeoff.k_massive': pilots of length k_massive must fit in "
                 f"coherence_symbols = {coherence}, got {k}"
             )
+        _check_sweep_top(params)
     if name == "rural-broadband":
         RuralConfig(**params)  # the scenario's own checks: pinned values, pilot power
     if name == "pilot-contamination" and len(set(params["m_list"])) < 2:

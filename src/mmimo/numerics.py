@@ -115,10 +115,13 @@ def _bartlett_pieces(seed: Seed, m: int, k: int, count: int, cross: bool):
     trial order, in pieces of at most max(1, BLOCK_ENTRIES // K^2) trials.
 
     The diagonal comes from one `standard_gamma` call on `seed.child(0)`, the
-    below-diagonal entries and then X from `draw_complex_gaussian` calls that
-    continue one generator on `seed.child(1)`, both trial-major. So the
-    pieces do not depend on the piece size, and the first matrices of a
-    stack do not depend on its length.
+    below-diagonal entries and then X from one generator on `seed.child(1)`,
+    both trial-major: each piece's normals are the stream that
+    `draw_complex_gaussian(normals, 1, width, n)` consumes. They fill one
+    float64 workspace of (piece, 2, width), reused for every piece, from which
+    the real and imaginary parts of A and X are written; each yielded A and X
+    is a fresh array. So the pieces do not depend on the piece size, and the
+    first matrices of a stack do not depend on its length.
     """
     if m < 1 or k < 1:
         raise DimensionError(f"Wishart dimensions must be >= 1, got M={m}, K={k}")
@@ -127,18 +130,28 @@ def _bartlett_pieces(seed: Seed, m: int, k: int, count: int, cross: bool):
     r = min(m, k)
     diag = np.arange(r)
     rows, cols = np.tril_indices(k, -1, r)
-    width = rows.size + (r * k if cross else 0)
+    below = rows.size
+    width = below + (r * k if cross else 0)
     chi = seed.child(0).generator().standard_gamma(m - diag, size=(count, r))
     normals = seed.child(1).generator()
     piece = max(1, BLOCK_ENTRIES // (k * k))
+    workspace = np.empty((min(piece, count), 2, width))
     for start in range(0, count, piece):
         n = min(piece, count - start)
         a = np.zeros((n, k, r), dtype=complex)
         a[:, diag, diag] = np.sqrt(chi[start : start + n])
+        x = None
         if width:  # K = 1 without cross terms draws no normals
-            z = draw_complex_gaussian(normals, 1, width, n)[:, 0]
-            a[:, rows, cols] = z[:, : rows.size]
-        yield a, (z[:, rows.size :].reshape(n, r, k) if cross else None)
+            parts = workspace[:n]
+            normals.standard_normal(out=parts)
+            parts *= _INV_SQRT2
+            a.real[:, rows, cols] = parts[:, 0, :below]
+            a.imag[:, rows, cols] = parts[:, 1, :below]
+            if cross:
+                x = np.empty((n, r, k), dtype=complex)
+                x.real = parts[:, 0, below:].reshape(n, r, k)
+                x.imag = parts[:, 1, below:].reshape(n, r, k)
+        yield a, x
 
 
 def bartlett_blocks(seed: Seed, m: int, k: int, trials: int, size: int | None = None, cross: bool = False):

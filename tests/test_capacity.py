@@ -302,17 +302,17 @@ def direct_statistics(h, h_hat):
 
 def direct_factors(h, h_hat):
     """The validators' factors of a stack of draws, by QR: H_hat = Q R,
-    B = R^H and E = Q^H (H - H_hat), so that G = B B^H and C = B (B^H + E),
-    also for M < K (then R is M x K)."""
+    B = R^H and F = Q^H H, so that G = B B^H and C = B F, also for M < K
+    (then R is M x K)."""
     q, r = np.linalg.qr(h_hat)
-    return r.conj().transpose(0, 2, 1), q.conj().transpose(0, 2, 1) @ (h - h_hat)
+    return r.conj().transpose(0, 2, 1), q.conj().transpose(0, 2, 1) @ h
 
 
 def engine_statistics(params, betas, seed, draws):
-    """G = B B^H and C = B (B^H + E) from the factors of every piece the
-    validators draw."""
-    b, e = map(np.concatenate, zip(*cap._statistic_pieces(params, betas, seed, draws)))
-    return b @ b.conj().transpose(0, 2, 1), cap._cross(b, e)
+    """G = B B^H and C = B F from the factors of every piece the validators
+    draw."""
+    b, f = map(np.concatenate, zip(*cap._statistic_pieces(params, betas, seed, draws)))
+    return b @ b.conj().transpose(0, 2, 1), cap._cross(b, f)
 
 
 def stream_power(params, betas, eta):
@@ -381,7 +381,9 @@ class TestRateSimulators:
         with pytest.raises(RankError):
             cap.simulate_ul_rates(params, "zf", np.array([1.0, 0.0]), Seed(0), n_draws=10)
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 5, 17, 40])
+    # Block multiples of INVERSE_BLOCK (8, 16, 40, 64), one block (up to 8)
+    # and a short last block (9, 17, 41).
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 7, 8, 9, 16, 17, 40, 41, 64])
     def test_lower_inverse_matches_dense_inverse(self, k):
         lower = draw_bartlett(Seed(8).child(k), k + 3, k, 6)[0]
         got = cap._lower_inverse(lower)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -10,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mmimo import capacity, experiments, transceiver
 from mmimo.channel import save_measured_channels
@@ -338,6 +341,69 @@ class TestBlasThreads:
         assert len(outputs[0].split()) == 4 and outputs[0] == outputs[1]
 
 
+def run_ee_se(workdir, body):
+    """`mmimo run` of an ee-se-tradeoff INI body in process: the outcome, and
+    the CSV's rows. The CSV and summary.json must hold finite numbers, and no
+    warning may be raised."""
+    path = write_config(workdir / "c.ini", body)
+    out = workdir / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        outcome = CliRunner().invoke(main, ["run", "--config", path, "--out", str(out)])
+    assert [str(w.message) for w in caught] == []
+    assert "Traceback" not in outcome.output
+    if outcome.exit_code != 0:
+        return outcome, None
+    rows = [line.split(",") for line in (out / "tradeoff.csv").read_text().splitlines()[1:]]
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row[1:])
+    json.loads((out / "summary.json").read_text(), parse_constant=lambda name: pytest.fail(f"summary holds {name}"))
+    return outcome, rows
+
+
+class TestEeSeTradeoffProperty:
+    """Every ee-se-tradeoff config that `validate` accepts runs to exit 0
+    with finite outputs; every other one exits 2 from both commands with a
+    one-line message. No traceback and no warning either way."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        # The dB keys over their whole accepted range (about -3233 to 3000 dB) and past it.
+        rho_min_db=st.floats(min_value=-3300.0, max_value=3100.0),
+        rho_max_db=st.floats(min_value=-3300.0, max_value=3100.0),
+        rho_points=st.integers(min_value=1, max_value=4),
+        k_massive=st.integers(min_value=1, max_value=196),
+        extra_antennas=st.integers(min_value=1, max_value=10**9),
+        m_beamforming=st.integers(min_value=1, max_value=10**9),
+    )
+    @example(3000.0, 3000.0, 2, 40, 10**9 - 40, 10**9)
+    @example(-300.0, -80.0, 2, 40, 60, 100)
+    @example(-100.0, -30.0, 1, 40, 60, 100)
+    def test_accepted_configs_run_to_finite_outputs(
+        self, rho_min_db, rho_max_db, rho_points, k_massive, extra_antennas, m_beamforming
+    ):
+        m_massive = min(k_massive + extra_antennas, 10**9)
+        body = (
+            f"[experiment]\nexperiment = ee-se-tradeoff\n\n[ee-se-tradeoff]\n"
+            f"rho_min_db = {rho_min_db!r}\nrho_max_db = {rho_max_db!r}\nrho_points = {rho_points}\n"
+            f"k_massive = {k_massive}\nm_massive = {m_massive}\nm_beamforming = {m_beamforming}\n"
+        )
+        with tempfile.TemporaryDirectory() as work:
+            workdir = Path(work)
+            path = write_config(workdir / "c.ini", body)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                validated = CliRunner().invoke(main, ["validate", "--config", path])
+            assert [str(w.message) for w in caught] == []
+            outcome, rows = run_ee_se(workdir, body)
+        assert validated.exit_code in (0, 2), validated.output
+        assert outcome.exit_code == validated.exit_code, outcome.output
+        if validated.exit_code == 0:
+            assert len(rows) == 4 * rho_points
+        else:
+            for rejected in (validated, outcome):
+                assert rejected.stderr.startswith("config error:") and rejected.stderr.count("\n") == 1
+
+
 class TestCliProcess:
     def test_validate_ok(self, tmp_path):
         path = write_config(tmp_path / "c.ini", "[experiment]\nexperiment = svd-spread\n")
@@ -524,6 +590,48 @@ class TestCliProcess:
         rows = [line.split(",") for line in (out / "tradeoff.csv").read_text().splitlines()[1:]]
         assert len(rows) == 4 * 201
         assert all(math.isfinite(float(cell)) for row in rows for cell in row[1:])
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize(
+        "params, key",
+        [
+            # 10^300 x 1e9 antennas overflows; the run ended in inf (exit 3).
+            ("rho_max_db = 3000\nm_massive = 1000000000\nm_beamforming = 1000000000", "rho_max_db"),
+            ("rho_max_db = 3000\nm_beamforming = 1000000000", "rho_max_db"),
+            # The reference's rate is 0 at every level; the run ended in 0/0 (exit 3).
+            ("rho_min_db = -100\nrho_max_db = -79.9", "rho_max_db"),
+            ("rho_min_db = -300\nrho_max_db = -80", "rho_max_db"),
+            ("rho_min_db = -90\nrho_max_db = -100", "rho_min_db"),
+            ("rho_min_db = -100\nrho_max_db = -30\nrho_points = 1", "rho_min_db"),
+            ("coherence_symbols = 1\nk_massive = 1", "coherence_symbols"),
+        ],
+    )
+    def test_ee_se_tradeoff_sweep_without_finite_outputs_rejected(self, tmp_path, command, params, key):
+        body = f"[experiment]\nexperiment = ee-se-tradeoff\n\n[ee-se-tradeoff]\n{params}\n"
+        path = write_config(tmp_path / "c.ini", body)
+        args = [command, "--config", path] + (["--out", str(tmp_path / "o")] if command == "run" else [])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outcome = CliRunner().invoke(main, args)
+        assert outcome.exit_code == 2, outcome.output
+        assert outcome.stderr.startswith(f"config error: key 'ee-se-tradeoff.{key}'")
+        assert outcome.stderr.count("\n") == 1
+        assert [str(w.message) for w in caught] == []
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            "rho_max_db = 3000\nm_massive = 100000000\nm_beamforming = 100000000",
+            "rho_min_db = -100\nrho_max_db = -79.5",
+            "rho_min_db = -30\nrho_max_db = -90",
+        ],
+    )
+    def test_ee_se_tradeoff_sweep_edges_accepted(self, tmp_path, params):
+        body = f"[experiment]\nexperiment = ee-se-tradeoff\n\n[ee-se-tradeoff]\n{params}\n"
+        outcome, rows = run_ee_se(tmp_path, body)
+        assert outcome.exit_code == 0, outcome.output
+        assert len(rows) == 4 * 201
 
     def test_mrt_sumrate_finite_at_3000_db(self, tmp_path):
         # The highest accepted level: 10^300, from which the run's own products stay finite.
