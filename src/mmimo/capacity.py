@@ -13,10 +13,11 @@ triangular, or K x M lower trapezoidal when M < K; see
 `numerics.draw_bartlett`), never an M x K channel. They reduce one
 cache-sized piece of BLOCK_ENTRIES // K^2 draws at a time: C is one product,
 MRC reads diag G as the squared row norms of B, and ZF reads
-G^-1 C = B^-H F and the column norms of B^-1, inverted in blocks from the
-triangular B, so G is never formed or inverted. Uplink MRC and ZF, downlink
-MRT and the perfect-CSI MRT sum rate of mrt-sumrate (`mrt_sum_rates`, with
-C = G) all end in one per-draw SINR reduction, `_rates`.
+G^-1 C = B^-H F and the column norms of B^-1, inverted by batched forward
+substitution from the triangular B, so G is never formed or inverted.
+Uplink MRC and ZF, downlink MRT and the perfect-CSI MRT sum rate of
+mrt-sumrate (`mrt_sum_rates`, with C = G) all end in one per-draw SINR
+reduction, `_rates`.
 """
 
 from __future__ import annotations
@@ -181,22 +182,15 @@ def _statistic_pieces(params: SystemParams, betas: np.ndarray, seed: Seed, n_dra
     Z^H Z = A A^H, Z^H Z_e = A X in distribution, also for M < K (then B is
     K x M). For K < M, B is K x K lower triangular. In the QR frame
     H_hat = Q R (B = R^H), F = Q^H H. Both are formed in the arrays of A and
-    X, which are scaled in place, and B^H is added into X's array.
+    X, scaled in place, with B^H added into X's array.
     """
     estimate_scale = np.sqrt(estimate_quality(betas, params.pilot_snr, params.tau))[:, None]
     error_scale = np.sqrt(estimate_error(betas, params.pilot_snr, params.tau))
     for b, f in bartlett_blocks(seed, params.m, betas.size, n_draws, VALIDATOR_BLOCK, cross=True):
         b *= estimate_scale
         f *= error_scale
-        b_h = b.transpose(0, 2, 1)
-        f.real += b_h.real
-        f.imag -= b_h.imag
+        f += b.conj().transpose(0, 2, 1)
         yield b, f
-
-
-def _cross(b: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """C = H_hat^H H = B F, one batched product."""
-    return b @ f
 
 
 def _squared_magnitudes(values: np.ndarray) -> np.ndarray:
@@ -217,20 +211,12 @@ def _rates(cross: np.ndarray, gain: np.ndarray) -> np.ndarray:
     return np.log2(1.0 + signal / (interference + 1.0))
 
 
-# Rows per diagonal block of `_lower_inverse`. At the validators' K = 40 in
-# 20-draw pieces on one BLAS thread, blocks of 8 rows took 0.39-0.43 ms per
-# piece against 0.49-0.51 ms for `_row_inverse` over all of K; 10 and 16
-# rows were 4-10% slower than 8, and 4, 6, 12 and 20 rows about as slow as
-# the rows alone. At K = 64, 8 and 12 rows were the fastest. The block size
-# moves the inverse only in the last bits (1.5e-16 of its largest entry).
-INVERSE_BLOCK = 8
-
-
-def _row_inverse(lower: np.ndarray) -> np.ndarray:
+def _lower_inverse(lower: np.ndarray) -> np.ndarray:
     """Inverse of each matrix of a (draws, K, K) stack of lower-triangular
     matrices with nonzero diagonals, by forward substitution: row i of the
     inverse is -L[i, :i] (L^-1)[:i, :i] / L_ii left of its diagonal 1 / L_ii,
-    one batched row-by-block product per row.
+    one batched row-by-block product per row. The upper triangle stays
+    exactly 0.
     """
     k = lower.shape[-1]
     inverse = np.zeros_like(lower)
@@ -240,34 +226,6 @@ def _row_inverse(lower: np.ndarray) -> np.ndarray:
         if i:
             row = lower[:, i : i + 1, :i] @ inverse[:, :i, :i]
             inverse[:, i, :i] = -row[:, 0] * pivot[:, None]
-    return inverse
-
-
-def _lower_inverse(lower: np.ndarray) -> np.ndarray:
-    """The inverses of `_row_inverse`, formed in blocks of
-    min(INVERSE_BLOCK, K) rows. The diagonal blocks L_ii of every draw, the
-    last padded with the identity when the block size does not divide K, are
-    inverted together as one stack by `_row_inverse`. Block row i left of
-    its diagonal block is then -inv(L_ii) (L[i, <i] inv(L)[<i, <i]), two
-    batched products. The upper triangle stays exactly 0.
-    """
-    draws, k = lower.shape[0], lower.shape[-1]
-    step = min(INVERSE_BLOCK, k)
-    spans = [slice(start, min(start + step, k)) for start in range(0, k, step)]
-    blocks = np.zeros((draws, len(spans), step, step), dtype=lower.dtype)
-    blocks[..., range(step), range(step)] = 1.0
-    for j, span in enumerate(spans):
-        size = span.stop - span.start
-        blocks[:, j, :size, :size] = lower[:, span, span]
-    block_inverses = _row_inverse(blocks.reshape(-1, step, step)).reshape(blocks.shape)
-    inverse = np.zeros_like(lower)
-    for j, span in enumerate(spans):
-        size = span.stop - span.start
-        diagonal = block_inverses[:, j, :size, :size]
-        inverse[:, span, span] = diagonal
-        if span.start:
-            left = slice(0, span.start)
-            inverse[:, span, left] = -diagonal @ (lower[:, span, left] @ inverse[:, left, left])
     return inverse
 
 
@@ -281,8 +239,8 @@ def _ul_rate_sums(scheme: str, b: np.ndarray, f: np.ndarray, rho: float) -> np.n
     ||a_k||^2 = G_kk, the squared norm of row k of B. For ZF
     (A = H_hat G^-1 = pinv(H_hat)^H at full column rank, B square),
     A^H H = G^-1 C = B^-H F and ||a_k||^2 = [G^-1]_kk, the squared norm of
-    column k of B^-1, which `_lower_inverse` forms in blocks, so G is never
-    formed or inverted.
+    column k of B^-1, which `_lower_inverse` forms by batched forward
+    substitution, so G is never formed or inverted.
     """
     if scheme == "zf":
         diag = np.arange(b.shape[-1])
@@ -293,7 +251,7 @@ def _ul_rate_sums(scheme: str, b: np.ndarray, f: np.ndarray, rho: float) -> np.n
         # B^-H without a copy: the column norms are read, so conjugate in place.
         cross = np.conjugate(inverse, out=inverse).transpose(0, 2, 1) @ f
     else:
-        cross = _cross(b, f)
+        cross = b @ f
         norm = _squared_magnitudes(b).sum(axis=2)
     return _rates(cross.transpose(0, 2, 1), rho / norm[:, None, :]).sum(axis=0)
 
@@ -356,7 +314,7 @@ def simulate_dl_rates(params: SystemParams, betas, eta, seed: Seed, n_draws: int
     stream_power = (params.rho_dl * e / (params.m * g))[:, None]
     total_rate = np.zeros(b.size)
     for factor, error in _statistic_pieces(params, b, seed, n_draws):
-        total_rate += _rates(_cross(factor, error), stream_power).sum(axis=0)
+        total_rate += _rates(factor @ error, stream_power).sum(axis=0)
     return params.overhead_prefactor * total_rate / n_draws
 
 
@@ -421,17 +379,16 @@ def ee_se_sweep(
 
 @dataclass(frozen=True)
 class PowerControl:
-    """Per-terminal downlink power fractions with the excluded set: `eta` is
-    (K,) with a float `sinr`, or (R, K) with an (R,) `sinr`, one row per
-    estimate quality."""
+    """Per-terminal downlink power fractions `eta` (K,), the excluded set and
+    the equalised SINR of the served terminals."""
 
     eta: np.ndarray
     dropped: tuple[int, ...]
-    sinr: float | np.ndarray
+    sinr: float
 
     @property
     def served(self) -> np.ndarray:
-        mask = np.ones(self.eta.shape[-1], dtype=bool)
+        mask = np.ones(self.eta.size, dtype=bool)
         mask[list(self.dropped)] = False
         return np.flatnonzero(mask)
 
@@ -450,23 +407,18 @@ def maxmin_power_control(
     every served terminal sees the same effective SINR. With the total-power
     constraint the equalising split is closed-form:
     eta_k proportional to (1 + rho_dl beta_k) / gamma_k.
-
-    `gammas` is (K,), or (R, K) with one row per estimate quality (say, per
-    pilot power) over the same `betas`: the terminals are sorted once, every
-    row shares the served set, and each row is split as its own 1-D call.
     """
     b = np.asarray(betas, dtype=float)
     g = np.asarray(gammas, dtype=float)
     if b.size == 0:
         raise DomainError("no terminals to serve")
-    if b.ndim != 1 or g.ndim not in (1, 2) or g.shape[-1] != b.size:
+    if b.ndim != 1 or g.shape != b.shape:
         raise DimensionError("betas and gammas must align")
-    served, cost, sinr = _equal_sinr(b[None], g.reshape(-1, 1, b.size), rho_dl, m, drop_fraction)
-    served, cost, sinr = served[0], cost[:, 0], sinr[:, 0]
-    eta = np.zeros(g.shape)
-    eta[..., served] = (sinr[:, None] * cost).reshape(*g.shape[:-1], served.size)
-    dropped = tuple(np.setdiff1d(np.arange(b.size), served).tolist())
-    return PowerControl(eta=eta, dropped=dropped, sinr=float(sinr[0]) if g.ndim == 1 else sinr)
+    served, cost, sinr = _equal_sinr(b[None], g[None, None], rho_dl, m, drop_fraction)
+    eta = np.zeros(b.size)
+    eta[served[0]] = sinr[0, 0] * cost[0, 0]
+    dropped = tuple(np.setdiff1d(np.arange(b.size), served[0]).tolist())
+    return PowerControl(eta=eta, dropped=dropped, sinr=float(sinr[0, 0]))
 
 
 def _equal_sinr(b: np.ndarray, g: np.ndarray, rho_dl: float, m: int, drop_fraction: float):

@@ -372,27 +372,21 @@ def load_measured_channels(path) -> np.ndarray:
             f"expected {expected} lines for M={m}, F={f}, found {len(lines)}",
             line=len(lines),
         )
-    matrices = np.empty((f, m, k), dtype=complex)
-    for block in range(f):
-        for row in range(m):
-            lineno = 2 + block * m + row
-            tokens = lines[lineno - 1].split(",")
-            if len(tokens) != 2 * k:
-                raise ParseError(
-                    f"expected {2 * k} values (re,im per terminal), found {len(tokens)}",
-                    line=lineno,
-                )
-            try:
-                values = [float(tok) for tok in tokens]
-            except ValueError:
-                raise ParseError(f"non-numeric token in {lines[lineno - 1]!r}", line=lineno) from None
-            bad = [tok for tok, value in zip(tokens, values) if not math.isfinite(value)]
-            if bad:
-                raise ParseError(f"non-finite value {bad[0].strip()!r}; values must be finite floats", line=lineno)
-            re = np.array(values[0::2])
-            im = np.array(values[1::2])
-            matrices[block, row, :] = re + 1j * im
-    return matrices
+    values = np.empty((f * m, 2 * k))
+    for lineno, line in enumerate(lines[1:], start=2):
+        tokens = line.split(",")
+        if len(tokens) != 2 * k:
+            raise ParseError(f"expected {2 * k} values (re,im per terminal), found {len(tokens)}", line=lineno)
+        try:
+            row = [float(tok) for tok in tokens]
+        except ValueError:
+            raise ParseError(f"non-numeric token in {line!r}", line=lineno) from None
+        bad = [tok for tok, value in zip(tokens, row) if not math.isfinite(value)]
+        if bad:
+            raise ParseError(f"non-finite value {bad[0].strip()!r}; values must be finite floats", line=lineno)
+        values[lineno - 2] = row
+    # The interleaved re/im pairs are complex128's own layout, so every bit, -0.0 too, is kept.
+    return values.view(complex).reshape(f, m, k)
 
 
 def save_measured_channels(matrices, path) -> None:
@@ -403,13 +397,7 @@ def save_measured_channels(matrices, path) -> None:
     if arr.ndim != 3:
         raise DimensionError("expected (F, M, K) or (M, K) channel data")
     f, m, k = arr.shape
+    rows = np.ascontiguousarray(arr).view(float).reshape(f * m, 2 * k)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{m},{k},{f}\n")
-        for block in range(f):
-            for row in range(m):
-                parts = []
-                for col in range(k):
-                    z = arr[block, row, col]
-                    parts.append(repr(float(z.real)))
-                    parts.append(repr(float(z.imag)))
-                fh.write(",".join(parts) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows.tolist())

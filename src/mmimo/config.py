@@ -336,6 +336,8 @@ def parse_config(
         params=params,
         channels_path=channels_path,
     )
+    if not config.output_dir:
+        raise ConfigError("key 'experiment.output_dir': must name a directory, got an empty path")
     if config.trials < 1:
         raise ConfigError("trials must be >= 1")
     if config.workers < 1:

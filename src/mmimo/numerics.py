@@ -116,12 +116,11 @@ def _bartlett_pieces(seed: Seed, m: int, k: int, count: int, cross: bool):
 
     The diagonal comes from one `standard_gamma` call on `seed.child(0)`, the
     below-diagonal entries and then X from one generator on `seed.child(1)`,
-    both trial-major: each piece's normals are the stream that
-    `draw_complex_gaussian(normals, 1, width, n)` consumes. They fill one
-    float64 workspace of (piece, 2, width), reused for every piece, from which
-    the real and imaginary parts of A and X are written; each yielded A and X
-    is a fresh array. So the pieces do not depend on the piece size, and the
-    first matrices of a stack do not depend on its length.
+    both trial-major: each piece draws its own (piece, 2, width) float64
+    normals, the stream that `draw_complex_gaussian(normals, 1, width, n)`
+    consumes, and writes A's and X's real and imaginary parts from them. So
+    the pieces do not depend on the piece size, and the first matrices of a
+    stack do not depend on its length.
     """
     if m < 1 or k < 1:
         raise DimensionError(f"Wishart dimensions must be >= 1, got M={m}, K={k}")
@@ -135,15 +134,13 @@ def _bartlett_pieces(seed: Seed, m: int, k: int, count: int, cross: bool):
     chi = seed.child(0).generator().standard_gamma(m - diag, size=(count, r))
     normals = seed.child(1).generator()
     piece = max(1, BLOCK_ENTRIES // (k * k))
-    workspace = np.empty((min(piece, count), 2, width))
     for start in range(0, count, piece):
         n = min(piece, count - start)
         a = np.zeros((n, k, r), dtype=complex)
         a[:, diag, diag] = np.sqrt(chi[start : start + n])
         x = None
         if width:  # K = 1 without cross terms draws no normals
-            parts = workspace[:n]
-            normals.standard_normal(out=parts)
+            parts = normals.standard_normal((n, 2, width))
             parts *= _INV_SQRT2
             a.real[:, rows, cols] = parts[:, 0, :below]
             a.imag[:, rows, cols] = parts[:, 1, :below]

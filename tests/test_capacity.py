@@ -239,20 +239,6 @@ class TestMaxMinPowerControl:
             cap.maxmin_power_control(np.array([]), np.array([]), 1.0, 4)
 
     @pytest.mark.parametrize("drop_fraction", [0.0, 0.05, 0.3])
-    def test_rows_equal_one_dimensional_calls(self, drop_fraction):
-        rng = np.random.default_rng(6)
-        betas = rng.lognormal(-20.0, 2.0, 300)
-        gammas = np.stack([betas * rng.uniform(0.5, 1.0, betas.size) for _ in range(3)])
-        control = cap.maxmin_power_control(betas, gammas, 1e12, 6400, drop_fraction)
-        assert control.eta.shape == gammas.shape and control.sinr.shape == (3,)
-        for r, row in enumerate(gammas):
-            single = cap.maxmin_power_control(betas, row, 1e12, 6400, drop_fraction)
-            assert np.array_equal(control.eta[r], single.eta)
-            assert control.sinr[r] == single.sinr
-            assert control.dropped == single.dropped
-            assert np.array_equal(control.served, single.served)
-
-    @pytest.mark.parametrize("drop_fraction", [0.0, 0.05, 0.3])
     def test_piece_rows_equal_one_dimensional_calls(self, drop_fraction):
         # The piece helper's (R, D, K) rows are D x R 1-D calls, bit for bit.
         rng = np.random.default_rng(7)
@@ -312,7 +298,7 @@ def engine_statistics(params, betas, seed, draws):
     """G = B B^H and C = B F from the factors of every piece the validators
     draw."""
     b, f = map(np.concatenate, zip(*cap._statistic_pieces(params, betas, seed, draws)))
-    return b @ b.conj().transpose(0, 2, 1), cap._cross(b, f)
+    return b @ b.conj().transpose(0, 2, 1), b @ f
 
 
 def stream_power(params, betas, eta):
@@ -366,7 +352,7 @@ class TestRateSimulators:
         for scheme in ("mrc", "zf"):
             reduced = params.overhead_prefactor * cap._ul_rate_sums(scheme, factor, error, params.rho_ul) / 20
             np.testing.assert_allclose(reduced, expected[scheme], rtol=1e-12, atol=0.0)
-        cross = cap._cross(factor, error)
+        cross = factor @ error
         reduced = params.overhead_prefactor * cap._rates(cross, stream_power(params, betas, eta)).sum(axis=0) / 20
         np.testing.assert_allclose(reduced, expected["dl"], rtol=1e-12, atol=0.0)
 
@@ -381,8 +367,6 @@ class TestRateSimulators:
         with pytest.raises(RankError):
             cap.simulate_ul_rates(params, "zf", np.array([1.0, 0.0]), Seed(0), n_draws=10)
 
-    # Block multiples of INVERSE_BLOCK (8, 16, 40, 64), one block (up to 8)
-    # and a short last block (9, 17, 41).
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 7, 8, 9, 16, 17, 40, 41, 64])
     def test_lower_inverse_matches_dense_inverse(self, k):
         lower = draw_bartlett(Seed(8).child(k), k + 3, k, 6)[0]
@@ -443,7 +427,7 @@ class TestStatisticsDistribution:
             factor, error = direct_factors(h, h_hat)
             if scheme == "dl":
                 engine.append(cap.simulate_dl_rates(params, betas, eta, Seed(41).child(g), draws))
-                sums = cap._rates(cap._cross(factor, error), stream_power(params, betas, eta)).sum(axis=0)
+                sums = cap._rates(factor @ error, stream_power(params, betas, eta)).sum(axis=0)
             else:
                 engine.append(cap.simulate_ul_rates(params, scheme, betas, Seed(41).child(g), draws))
                 sums = cap._ul_rate_sums(scheme, factor, error, params.rho_ul)

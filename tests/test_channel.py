@@ -369,6 +369,16 @@ class TestMeasuredChannels:
         loaded = load_measured_channels(path)
         assert np.array_equal(loaded, stack)
 
+    def test_round_trip_keeps_signed_zeros(self, tmp_path):
+        # Re/im pairs with every sign of zero; re + 1j * im turned each -0.0 into 0.0.
+        parts = np.array([[-0.0, -0.0, 0.0, -0.0, -0.0, 0.0], [1.5, -0.0, -0.0, -2.5, 0.0, 0.0]])
+        stack = np.stack([parts, -parts]).view(complex)
+        path = tmp_path / "zeros.cfcsv"
+        save_measured_channels(stack, path)
+        loaded = load_measured_channels(path)
+        assert loaded.shape == (2, 2, 3)
+        assert loaded.tobytes() == stack.tobytes()
+
     def test_missing_row_names_counts(self, tmp_path):
         path = tmp_path / "short.cfcsv"
         path.write_text("2,1,1\n1.0,0.0\n")

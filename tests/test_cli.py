@@ -341,10 +341,10 @@ class TestBlasThreads:
         assert len(outputs[0].split()) == 4 and outputs[0] == outputs[1]
 
 
-def run_ee_se(workdir, body):
-    """`mmimo run` of an ee-se-tradeoff INI body in process: the outcome, and
-    the CSV's rows. The CSV and summary.json must hold finite numbers, and no
-    warning may be raised."""
+def run_finite(workdir, body, table):
+    """`mmimo run` of an INI body in process: the outcome, and the rows of
+    its CSV `table`. The CSV and summary.json must hold finite numbers, and
+    no warning may be raised."""
     path = write_config(workdir / "c.ini", body)
     out = workdir / "o"
     with warnings.catch_warnings(record=True) as caught:
@@ -354,10 +354,31 @@ def run_ee_se(workdir, body):
     assert "Traceback" not in outcome.output
     if outcome.exit_code != 0:
         return outcome, None
-    rows = [line.split(",") for line in (out / "tradeoff.csv").read_text().splitlines()[1:]]
+    rows = [line.split(",") for line in (out / table).read_text().splitlines()[1:]]
     assert all(math.isfinite(float(cell)) for row in rows for cell in row[1:])
     json.loads((out / "summary.json").read_text(), parse_constant=lambda name: pytest.fail(f"summary holds {name}"))
     return outcome, rows
+
+
+def validated_run(body, table):
+    """`mmimo validate`, then `run_finite`, of an INI body in a fresh
+    directory: the exit code the two must share, 0 or 2, and the rows of
+    `table` (None when rejected). A rejection is one line from both commands
+    and no warning."""
+    with tempfile.TemporaryDirectory() as work:
+        workdir = Path(work)
+        path = write_config(workdir / "c.ini", body)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            validated = CliRunner().invoke(main, ["validate", "--config", path])
+        assert [str(w.message) for w in caught] == []
+        outcome, rows = run_finite(workdir, body, table)
+    assert validated.exit_code in (0, 2), validated.output
+    assert outcome.exit_code == validated.exit_code, outcome.output
+    if validated.exit_code != 0:
+        for rejected in (validated, outcome):
+            assert rejected.stderr.startswith("config error:") and rejected.stderr.count("\n") == 1
+    return validated.exit_code, rows
 
 
 class TestEeSeTradeoffProperty:
@@ -387,21 +408,39 @@ class TestEeSeTradeoffProperty:
             f"rho_min_db = {rho_min_db!r}\nrho_max_db = {rho_max_db!r}\nrho_points = {rho_points}\n"
             f"k_massive = {k_massive}\nm_massive = {m_massive}\nm_beamforming = {m_beamforming}\n"
         )
-        with tempfile.TemporaryDirectory() as work:
-            workdir = Path(work)
-            path = write_config(workdir / "c.ini", body)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                validated = CliRunner().invoke(main, ["validate", "--config", path])
-            assert [str(w.message) for w in caught] == []
-            outcome, rows = run_ee_se(workdir, body)
-        assert validated.exit_code in (0, 2), validated.output
-        assert outcome.exit_code == validated.exit_code, outcome.output
-        if validated.exit_code == 0:
+        code, rows = validated_run(body, "tradeoff.csv")
+        if code == 0:
             assert len(rows) == 4 * rho_points
-        else:
-            for rejected in (validated, outcome):
-                assert rejected.stderr.startswith("config error:") and rejected.stderr.count("\n") == 1
+
+
+class TestMrtSumrateProperty:
+    """Every mrt-sumrate config that `validate` accepts runs to exit 0 with
+    finite outputs, also with antennas fewer than terminals; every other one
+    exits 2 from both commands with a one-line message. No traceback and no
+    warning either way."""
+
+    # 60 derandomized examples plus 4 explicit ones, about 0.2 s.
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        # target_snr_db over its whole accepted range (about -3233 to 3000 dB) and past it.
+        target_snr_db=st.floats(min_value=-3300.0, max_value=3100.0),
+        k=st.integers(min_value=1, max_value=4),
+        m_list=st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=3),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @example(-3233.0, 4, [1, 4], 1)
+    @example(-3200.0, 4, [2, 8], 1)
+    @example(0.0, 3, [1, 2, 3], 1)
+    @example(2999.99, 4, [1, 2, 8], 1)
+    def test_accepted_configs_run_to_finite_outputs(self, target_snr_db, k, m_list, seed):
+        trials = 3
+        body = (
+            f"[experiment]\nexperiment = mrt-sumrate\ntrials = {trials}\nseed = {seed}\n\n[mrt-sumrate]\n"
+            f"target_snr_db = {target_snr_db!r}\nk = {k}\nm_list = {','.join(map(str, m_list))}\n"
+        )
+        code, rows = validated_run(body, "sumrate.csv")
+        if code == 0:
+            assert len(rows) == trials * len(m_list)
 
 
 class TestCliProcess:
@@ -629,7 +668,7 @@ class TestCliProcess:
     )
     def test_ee_se_tradeoff_sweep_edges_accepted(self, tmp_path, params):
         body = f"[experiment]\nexperiment = ee-se-tradeoff\n\n[ee-se-tradeoff]\n{params}\n"
-        outcome, rows = run_ee_se(tmp_path, body)
+        outcome, rows = run_finite(tmp_path, body, "tradeoff.csv")
         assert outcome.exit_code == 0, outcome.output
         assert len(rows) == 4 * 201
 
@@ -682,6 +721,20 @@ class TestCliProcess:
         assert len(outcome.stderr.splitlines()) == 1
         assert "Traceback" not in outcome.stderr
         assert not out.exists()
+
+    # out=None leaves the empty path to the file's `output_dir =`, "" passes it as --out.
+    @pytest.mark.parametrize("command, out", [("run", None), ("validate", None), ("run", "")])
+    def test_empty_output_dir_rejected_before_run(self, tmp_path, monkeypatch, command, out):
+        # An empty path ran the whole experiment and then failed to write (exit 3).
+        body = "[experiment]\nexperiment = svd-spread\ntrials = 2\n" + ("output_dir =\n" if out is None else "")
+        path = write_config(tmp_path / "c.ini", body)
+        monkeypatch.chdir(tmp_path)
+        args = [command, "--config", path] + ([] if out is None else ["--out", out])
+        outcome = CliRunner().invoke(main, args)
+        assert outcome.exit_code == 2, outcome.output
+        assert outcome.stderr.startswith("config error: key 'experiment.output_dir'")
+        assert outcome.stderr.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini"]
 
     def test_seed_option_out_of_range_exit_code_2(self, tmp_path):
         path = write_config(tmp_path / "c.ini", "[experiment]\nexperiment = svd-spread\ntrials = 2\n")
