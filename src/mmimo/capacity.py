@@ -10,11 +10,13 @@ G = H_hat^H H_hat = B B^H and C = H_hat^H H = B F, and draw the factors B and
 F = Q^H H = B^H + E (in the QR frame H_hat = Q R) directly by the Bartlett
 decomposition of the complex Wishart matrix (Z^H Z = A A^H, A lower
 triangular, or K x M lower trapezoidal when M < K; see
-`numerics.draw_bartlett`), never an M x K channel. They reduce one
-cache-sized piece of BLOCK_ENTRIES // K^2 draws at a time: C is one product,
-MRC reads diag G as the squared row norms of B, and ZF reads
-G^-1 C = B^-H F and the column norms of B^-1, inverted by batched forward
-substitution from the triangular B, so G is never formed or inverted.
+`numerics.draw_bartlett`, whose CN(0, 1) entries come from uniforms by
+Box-Muller, each within 3e-7 of its float64 value), never an M x K
+channel. They reduce one cache-sized piece of BLOCK_ENTRIES // K^2 draws at
+a time: C is one product, MRC reads diag G as the squared row norms of B,
+and ZF reads G^-1 C = B^-H F and the column norms of B^-1, inverted by
+batched forward substitution from the triangular B, so G is never formed or
+inverted.
 Uplink MRC and ZF, downlink MRT and the perfect-CSI MRT sum rate of
 mrt-sumrate (`mrt_sum_rates`, with C = G) all end in one per-draw SINR
 reduction, `_rates`.

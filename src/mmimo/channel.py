@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, GeometryError, ParseError
+from .errors import DimensionError, DomainError, GeometryError, NumericError, ParseError
 from .numerics import Seed
 
 # Rural link-budget anchors: 127 dB loss at 1 km with range-decay exponent 3.52.
@@ -390,12 +390,16 @@ def load_measured_channels(path) -> np.ndarray:
 
 
 def save_measured_channels(matrices, path) -> None:
-    """Write a CFCSV v1 file; shortest round-trip decimal formatting."""
+    """Write a CFCSV v1 file; shortest round-trip decimal formatting. Data
+    that `load_measured_channels` would reject (an empty axis, a non-finite
+    entry) raises before the file is opened."""
     arr = np.asarray(matrices, dtype=complex)
     if arr.ndim == 2:
         arr = arr[None, :, :]
-    if arr.ndim != 3:
-        raise DimensionError("expected (F, M, K) or (M, K) channel data")
+    if arr.ndim != 3 or 0 in arr.shape:
+        raise DimensionError(f"expected non-empty (F, M, K) or (M, K) channel data, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise NumericError("channel data has non-finite entries; CFCSV holds finite floats only")
     f, m, k = arr.shape
     rows = np.ascontiguousarray(arr).view(float).reshape(f * m, 2 * k)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

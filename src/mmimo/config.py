@@ -11,7 +11,9 @@ import configparser
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, fields
+from pathlib import Path
 from typing import Any, Callable, get_type_hints
 
 import numpy as np
@@ -338,6 +340,11 @@ def parse_config(
     )
     if not config.output_dir:
         raise ConfigError("key 'experiment.output_dir': must name a directory, got an empty path")
+    out = Path(config.output_dir)
+    # The nearest existing path of the output directory must be a directory.
+    existing = next((p for p in (out, *out.parents) if os.path.exists(p)), None)
+    if existing is not None and not os.path.isdir(existing):
+        raise ConfigError(f"key 'experiment.output_dir': {str(existing)!r} exists and is not a directory")
     if config.trials < 1:
         raise ConfigError("trials must be >= 1")
     if config.workers < 1:

@@ -38,7 +38,9 @@ class Seed:
     M x K channel (`bartlett_blocks`): Z^H Z = A A^H for an M x K i.i.d.
     CN(0, 1) Z, with A lower triangular (lower trapezoidal, K x M, when
     M < K), and Z^H Z_e distributed as A X for an independent Z_e. Block b
-    draws from `seed.child(b)` of its group's seed.
+    draws from `seed.child(b)` of its group's seed: the diagonal from its
+    child 0, and the CN(0, 1) entries from float64 uniforms on its child 1,
+    one pair of 64-bit words per entry, by Box-Muller (`_box_muller`).
     """
 
     master: int
@@ -104,6 +106,10 @@ def draw_bartlett(seed: Seed, m: int, k: int, count: int, cross: bool = False):
     rank M and A is K x M lower trapezoidal: rows M..K-1 are all CN(0, 1).
     No operand has an M-length axis. Without `cross`, X is None.
 
+    The CN(0, 1) entries are Box-Muller transforms of uniforms with a float32
+    phasor: each is within 3e-7 (relative) of the value the same uniforms
+    give in float64, and its modulus is float64 (`_box_muller`).
+
     The stack is the concatenation of the pieces of `_bartlett_pieces`.
     """
     a, x = zip(*_bartlett_pieces(seed, m, k, count, cross))
@@ -117,10 +123,10 @@ def _bartlett_pieces(seed: Seed, m: int, k: int, count: int, cross: bool):
     The diagonal comes from one `standard_gamma` call on `seed.child(0)`, the
     below-diagonal entries and then X from one generator on `seed.child(1)`,
     both trial-major: each piece draws its own (piece, 2, width) float64
-    normals, the stream that `draw_complex_gaussian(normals, 1, width, n)`
-    consumes, and writes A's and X's real and imaginary parts from them. So
-    the pieces do not depend on the piece size, and the first matrices of a
-    stack do not depend on its length.
+    uniforms, exactly 2 * width 64-bit words per trial, and `_box_muller`
+    turns each pair into one CN(0, 1) entry, whose real and imaginary parts
+    it writes into A and X. So the pieces do not depend on the piece size,
+    and the first matrices of a stack do not depend on its length.
     """
     if m < 1 or k < 1:
         raise DimensionError(f"Wishart dimensions must be >= 1, got M={m}, K={k}")
@@ -132,16 +138,15 @@ def _bartlett_pieces(seed: Seed, m: int, k: int, count: int, cross: bool):
     below = rows.size
     width = below + (r * k if cross else 0)
     chi = seed.child(0).generator().standard_gamma(m - diag, size=(count, r))
-    normals = seed.child(1).generator()
+    uniforms = seed.child(1).generator()
     piece = max(1, BLOCK_ENTRIES // (k * k))
     for start in range(0, count, piece):
         n = min(piece, count - start)
         a = np.zeros((n, k, r), dtype=complex)
         a[:, diag, diag] = np.sqrt(chi[start : start + n])
         x = None
-        if width:  # K = 1 without cross terms draws no normals
-            parts = normals.standard_normal((n, 2, width))
-            parts *= _INV_SQRT2
+        if width:  # K = 1 without cross terms has no normal entry
+            parts = _box_muller(uniforms.random((n, 2, width)))
             a.real[:, rows, cols] = parts[:, 0, :below]
             a.imag[:, rows, cols] = parts[:, 1, :below]
             if cross:
@@ -149,6 +154,27 @@ def _bartlett_pieces(seed: Seed, m: int, k: int, count: int, cross: bool):
                 x.real = parts[:, 0, below:].reshape(n, r, k)
                 x.imag = parts[:, 1, below:].reshape(n, r, k)
         yield a, x
+
+
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    """Turn a (n, 2, w) stack of uniforms on [0, 1) in place into the real
+    (u[:, 0]) and imaginary (u[:, 1]) parts of n x w CN(0, 1) entries
+    z = sqrt(-log1p(-u0)) * exp(j*2*pi*u1), and return it: |z|^2 is Exp(1)
+    and the phase is uniform (Box & Muller, 1958).
+
+    Accuracy contract, as in `channel._phasor_leg`: the whole turn of u1 is
+    removed in float64, and the phasor is the float32 cos/sin of the
+    remaining phase in [-pi, pi], rounded to float32 once. Each entry is
+    within 3e-7 (relative) of its float64 value; the modulus is float64."""
+    modulus, turns = u[:, 0], u[:, 1]
+    np.log1p(np.negative(modulus, out=modulus), out=modulus)
+    np.sqrt(np.negative(modulus, out=modulus), out=modulus)
+    turns -= np.rint(turns)
+    phase = np.multiply(turns, 2.0 * np.pi, out=np.empty(turns.shape, dtype=np.float32))
+    trig = np.sin(phase)
+    np.multiply(trig, modulus, out=turns)
+    np.multiply(np.cos(phase, out=trig), modulus, out=modulus)
+    return u
 
 
 def bartlett_blocks(seed: Seed, m: int, k: int, trials: int, size: int | None = None, cross: bool = False):

@@ -4,7 +4,9 @@ processing with a contaminated estimate, and its Monte Carlo simulation.
 The simulation draws no M-length channel. Each trial's Gram matrix
 W = Z^H Z of its n + 3 unit-variance columns is drawn as A A^H, with A the
 Bartlett factor of the complex Wishart matrix (lower triangular, or
-(n + 3) x M lower trapezoidal when M < n + 3; `numerics.draw_bartlett`)."""
+(n + 3) x M lower trapezoidal when M < n + 3; `numerics.draw_bartlett`),
+whose CN(0, 1) entries come from uniforms by Box-Muller, each within 3e-7
+(relative) of its float64 value."""
 
 from __future__ import annotations
 

@@ -20,7 +20,7 @@ from mmimo.channel import (
     squared_ground_radii,
     terminal_distance_km,
 )
-from mmimo.errors import DomainError, GeometryError, ParseError
+from mmimo.errors import DimensionError, DomainError, GeometryError, NumericError, ParseError
 from mmimo.numerics import Seed, draw_complex_gaussian, singular_value_spread_db
 
 
@@ -378,6 +378,21 @@ class TestMeasuredChannels:
         loaded = load_measured_channels(path)
         assert loaded.shape == (2, 2, 3)
         assert loaded.tobytes() == stack.tobytes()
+
+    @pytest.mark.parametrize("value", [complex(np.nan, 1.0), complex(1.0, np.inf), complex(-np.inf, 0.0)])
+    def test_save_rejects_non_finite_without_a_file(self, tmp_path, value):
+        # The loader rejects non-finite values, so the writer must not write them.
+        path = tmp_path / "nonfinite.cfcsv"
+        with pytest.raises(NumericError, match="non-finite"):
+            save_measured_channels(np.array([[value, 1.0]]), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("shape", [(0, 2, 3), (2, 0, 3), (2, 3, 0), (0, 3)])
+    def test_save_rejects_empty_axis_without_a_file(self, tmp_path, shape):
+        path = tmp_path / "empty.cfcsv"
+        with pytest.raises(DimensionError, match="non-empty"):
+            save_measured_channels(np.zeros(shape, dtype=complex), path)
+        assert not path.exists()
 
     def test_missing_row_names_counts(self, tmp_path):
         path = tmp_path / "short.cfcsv"

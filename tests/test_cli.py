@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mmimo import capacity, experiments, transceiver
+from mmimo import capacity, cli, experiments, transceiver
 from mmimo.channel import save_measured_channels
 from mmimo.cli import main
 from mmimo.config import EXPERIMENTS, parse_config
@@ -525,10 +525,15 @@ class TestCliProcess:
         stack = draw_complex_gaussian(Seed(2), 8, 3, 4)
         if fault == "zero":
             stack[2, :, 1] = 0.0
-        else:
-            stack[1, 3, 2] = math.nan
         channels = tmp_path / "set.cfcsv"
         save_measured_channels(stack, channels)
+        if fault == "nan":
+            # The writer refuses NaN, so put it in by hand: Re H[1][3, 2] is token 4 of line 13.
+            lines = channels.read_text().split("\n")
+            tokens = lines[12].split(",")
+            tokens[4] = "nan"
+            lines[12] = ",".join(tokens)
+            channels.write_text("\n".join(lines))
         path = write_config(tmp_path / "c.ini", f"[experiment]\nexperiment = {experiment}\n")
         out = tmp_path / "o"
         with warnings.catch_warnings(record=True) as caught:
@@ -735,6 +740,25 @@ class TestCliProcess:
         assert outcome.stderr.startswith("config error: key 'experiment.output_dir'")
         assert outcome.stderr.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini"]
+
+    # via="file" names the path in `output_dir =`, "out" passes it as --out.
+    @pytest.mark.parametrize("command, via", [("run", "file"), ("validate", "file"), ("run", "out")])
+    @pytest.mark.parametrize("below", [False, True])
+    def test_output_dir_on_existing_file_rejected_before_run(self, tmp_path, monkeypatch, command, via, below):
+        # A regular file there ran the whole experiment and then failed to write (exit 3).
+        target = tmp_path / "afile"
+        target.write_bytes(b"keep\n")
+        out = str(target / "sub" if below else target)
+        body = "[experiment]\nexperiment = svd-spread\ntrials = 2\n" + (f"output_dir = {out}\n" if via == "file" else "")
+        path = write_config(tmp_path / "c.ini", body)
+        monkeypatch.setattr(cli, "run", lambda config: pytest.fail("the run started"))
+        args = [command, "--config", path] + (["--out", out] if via == "out" else [])
+        outcome = CliRunner().invoke(main, args)
+        assert outcome.exit_code == 2, outcome.output
+        assert outcome.stderr == f"config error: key 'experiment.output_dir': {str(target)!r} exists and is not a directory\n"
+        assert "Traceback" not in outcome.output
+        assert target.read_bytes() == b"keep\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "c.ini"]
 
     def test_seed_option_out_of_range_exit_code_2(self, tmp_path):
         path = write_config(tmp_path / "c.ini", "[experiment]\nexperiment = svd-spread\ntrials = 2\n")

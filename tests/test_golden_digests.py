@@ -12,10 +12,11 @@ A change that does move a stream regenerates the fixture on purpose:
 
     PYTHONPATH=src python tests/test_golden_digests.py
 
-and its change log says which outputs moved and why. The fixture also
-records the numpy and BLAS build it was taken on: the float32 ray phasors
-and the BLAS products may round differently on another build or CPU, so on
-another stamp the test fails and names both stamps.
+which prints the digests that moved against the old fixture before it
+writes the new one, and its change log says which outputs moved and why.
+The fixture also records the numpy and BLAS build it was taken on: the
+float32 ray phasors and the BLAS products may round differently on another
+build or CPU, so on another stamp the test fails and names both stamps.
 """
 
 import hashlib
@@ -124,14 +125,19 @@ def test_outputs_match_golden_digests(tmp_path, workers):
             f"fixture: {json.dumps(golden['stamp'], sort_keys=True)}\n"
             f"here:    {json.dumps(here, sort_keys=True)}"
         )
-    digests = compute_digests(tmp_path, workers)
-    moved = [
-        f"{name}/{file}"
-        for name in sorted(set(digests) | set(golden["digests"]))
-        for file in sorted(set(digests.get(name, {})) | set(golden["digests"].get(name, {})))
-        if digests.get(name, {}).get(file) != golden["digests"].get(name, {}).get(file)
-    ]
+    moved = moved_digests(compute_digests(tmp_path, workers), golden["digests"])
     assert not moved, f"outputs moved from the golden digests: {', '.join(moved)}"
+
+
+def moved_digests(digests: dict, golden: dict) -> list[str]:
+    """The "run/file" names whose digest differs between two digest sets,
+    or that only one of them has."""
+    return [
+        f"{name}/{file}"
+        for name in sorted(set(digests) | set(golden))
+        for file in sorted(set(digests.get(name, {})) | set(golden.get(name, {})))
+        if digests.get(name, {}).get(file) != golden.get(name, {}).get(file)
+    ]
 
 
 if __name__ == "__main__":
@@ -139,5 +145,8 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as work:
         fixture = {"stamp": stamp(), "digests": compute_digests(Path(work))}
+    old = json.loads(FIXTURE.read_text(encoding="utf-8")) if FIXTURE.exists() else {"digests": {}}
+    moved = moved_digests(fixture["digests"], old["digests"])
+    print(f"moved ({len(moved)}): {', '.join(moved) or 'none'}", file=sys.stderr)
     FIXTURE.write_text(json.dumps(fixture, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {FIXTURE}", file=sys.stderr)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,18 +88,96 @@ class TestDrawComplexGaussian:
             draw_complex_gaussian(Seed(0), 4, 4, 0)
 
 
+def box_muller_reference(u):
+    """The complex entries sqrt(-log1p(-u0)) * exp(j*2*pi*u1) of a (n, 2, w)
+    stack of uniforms, as the library evaluates them: the whole turn of u1
+    removed in float64, the phase rounded once to float32, float32 cos/sin."""
+    modulus = np.sqrt(-np.log1p(-u[:, 0]))
+    phase = (2.0 * np.pi * (u[:, 1] - np.rint(u[:, 1]))).astype(np.float32)
+    z = np.empty(modulus.shape, dtype=complex)
+    z.real = np.cos(phase) * modulus
+    z.imag = np.sin(phase) * modulus
+    return z
+
+
 def one_shot_bartlett(seed, m, k, count, cross):
     """Reference for the stream of `draw_bartlett`: the diagonal from one
     `standard_gamma` call on seed.child(0), then the below-diagonal entries
-    and X from one `draw_complex_gaussian` call on seed.child(1), trial-major."""
+    and X from one (count, 2, width) `random` call on seed.child(1),
+    trial-major, each pair of uniforms one complex normal."""
     r = min(m, k)
     diag = np.arange(r)
     rows, cols = np.tril_indices(k, -1, r)
     a = np.zeros((count, k, r), dtype=complex)
     a[:, diag, diag] = np.sqrt(seed.child(0).generator().standard_gamma(m - diag, size=(count, r)))
-    z = draw_complex_gaussian(seed.child(1), 1, rows.size + (r * k if cross else 0), count)[:, 0]
+    width = rows.size + (r * k if cross else 0)
+    z = box_muller_reference(seed.child(1).generator().random((count, 2, width)))
     a[:, rows, cols] = z[:, : rows.size]
     return a, (z[:, rows.size :].reshape(count, r, k) if cross else None)
+
+
+def bartlett_entries(a, x):
+    """The drawn complex normals of a (count, K, r) stack A and its X, in
+    stream order: A's below-diagonal entries, then X, trial by trial."""
+    rows, cols = np.tril_indices(a.shape[1], -1, a.shape[2])
+    return np.concatenate([a[:, rows, cols], x.reshape(x.shape[0], -1)], axis=1)
+
+
+def dkw_distance(samples, cdf) -> float:
+    """Kolmogorov distance between the empirical CDF of `samples` and `cdf`."""
+    x = np.sort(samples)
+    f = cdf(x)
+    n = x.size
+    return max(np.max(np.arange(1, n + 1) / n - f), np.max(f - np.arange(n) / n))
+
+
+class TestBoxMullerDraw:
+    # M = 100, K = 40 with cross terms: 780 + 1,600 normals per trial.
+    M, K, TRIALS = 100, 40, 100
+
+    def draw(self, seed):
+        return draw_bartlett(seed, self.M, self.K, self.TRIALS, cross=True)
+
+    def test_entries_follow_complex_normal_law(self):
+        # Dvoretzky-Kiefer-Wolfowitz: the empirical CDF of n samples leaves a
+        # band of sqrt(log(2 / alpha) / (2 n)) around the true CDF with
+        # probability at most alpha.
+        z = bartlett_entries(*self.draw(Seed(60))).ravel()
+        assert z.size >= 200_000
+        band = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * z.size))
+        erf = np.frompyfunc(math.erf, 1, 1)
+
+        def normal_half_cdf(v):  # N(0, 1/2)
+            return 0.5 * (1.0 + erf(v).astype(float))
+
+        assert dkw_distance(z.real, normal_half_cdf) < band
+        assert dkw_distance(z.imag, normal_half_cdf) < band
+        assert dkw_distance(np.abs(z) ** 2, lambda v: -np.expm1(-v)) < band  # Exp(1)
+
+    def test_entries_within_float32_phase_accuracy(self):
+        seed = Seed(61)
+        z = bartlett_entries(*self.draw(seed))
+        u = seed.child(1).generator().random(z.shape[:1] + (2,) + z.shape[1:])
+        exact = np.sqrt(-np.log1p(-u[:, 0])) * np.exp(2j * np.pi * u[:, 1])
+        assert np.all(np.abs(z - exact) <= 3e-7 * np.abs(exact))
+
+    def test_block_takes_two_words_per_entry(self, monkeypatch):
+        # Every normal costs one (u0, u1) pair of 64-bit words, so the
+        # normals generator ends exactly 2 * width * trials steps on.
+        made = {}
+        generator = Seed.generator
+
+        def recording(seed):
+            made[seed.path] = generator(seed)
+            return made[seed.path]
+
+        monkeypatch.setattr(Seed, "generator", recording)
+        seed = Seed(62)
+        a, x = self.draw(seed)
+        width = bartlett_entries(a, x).shape[1]
+        fresh = generator(seed.child(1)).bit_generator
+        fresh.advance(2 * width * self.TRIALS)
+        assert made[(1,)].bit_generator.state == fresh.state
 
 
 class TestBartlettBlocks:
