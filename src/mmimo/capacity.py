@@ -461,7 +461,8 @@ class RuralConfig:
     """Fixed-wireless scenario: one large array serving a rural cell.
 
     The defaults are the pinned scenario; changing any of them raises unless
-    `allow_override` is set (sensitivity studies only).
+    `allow_override` is set (sensitivity studies only). The range checks hold
+    either way.
     """
 
     m: int = 6400
@@ -485,10 +486,38 @@ class RuralConfig:
     _PINNED = ("m", "n_terminals", "total_power_w", "bandwidth_hz", "radius_km", "pilot_fraction",
                "noise_figure_db", "terminal_gain_db", "shadow_sigma_db")
 
+    @property
+    def pilot_symbols(self) -> int:
+        """tau, the pilot length: the pilot share of one coherence interval, in symbols."""
+        return round(self.pilot_fraction * self.coherence_s * self.bandwidth_hz)
+
     def __post_init__(self):
-        if not self.terminal_pilot_power_w > 0.0:
+        # Outside these ranges a run fails after its draws or reports rates of 0 or below.
+        ranges = {
+            "m": (self.m >= 1, ">= 1"),
+            "n_terminals": (self.n_terminals >= 1, ">= 1"),
+            "total_power_w": (self.total_power_w > 0.0, "> 0"),
+            "bandwidth_hz": (self.bandwidth_hz > 0.0, "> 0"),
+            "exclusion_km": (self.exclusion_km >= 0.0, ">= 0"),
+            "radius_km": (self.radius_km > self.exclusion_km, f"> exclusion_km = {self.exclusion_km}"),
+            "pilot_fraction": (0.0 < self.pilot_fraction < 1.0, "in (0, 1)"),
+            # The coherence interval must be a finite count of symbols.
+            "coherence_s": (
+                0.0 < self.coherence_s * self.bandwidth_hz < math.inf, "> 0, with coherence_s x bandwidth_hz finite"
+            ),
+            "shadow_sigma_db": (self.shadow_sigma_db >= 0.0, ">= 0"),
+            "drop_fraction": (0.0 <= self.drop_fraction < 1.0, "in [0, 1)"),
             # A non-positive pilot power would give an estimate quality above beta.
-            raise ConfigError(f"terminal_pilot_power_w must be > 0, got {self.terminal_pilot_power_w}")
+            "terminal_pilot_power_w": (self.terminal_pilot_power_w > 0.0, "> 0"),
+        }
+        for name, (holds, need) in ranges.items():
+            if not holds:
+                raise ConfigError(f"{name} must be {need}, got {getattr(self, name)}")
+        if self.pilot_symbols < 1:
+            raise ConfigError(
+                f"the pilot, pilot_fraction x coherence_s x bandwidth_hz, must round to at least 1 symbol, "
+                f"got {self.pilot_symbols}"
+            )
         if self.allow_override:
             return
         for name in self._PINNED:
@@ -562,7 +591,7 @@ def rural_broadband(config: RuralConfig, seed: Seed, drops: int) -> RuralResult:
     rho_dl = config.total_power_w / noise
     # Pilot powers x1 (the scenario), x0.1 and x10 (its sensitivity), one per row.
     rho_pilot = np.array([1.0, 0.1, 10.0])[:, None, None] * config.terminal_pilot_power_w / noise
-    tau = int(round(config.pilot_fraction * config.coherence_s * config.bandwidth_hz))
+    tau = config.pilot_symbols
     k = config.n_terminals
     sinr = np.empty((rho_pilot.size, drops))  # one row per pilot power
     quality = np.empty(drops)

@@ -1,4 +1,8 @@
-"""The named batch experiments and their CSV/JSON emission.
+"""The named batch experiments, their declarations and their CSV/JSON emission.
+
+Each experiment is one `Experiment` record in `EXPERIMENTS`: its parameter
+schema, default trial counts, runner and cross-key check, and whether it is
+block-drawn or accepts measured channels. Adding an experiment is one entry.
 
 Every experiment is a pure function of its resolved configuration: trials
 derive their draws from per-index sub-seeds (one per block of trials for the
@@ -12,14 +16,17 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Any, Callable, get_type_hints
 
 import numpy as np
 
 from . import __version__, capacity, channel, pilots, transceiver
-from .config import ExperimentConfig
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .numerics import EmpiricalCdf, Seed, bartlett_blocks, singular_value_spread_db
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
 
 @dataclass(frozen=True)
@@ -40,8 +47,7 @@ class ExperimentResult:
 
 def run(config: ExperimentConfig) -> ExperimentResult:
     """Execute the configured experiment and collect its tables and summary."""
-    runner = _RUNNERS[config.experiment]
-    summary, tables = runner(config)
+    summary, tables = EXPERIMENTS[config.experiment].runner(config)
     return ExperimentResult(
         experiment=config.experiment,
         summary=summary,
@@ -196,6 +202,14 @@ def _run_focusing_map(config: ExperimentConfig):
     return summary, tables
 
 
+def _check_focusing_map(*, m, scheme, **_) -> None:
+    if scheme != "mrt" and m < channel.FOCUSING_TERMINALS:
+        raise ConfigError(
+            f"key 'focusing-map.m': zero-forcing (scheme = {scheme}) needs m >= "
+            f"{channel.FOCUSING_TERMINALS}, the scene's terminal count, got {m}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # ee-se-tradeoff
 # ---------------------------------------------------------------------------
@@ -224,6 +238,47 @@ def _run_ee_se(config: ExperimentConfig):
         }
     table = Table(("system", "rho_db", "se_bps_hz", "ee_bits_per_joule", "ee_relative"), rows)
     return summary, {"tradeoff": table}
+
+
+def _check_ee_se(*, rho_min_db, rho_max_db, rho_points, coherence_symbols, m_massive, k_massive, m_beamforming):
+    """Reject a config that zero-forcing cannot serve, or whose sweep cannot
+    give finite outputs: the largest level times M overflows the closed
+    forms, or the one-antenna reference's rate is 0 at every level, so each
+    relative column is 0/0."""
+    if k_massive >= m_massive:
+        raise ConfigError(
+            f"key 'ee-se-tradeoff.k_massive': zero-forcing needs k_massive < m_massive = {m_massive}, "
+            f"got {k_massive}"
+        )
+    if k_massive > coherence_symbols:
+        raise ConfigError(
+            f"key 'ee-se-tradeoff.k_massive': pilots of length k_massive must fit in "
+            f"coherence_symbols = {coherence_symbols}, got {k_massive}"
+        )
+    if coherence_symbols == 1:
+        raise ConfigError(
+            "key 'ee-se-tradeoff.coherence_symbols': must be >= 2, since the one-antenna reference's "
+            "pilot of one symbol leaves no payload in a coherence interval of 1"
+        )
+    # The grid's largest level: np.linspace ends on rho_max_db, but one point is rho_min_db alone.
+    ends_high = rho_points > 1 and rho_max_db >= rho_min_db
+    key, level = ("rho_max_db", rho_max_db) if ends_high else ("rho_min_db", rho_min_db)
+    rho = 10.0 ** (np.array([level]) / 10.0)  # as `_run_ee_se` forms the grid
+    antennas = max(m_massive, m_beamforming)
+    try:
+        peak = float(rho[0]) * antennas
+    except OverflowError:  # antennas past the float range
+        peak = math.inf
+    if not math.isfinite(peak):
+        raise ConfigError(
+            f"key 'ee-se-tradeoff.{key}': the largest level, {level} dB, times {antennas} antennas "
+            f"overflows a float"
+        )
+    if np.log2(1.0 + capacity.ul_mrc_sinr(1, rho, np.ones(1), rho, 1))[0] == 0.0:
+        raise ConfigError(
+            f"key 'ee-se-tradeoff.{key}': the largest level, {level} dB, leaves the one-antenna "
+            f"reference a rate of 0 at every level (it needs more than about -79.77 dB)"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +327,21 @@ def _run_pilot_contamination(config: ExperimentConfig):
     return summary, {"contamination": table}
 
 
+def _check_pilot_contamination(*, m_list, **_) -> None:
+    if len(set(m_list)) < 2:
+        raise ConfigError(
+            f"key 'pilot-contamination.m_list': the log-log slope fit needs at least two distinct "
+            f"antenna counts, got {m_list}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # rural-broadband
 # ---------------------------------------------------------------------------
 
 
 def _run_rural(config: ExperimentConfig):
-    p = dict(config.params)
-    rural_config = capacity.RuralConfig(**p)
+    rural_config = capacity.RuralConfig(**config.params)
     result = capacity.rural_broadband(rural_config, Seed(config.seed), config.trials)
     sinr_db = (10.0 * np.log10(result.sinr)).tolist()
     served = [result.served] * config.trials
@@ -289,11 +351,150 @@ def _run_rural(config: ExperimentConfig):
     return result.summary(), {"rural": table}
 
 
-_RUNNERS = {
-    "svd-spread": _run_svd_spread,
-    "mrt-sumrate": _run_mrt_sumrate,
-    "focusing-map": _run_focusing_map,
-    "ee-se-tradeoff": _run_ee_se,
-    "pilot-contamination": _run_pilot_contamination,
-    "rural-broadband": _run_rural,
+# ---------------------------------------------------------------------------
+# The experiment table
+# ---------------------------------------------------------------------------
+
+
+def _parse_bool(text: str) -> bool:
+    lowered = text.strip().lower()
+    if lowered in ("true", "yes", "on", "1"):
+        return True
+    if lowered in ("false", "no", "off", "0"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+def _parse_positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"must be >= 1, got {value}")
+    return value
+
+
+def _parse_finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {text.strip()!r}")
+    return value
+
+
+def _parse_positive_float(text: str) -> float:
+    value = _parse_finite_float(text)
+    if value <= 0.0:
+        raise ValueError(f"must be a finite number > 0, got {text.strip()!r}")
+    return value
+
+
+def _parse_db(text: str) -> float:
+    """A level in dB whose linear value 10^(x/10) is a float in (0, 1e300]:
+    from about 3,063 dB the runs' own products of it overflow."""
+    value = _parse_finite_float(text)
+    try:
+        linear = 10.0 ** (value / 10.0)
+    except OverflowError:
+        linear = math.inf
+    if not 0.0 < linear <= 1e300:
+        raise ValueError(f"must be a dB level of at most 3000 dB whose linear value is > 0, got {text.strip()!r}")
+    return value
+
+
+def _list_of(parse: Callable[[str], Any]) -> Callable[[str], list]:
+    """Parser of a non-empty comma-separated list whose entries each pass `parse`."""
+
+    def parse_list(text: str) -> list:
+        values = [parse(tok) for tok in text.split(",") if tok.strip()]
+        if not values:
+            raise ValueError("list must not be empty")
+        return values
+
+    return parse_list
+
+
+def _parse_scheme(text: str) -> str:
+    if text not in ("mrt", "zf", "both"):
+        raise ValueError(f"must be mrt, zf, or both, got {text!r}")
+    return text
+
+
+@dataclass(frozen=True)
+class Option:
+    parse: Callable[[str], Any]
+    default: Any
+
+
+def _dataclass_schema(cls) -> dict[str, Option]:
+    """One option per field of `cls`, parsed by its int, float or bool type;
+    floats must be finite."""
+    parsers, hints = {int: int, float: _parse_finite_float, bool: _parse_bool}, get_type_hints(cls)
+    return {f.name: Option(parsers[hints[f.name]], f.default) for f in fields(cls)}
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment's declaration, all that `config` and `run` know of it."""
+
+    schema: dict[str, Option]  # its section's keys; the defaults hold at desk and paper scale
+    trials: tuple[int, int]  # default trial counts, (desk, paper), indexed by paper_scale
+    runner: Callable[[ExperimentConfig], tuple[dict, dict[str, Table]]]
+    check: Callable[..., object] = lambda **params: None  # gets the parsed params; raises ConfigError
+    block_drawn: bool = False  # trials are Bartlett factors in blocks of BLOCK_ENTRIES (`numerics.bartlett_blocks`)
+    measured: bool = False  # it accepts a measured-channel set (--channels)
+
+
+EXPERIMENTS: dict[str, Experiment] = {
+    "focusing-map": Experiment(
+        {
+            "m": Option(_parse_positive_int, 64),
+            "n_scatterers": Option(_parse_positive_int, 400),
+            "scheme": Option(_parse_scheme, "both"),
+            "region_side_lambda": Option(_parse_positive_float, 800.0),
+            "bs_distance_lambda": Option(_parse_positive_float, 1600.0),
+            "antenna_spacing_lambda": Option(_parse_positive_float, 4.0),
+            "other_user_offset_lambda": Option(_parse_positive_float, 40.0),
+            "grid_extent_lambda": Option(_parse_positive_float, 400.0),
+            "grid_points": Option(_parse_positive_int, 41),
+        },
+        (100, 10_000), _run_focusing_map, _check_focusing_map,
+    ),
+    "svd-spread": Experiment(
+        {
+            "m_list": Option(_list_of(_parse_positive_int), [4, 32, 128]),
+            "k": Option(_parse_positive_int, 4),
+        },
+        (2000, 10_000), _run_svd_spread, block_drawn=True, measured=True,
+    ),
+    "mrt-sumrate": Experiment(
+        {
+            "m_list": Option(_list_of(_parse_positive_int), [4, 8, 16, 32, 64, 128]),
+            "k": Option(_parse_positive_int, 4),
+            "target_snr_db": Option(_parse_db, 10.0),
+        },
+        (2000, 10_000), _run_mrt_sumrate, block_drawn=True, measured=True,
+    ),
+    "ee-se-tradeoff": Experiment(
+        {
+            "rho_min_db": Option(_parse_db, -30.0),
+            "rho_max_db": Option(_parse_db, 20.0),
+            "rho_points": Option(_parse_positive_int, 201),
+            "coherence_symbols": Option(_parse_positive_int, 196),
+            "m_massive": Option(_parse_positive_int, 100),
+            "k_massive": Option(_parse_positive_int, 40),
+            "m_beamforming": Option(_parse_positive_int, 100),
+        },
+        (1, 1), _run_ee_se, _check_ee_se,
+    ),
+    "pilot-contamination": Experiment(
+        {
+            "m_list": Option(_list_of(_parse_positive_int), [16, 64, 256, 1024]),
+            "m_limit": Option(_parse_positive_int, 10_000),
+            "beta_home": Option(_parse_positive_float, 1.0),
+            "betas_contaminating": Option(_list_of(_parse_positive_float), [1.0]),
+            "rho_pilot": Option(_parse_positive_float, 1.0),
+            "tau": Option(_parse_positive_int, 16),
+        },
+        (200, 1000), _run_pilot_contamination, _check_pilot_contamination, block_drawn=True,
+    ),
+    # The scenario's own checks: ranges, pinned values, pilot length.
+    "rural-broadband": Experiment(_dataclass_schema(capacity.RuralConfig), (50, 500), _run_rural, capacity.RuralConfig),
 }

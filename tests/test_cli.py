@@ -14,12 +14,12 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mmimo import capacity, cli, experiments, transceiver
+from mmimo import capacity, cli, transceiver
 from mmimo.channel import save_measured_channels
 from mmimo.cli import main
-from mmimo.config import EXPERIMENTS, parse_config
+from mmimo.config import parse_config
 from mmimo.errors import ConfigError, DomainError
-from mmimo.experiments import ExperimentResult, Table, emit_tables, run
+from mmimo.experiments import EXPERIMENTS, ExperimentResult, Table, emit_tables, run
 from mmimo.numerics import BLOCK_ENTRIES, Seed, draw_complex_gaussian, singular_value_spread_db
 
 from mc_compare import assert_same_means
@@ -213,12 +213,10 @@ class TestRunAndEmit:
 
     def test_config_closure(self, tmp_path):
         # Every schema default appears in the emitted resolved config.
-        from mmimo.config import SCHEMAS
-
-        for name, schema in SCHEMAS.items():
+        for name, spec in EXPERIMENTS.items():
             path = write_config(tmp_path / f"{name}.ini", f"[experiment]\nexperiment = {name}\n")
             config = parse_config(path)
-            assert set(config.resolved()["params"]) == set(schema)
+            assert set(config.resolved()["params"]) == set(spec.schema)
 
     def test_mrt_sumrate_ceiling_in_summary(self, tmp_path):
         path = write_config(
@@ -443,6 +441,59 @@ class TestMrtSumrateProperty:
             assert len(rows) == trials * len(m_list)
 
 
+# Any value of any schema key: small integers, integers past the float range,
+# every float, any text.
+_ANY_VALUE = st.one_of(
+    st.integers(min_value=-3, max_value=300),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(),
+)
+
+
+@st.composite
+def _sections(draw):
+    """An experiment and values for any subset of its schema's keys."""
+    name = draw(st.sampled_from(list(EXPERIMENTS)))
+    return name, draw(st.fixed_dictionaries({}, optional={key: _ANY_VALUE for key in EXPERIMENTS[name].schema}))
+
+
+class TestValidateProperty:
+    """`validate` of any values of any keys of any experiment exits 0, or 2
+    with a one-line message; never a traceback or a warning. Only validate:
+    an accepted size such as m = 10**9 would allocate memory if run. A rural
+    section allows overrides unless the draw sets allow_override, so that its
+    range checks, not its pinned values, decide."""
+
+    # 200 derandomized examples plus 2 explicit ones, about 0.6 s.
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(section=_sections())
+    @example(section=("ee-se-tradeoff", {"m_massive": 10**400}))  # raised OverflowError (exit 1)
+    @example(section=("focusing-map", {"m": "\r0"}))  # configparser's message ran over two lines
+    def test_validate_exits_0_or_2(self, section):
+        name, values = section
+        if name == "rural-broadband":
+            values = {"allow_override": True, **values}
+        # repr keeps every float exact, and writes nan and inf as such.
+        lines = [
+            f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}" for key, value in values.items()
+        ]
+        body = f"[experiment]\nexperiment = {name}\n\n[{name}]\n" + "\n".join(lines) + "\n"
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "c.ini"
+            path.write_text(body, encoding="utf-8")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                outcome = CliRunner().invoke(main, ["validate", "--config", str(path)])
+        assert [str(w.message) for w in caught] == []
+        assert outcome.exit_code in (0, 2), outcome.output
+        assert "Traceback" not in outcome.output
+        if outcome.exit_code == 0:
+            assert json.loads(outcome.stdout)["experiment"] == name
+        else:
+            assert outcome.stderr.startswith("config error:") and outcome.stderr.count("\n") == 1
+
+
 class TestCliProcess:
     def test_validate_ok(self, tmp_path):
         path = write_config(tmp_path / "c.ini", "[experiment]\nexperiment = svd-spread\n")
@@ -619,6 +670,48 @@ class TestCliProcess:
         assert "Traceback" not in outcome.stderr
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize(
+        "values",
+        [
+            # Ran to negative rates.
+            "pilot_fraction = 2",
+            # Ran to rates of 0, the last two with a divide-by-zero warning.
+            "pilot_fraction = 1",
+            "m = 0",
+            "total_power_w = 0",
+            # Exited 3, after the draws.
+            "n_terminals = 0",
+            "bandwidth_hz = 0",
+            "coherence_s = -1",
+            "pilot_fraction = 0",
+            "radius_km = 0.035",
+            "radius_km = 0.01",
+            "exclusion_km = -0.001",
+            "drop_fraction = 1",
+            "shadow_sigma_db = -1",
+            # A pilot of 0.00328 symbols, which rounds to none, and a coherence interval of inf symbols.
+            "pilot_fraction = 1e-9",
+            "coherence_s = 1e300\nbandwidth_hz = 1e300",
+        ],
+    )
+    def test_rural_override_out_of_range_rejected_before_run(self, tmp_path, monkeypatch, command, values):
+        # allow_override lifts the pinned values, not the range checks.
+        body = (
+            "[experiment]\nexperiment = rural-broadband\ntrials = 2\n\n"
+            f"[rural-broadband]\nallow_override = true\n{values}\n"
+        )
+        path = write_config(tmp_path / "c.ini", body)
+        monkeypatch.setattr(cli, "run", lambda config: pytest.fail("the run started"))
+        args = [command, "--config", path] + (["--out", str(tmp_path / "o")] if command == "run" else [])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outcome = CliRunner().invoke(main, args)
+        assert outcome.exit_code == 2, outcome.output
+        assert outcome.stderr.startswith("config error:") and outcome.stderr.count("\n") == 1
+        assert [str(w.message) for w in caught] == []
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("rho_max_db", [200, 3000])
     def test_ee_se_tradeoff_finite_at_high_snr(self, tmp_path, rho_max_db):
         # 1 + rho sum(beta) - rho gamma cancelled to 0 from about 160 dB; the
@@ -642,6 +735,9 @@ class TestCliProcess:
             # 10^300 x 1e9 antennas overflows; the run ended in inf (exit 3).
             ("rho_max_db = 3000\nm_massive = 1000000000\nm_beamforming = 1000000000", "rho_max_db"),
             ("rho_max_db = 3000\nm_beamforming = 1000000000", "rho_max_db"),
+            # Antenna counts past the float range; the check itself raised OverflowError (exit 1).
+            pytest.param(f"m_massive = {10**400}", "rho_max_db", id="m_massive-10**400"),
+            pytest.param(f"m_beamforming = {10**400}", "rho_max_db", id="m_beamforming-10**400"),
             # The reference's rate is 0 at every level; the run ended in 0/0 (exit 3).
             ("rho_min_db = -100\nrho_max_db = -79.9", "rho_max_db"),
             ("rho_min_db = -300\nrho_max_db = -80", "rho_max_db"),
@@ -716,9 +812,10 @@ class TestCliProcess:
             assert (tmp_path / "o" / "focusing_map_mrt.csv").exists()
 
     def test_non_finite_summary_exit_code_3_without_files(self, tmp_path, monkeypatch):
-        monkeypatch.setitem(
-            experiments._RUNNERS, "svd-spread", lambda config: ({"x": math.nan}, {"t": Table(("a",), [(1,)])})
-        )
+        def runner(config):
+            return {"x": math.nan}, {"t": Table(("a",), [(1,)])}
+
+        monkeypatch.setitem(EXPERIMENTS, "svd-spread", replace(EXPERIMENTS["svd-spread"], runner=runner))
         path = write_config(tmp_path / "c.ini", "[experiment]\nexperiment = svd-spread\ntrials = 2\n")
         out = tmp_path / "o"
         outcome = CliRunner().invoke(main, ["run", "--config", path, "--out", str(out)])

@@ -30,6 +30,7 @@ from click.testing import CliRunner
 
 from mmimo import capacity
 from mmimo.cli import main
+from mmimo.experiments import EXPERIMENTS
 from mmimo.numerics import Seed
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -113,6 +114,13 @@ def compute_digests(workdir: Path, workers: int = 1) -> dict:
         assert outcome.exit_code == 0, f"{name}: exit {outcome.exit_code}: {outcome.output}"
         digests[name] = {p.name: _digest(p) for p in sorted(out.iterdir())}
     return digests | validator_digests()
+
+
+def test_runs_cover_the_experiment_table():
+    # A run of every experiment, and a run on the measured set of every one that accepts it.
+    measured = {f"{name}-channels" for name, spec in EXPERIMENTS.items() if spec.measured}
+    assert set(EXPERIMENTS) | measured <= set(RUNS)
+    assert {name for name, (_, _, reads) in RUNS.items() if reads} == measured
 
 
 @pytest.mark.parametrize("workers", [1, 2])
