@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +30,11 @@ TERMINAL_HEIGHT_M = 5.0
 FOCUSING_OFFSETS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
 FOCUSING_TERMINALS = len(FOCUSING_OFFSETS)
 
-# Rows of the point leg that `scatterer_field` builds and applies at a time.
-# At 400 scatterers the leg block is 800 kB and its workspace (129 rows of
-# 40 bytes per entry) about 2 MB. Of 64-512 rows, 64-128 were fastest and
-# within 3% of one another; 192 rows and more were 15-60% slower.
+# Grid points that `scatterer_field` builds and applies at a time, rounded down
+# to whole grid rows: 123 points (3 rows) at the bundled 41 x 41 grid. At 400
+# scatterers that block's leg is 787 kB and its workspace, at 28 bytes per
+# entry, 1.4 MB. Of 64-512 rows, 64-128 were fastest and within 3% of one
+# another; 192 rows and more were 15-60% slower.
 FIELD_BLOCK_ROWS = 128
 
 _ZERO_RAY = "coincident antenna/scatterer/point produces a zero-length ray"
@@ -142,14 +144,14 @@ def _axis_squares(coords, scatterer_coords) -> np.ndarray:
 
 class _LegWorkspace:
     """The buffers `_phasor_leg` works in, for up to `rows` x S entries:
-    float64 squared distances and turns, float32 phase and trig values, and
-    the complex128 leg. One workspace serves every block of a field."""
+    float64 squared distances, float32 phase and the complex128 leg, 28
+    bytes per entry. The float64 turns live in the leg's memory until the
+    phase is taken from them. One workspace serves every block of a field,
+    and in `field_map` every trial a worker thread runs."""
 
     def __init__(self, rows: int, s: int):
         self.squares = np.empty((rows, s))
-        self.turns = np.empty((rows, s))
         self.phase = np.empty((rows, s), dtype=np.float32)
-        self.trig = np.empty((rows, s), dtype=np.float32)
         self.leg = np.empty((rows, s), dtype=np.complex128)
 
 
@@ -159,21 +161,27 @@ def _phasor_leg(work: _LegWorkspace, rows: int, floor: float) -> np.ndarray:
     `work.squares`, with amp = 1/max(d, floor). Returns a view of `work.leg`;
     every buffer of `work` is overwritten.
 
+    The float64 turns are kept in the first half of the leg's bytes until the
+    float32 phase is taken from them. Then float32 sin is written straight
+    into `leg.imag`, widened exactly to float64, and float32 cos in place over
+    the phase; each is then multiplied by the float64 amplitude.
+
     Accuracy contract: the whole turns of d are removed in float64, and the
     phasor is the float32 cos/sin of the remaining phase in [-pi, pi],
     stored in complex128. Each phasor is within about 2e-7 (relative) of
     exp(-j*2*pi*d) however long the ray; the amplitude is float64."""
     d = np.sqrt(work.squares[:rows], out=work.squares[:rows])
+    leg = work.leg[:rows]
     # Reduce in float64: casting d (thousands of turns) to float32 first would
     # cost about 1e-4 turns of phase.
-    turns = np.subtract(d, np.rint(d, out=work.turns[:rows]), out=work.turns[:rows])
+    turns = leg.view(np.float64).reshape(-1)[: d.size].reshape(d.shape)
+    turns = np.subtract(d, np.rint(d, out=turns), out=turns)
     # The float64 product is rounded to float32 once, as it is stored.
     phase = np.multiply(turns, -2.0 * np.pi, out=work.phase[:rows])
     # d > 0 here, so a floor <= 0 leaves the amplitude at 1/d.
     amp = np.divide(1.0, np.maximum(d, floor, out=d), out=d)
-    leg, trig = work.leg[:rows], work.trig[:rows]
-    np.multiply(np.cos(phase, out=trig), amp, out=leg.real)
-    np.multiply(np.sin(phase, out=trig), amp, out=leg.imag)
+    np.multiply(np.sin(phase, out=leg.imag, dtype=np.float32), amp, out=leg.imag)
+    np.multiply(np.cos(phase, out=phase), amp, out=leg.real)
     return leg
 
 
@@ -242,14 +250,23 @@ def scatterer_field(
     For antenna weights w the excitation is v = antenna_leg(scene)^T @ w, and
     row j is `scatterer_channel_matrix(...) @ w_j` up to rounding: the sum is
     taken as point leg @ v, so the P x M ray matrix is never formed. Each
-    point's leg is built once, `FIELD_BLOCK_ROWS` rows at a time in one
-    workspace, and applied while the block is in cache. The squared
-    distances come from the lattice: dx^2 and dy^2 are formed once per call,
-    and a block is filled with one add per grid row it spans. One
-    matrix-vector product per excitation and block keeps each column's bytes
-    independent of the others. The rays obey the accuracy contract of
-    `_phasor_leg`.
+    point's leg is built once, in blocks of floor(`FIELD_BLOCK_ROWS` / nx)
+    whole grid rows (at least one) in one workspace, and applied while the
+    block is in cache. The squared distances come from the lattice: dx^2 and
+    dy^2 are formed once per call, and one broadcast add dy^2[y0:y1, None] +
+    dx^2 fills a block. One matrix-vector product per excitation and block
+    keeps each column's bytes independent of the others, and of the block
+    size: numpy hands a one-row product to a dot routine that rounds
+    differently, so a one-point tail (nx = 1 only) is folded into the block
+    before it. The rays obey the accuracy contract of `_phasor_leg`.
     """
+    return _field_blocks(scene, grid_x, grid_y, excitations, min_amplitude_distance, threading.local())
+
+
+def _field_blocks(scene: ScattererScene, grid_x, grid_y, excitations, floor: float, cache) -> np.ndarray:
+    """`scatterer_field`, with the block workspace kept as `cache.work`, a
+    `threading.local` attribute: made on a thread's first call, reused by its
+    later calls on a grid and scatterer count of the same shape."""
     gx = np.asarray(grid_x, dtype=float).ravel()
     gy = np.asarray(grid_y, dtype=float).ravel()
     sx, sy = scene.scatterer_positions.T
@@ -258,32 +275,23 @@ def scatterer_field(
     # d = 0 exactly where both squares of one scatterer's column vanish.
     if np.any((dx2 == 0.0).any(axis=0) & (dy2 == 0.0).any(axis=0)):
         raise GeometryError(_ZERO_RAY)
-    nx = gx.size
-    n = nx * gy.size
-    # A block holds up to FIELD_BLOCK_ROWS + 1 rows: a one-row tail is folded in.
-    work = _LegWorkspace(min(n, FIELD_BLOCK_ROWS + 1), sx.size)
-    field = np.empty((len(excitations), n), dtype=np.complex128)
-    for start, stop in _row_blocks(n):
-        for iy in range(start // nx, (stop - 1) // nx + 1):
-            lo, hi = max(start, iy * nx), min(stop, (iy + 1) * nx)
-            np.add(dx2[lo - iy * nx : hi - iy * nx], dy2[iy], out=work.squares[lo - start : hi - start])
-        leg = _phasor_leg(work, stop - start, min_amplitude_distance)
+    nx, ny = gx.size, gy.size
+    starts = list(range(0, ny, max(1, FIELD_BLOCK_ROWS // nx))) + [ny]
+    if len(starts) > 2 and (ny - starts[-2]) * nx == 1:
+        del starts[-2]
+    blocks = list(zip(starts[:-1], starts[1:]))
+    shape = (max(y1 - y0 for y0, y1 in blocks) * nx, sx.size)
+    work = getattr(cache, "work", None)
+    if work is None or work.squares.shape != shape:
+        work = cache.work = _LegWorkspace(*shape)
+    field = np.empty((len(excitations), nx * ny), dtype=np.complex128)
+    for y0, y1 in blocks:
+        rows = (y1 - y0) * nx
+        np.add(dy2[y0:y1, None], dx2, out=work.squares[:rows].reshape(y1 - y0, nx, sx.size))
+        leg = _phasor_leg(work, rows, floor)
         for row, v in zip(field, excitations):
-            row[start:stop] = leg @ v
+            row[y0 * nx : y1 * nx] = leg @ v
     return field
-
-
-def _row_blocks(n: int):
-    """(start, stop) bounds of `FIELD_BLOCK_ROWS`-row blocks over n rows.
-
-    numpy hands a one-row product to a dot routine that rounds differently
-    from the matrix-vector product, so a one-row tail is folded into the
-    block before it. That keeps every row's bytes independent of the block
-    size."""
-    bounds = list(range(0, n, FIELD_BLOCK_ROWS)) + [n]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
-    return zip(bounds[:-1], bounds[1:])
 
 
 def make_focusing_scene(

@@ -1,7 +1,8 @@
 """Batch command-line interface.
 
 Exit codes: 0 on success, 2 for configuration errors, 3 for runtime or
-domain errors.
+domain errors, i/o errors, and runs that need more memory than the host
+gives or numpy allows.
 """
 
 from __future__ import annotations
@@ -14,6 +15,10 @@ import click
 from .config import parse_config
 from .errors import ConfigError, SimulationError
 from .experiments import emit_tables, run
+
+# How numpy refuses an array whose size exceeds its own limits, with a plain
+# ValueError, before any allocation is tried.
+_NUMPY_SIZE_REFUSALS = ("array is too big", "Maximum allowed dimension exceeded")
 
 
 @click.group()
@@ -51,6 +56,14 @@ def run_command(config_path, seed, trials, paper_scale, out_dir, channels, worke
         sys.exit(3)
     except OSError as exc:
         click.echo(f"i/o error: {exc}", err=True)
+        sys.exit(3)
+    except MemoryError as exc:
+        click.echo(f"error: out of memory: {' '.join(str(exc).split()) or 'an allocation failed'}", err=True)
+        sys.exit(3)
+    except ValueError as exc:
+        if not str(exc).startswith(_NUMPY_SIZE_REFUSALS):
+            raise
+        click.echo(f"error: out of memory: numpy refused an array size: {exc}", err=True)
         sys.exit(3)
     for path in written:
         click.echo(path)

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any
 
 from .errors import ConfigError
-from .experiments import EXPERIMENTS
+from .experiments import EXPERIMENTS, MAX_COUNT
 from .numerics import BLOCK_ENTRIES
 
 _COMMON_KEYS = ("experiment", "seed", "trials", "output_dir", "workers")
@@ -153,10 +153,10 @@ def parse_config(
     existing = next((p for p in (out, *out.parents) if os.path.exists(p)), None)
     if existing is not None and not os.path.isdir(existing):
         raise ConfigError(f"key 'experiment.output_dir': {str(existing)!r} exists and is not a directory")
-    if config.trials < 1:
-        raise ConfigError("trials must be >= 1")
-    if config.workers < 1:
-        raise ConfigError("workers must be >= 1")
+    if not 1 <= config.trials <= MAX_COUNT:
+        raise ConfigError("trials must be >= 1 and at most 2**53")
+    if not 1 <= config.workers <= MAX_COUNT:
+        raise ConfigError("workers must be >= 1 and at most 2**53")
     if not 0 <= config.seed < 2**64:
         raise ConfigError("seed must be in [0, 2**64)")
     return config

@@ -264,12 +264,8 @@ def _check_ee_se(*, rho_min_db, rho_max_db, rho_points, coherence_symbols, m_mas
     ends_high = rho_points > 1 and rho_max_db >= rho_min_db
     key, level = ("rho_max_db", rho_max_db) if ends_high else ("rho_min_db", rho_min_db)
     rho = 10.0 ** (np.array([level]) / 10.0)  # as `_run_ee_se` forms the grid
-    antennas = max(m_massive, m_beamforming)
-    try:
-        peak = float(rho[0]) * antennas
-    except OverflowError:  # antennas past the float range
-        peak = math.inf
-    if not math.isfinite(peak):
+    antennas = max(m_massive, m_beamforming)  # at most MAX_COUNT: the product is a float, perhaps inf
+    if not math.isfinite(float(rho[0]) * antennas):
         raise ConfigError(
             f"key 'ee-se-tradeoff.{key}': the largest level, {level} dB, times {antennas} antennas "
             f"overflows a float"
@@ -365,8 +361,23 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_positive_int(text: str) -> int:
+# The largest integer a key may hold: every integer up to 2**53 is exact as a
+# float and far inside int64, so a count enters a run's float and int64
+# arithmetic without an OverflowError.
+MAX_COUNT = 2**53
+
+
+def _parse_int(text: str) -> int:
     value = int(text)
+    if abs(value) > MAX_COUNT:
+        digits = str(abs(value))
+        shown = value if len(digits) <= 20 else f"a {len(digits)}-digit integer"
+        raise ValueError(f"must be at most 2**53 = {MAX_COUNT} in magnitude, got {shown}")
+    return value
+
+
+def _parse_positive_int(text: str) -> int:
+    value = _parse_int(text)
     if value < 1:
         raise ValueError(f"must be >= 1, got {value}")
     return value
@@ -425,8 +436,8 @@ class Option:
 
 def _dataclass_schema(cls) -> dict[str, Option]:
     """One option per field of `cls`, parsed by its int, float or bool type;
-    floats must be finite."""
-    parsers, hints = {int: int, float: _parse_finite_float, bool: _parse_bool}, get_type_hints(cls)
+    ints must be at most MAX_COUNT in magnitude, floats finite."""
+    parsers, hints = {int: _parse_int, float: _parse_finite_float, bool: _parse_bool}, get_type_hints(cls)
     return {f.name: Option(parsers[hints[f.name]], f.default) for f in fields(cls)}
 
 

@@ -3,11 +3,12 @@ field maps for the scatterer scene."""
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ScattererScene, antenna_leg, redraw_scatterers, scatterer_channel_matrix, scatterer_field
+from .channel import ScattererScene, _field_blocks, antenna_leg, redraw_scatterers, scatterer_channel_matrix
 from .errors import DegenerateChannelError, DimensionError, DomainError, RankError
 from .numerics import Seed, pseudo_inverse
 from .parallel import ordered_trial_map
@@ -154,9 +155,11 @@ def field_map(
     it come the perfect-CSI channels h to the scene terminals
     (`scatterer_channel_matrix`) and, per scheme, the scatterer excitation
     v = (antenna leg)^T w. The target stream's field is h^T w at the
-    terminals and, at every grid point, `scatterer_field` of v, which builds
-    each grid point's ray leg once per trial in row blocks from the
-    lattice's squared distances and never forms the grid's ray matrix. All
+    terminals and, at every grid point, `channel.scatterer_field` of v, which
+    builds each grid point's ray leg once per trial in blocks of whole grid
+    rows from the lattice's squared distances and never forms the grid's ray
+    matrix. Each worker thread builds one block workspace for the whole call
+    and reuses it in every trial it runs; the workspaces go with the call. All
     schemes share each trial's scatterer draw and ray legs; only the
     precoder differs. The precoders and the terminal field use the same
     channel rows, so zero-forcing nulls land on the exact terminal
@@ -172,6 +175,7 @@ def field_map(
     if gx.size == 0 or gy.size == 0:
         raise DomainError("field map needs at least one grid point on each axis")
     n_grid = gx.size * gy.size
+    workspaces = threading.local()  # each worker thread's block workspace, for this call only
 
     def one_trial(index: int) -> np.ndarray:
         trial_scene = redraw_scatterers(scene, seed.child(index))
@@ -184,7 +188,7 @@ def field_map(
             targets.append(precoder.w[:, 0])
         # A contiguous copy of each precoder column keeps the product's call, and so its bytes, fixed.
         excitations = [ant_leg.T @ np.ascontiguousarray(w) for w in targets]
-        grid_field = scatterer_field(trial_scene, gx, gy, excitations, MIN_AMPLITUDE_DISTANCE)
+        grid_field = _field_blocks(trial_scene, gx, gy, excitations, MIN_AMPLITUDE_DISTANCE, workspaces)
         # One matrix-vector product per scheme: stacking the precoders into
         # one matmul may round differently.
         terminal_field = np.array([h.T @ w for w in targets])

@@ -1,7 +1,11 @@
 import dataclasses
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmimo import channel
 from mmimo.channel import (
@@ -289,7 +293,9 @@ class TestScattererField:
     @pytest.mark.parametrize("rows", [2, 7, 40, 41, 42, 128])
     @pytest.mark.parametrize(
         "nx, ny",
-        # 165 = 4 * 41 + 1 points: a one-row tail at 2 and 41 rows.
+        # A block is floor(rows / nx) whole grid rows, at least one. (1, 13) at
+        # 2 rows is the one-point-tail case: 13 = 6 * 2 + 1 points, the last
+        # folded into the block before it. With nx > 1 no tail is one point.
         [(9, 7), (1, 13), (13, 1), (55, 3)],
     )
     def test_lattice_bit_identical_to_point_leg(self, monkeypatch, rows, nx, ny):
@@ -430,3 +436,58 @@ class TestMeasuredChannels:
         path.write_text("2,1\n")
         with pytest.raises(ParseError, match="line 1"):
             load_measured_channels(path)
+
+
+# Any CFCSV field: a finite float, any float, a token the reader must reject
+# or may accept (signs, exponents, underscores, padding), or any text.
+_CFCSV_FLOATS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_CFCSV_TOKENS = st.one_of(
+    _CFCSV_FLOATS,
+    st.floats().map(repr),
+    st.sampled_from(["", " 1 ", "-0", "1e999", "1_0", "0x10", "--1", "nan", "+inf", "\r", "\xe9"]),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def _cfcsv_files(draw):
+    """A CFCSV file as bytes: a well-formed header and block of lines with
+    any tokens, then perhaps one line dropped, doubled or replaced, another
+    ending, or a few bytes spliced in or out."""
+    m, k, f = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    # Half the files hold only finite floats, so that many of them load.
+    token = _CFCSV_FLOATS if draw(st.booleans()) else _CFCSV_TOKENS
+    tokens = draw(st.lists(token, min_size=2 * k * m * f, max_size=2 * k * m * f))
+    lines = [f"{m},{k},{f}"] + [",".join(tokens[i : i + 2 * k]) for i in range(0, len(tokens), 2 * k)]
+    at = draw(st.integers(0, len(lines) - 1))
+    edit = draw(st.sampled_from(["none", "none", "drop", "double", "replace", "splice"]))
+    if edit == "drop":
+        del lines[at]
+    elif edit == "double":
+        lines.insert(at, lines[at])
+    elif edit == "replace":
+        lines[at] = draw(st.text(max_size=6))
+    data = ("\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n", "\r\n"]))).encode("utf-8")
+    if edit == "splice":
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + draw(st.binary(max_size=2)) + data[cut + draw(st.integers(0, 2)) :]
+    return data
+
+
+class TestMeasuredChannelsFuzz:
+    # 150 derandomized examples, about 0.35 s; 40 of them load.
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=_cfcsv_files())
+    def test_loads_finite_set_or_raises_parse_error_with_line(self, data):
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "set.cfcsv")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            try:
+                loaded = load_measured_channels(path)
+            except ParseError as exc:
+                assert isinstance(exc.line, int) and exc.line >= 1
+                return
+        m, k, f = (int(tok) for tok in data.decode("utf-8").split("\n")[0].split(","))
+        assert loaded.shape == (f, m, k) and loaded.dtype == np.complex128
+        assert np.all(np.isfinite(loaded))

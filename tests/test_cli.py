@@ -736,8 +736,9 @@ class TestCliProcess:
             ("rho_max_db = 3000\nm_massive = 1000000000\nm_beamforming = 1000000000", "rho_max_db"),
             ("rho_max_db = 3000\nm_beamforming = 1000000000", "rho_max_db"),
             # Antenna counts past the float range; the check itself raised OverflowError (exit 1).
-            pytest.param(f"m_massive = {10**400}", "rho_max_db", id="m_massive-10**400"),
-            pytest.param(f"m_beamforming = {10**400}", "rho_max_db", id="m_beamforming-10**400"),
+            # The parser now rejects any count past 2**53 and names its key.
+            pytest.param(f"m_massive = {10**400}", "m_massive", id="m_massive-10**400"),
+            pytest.param(f"m_beamforming = {10**400}", "m_beamforming", id="m_beamforming-10**400"),
             # The reference's rate is 0 at every level; the run ended in 0/0 (exit 3).
             ("rho_min_db = -100\nrho_max_db = -79.9", "rho_max_db"),
             ("rho_min_db = -300\nrho_max_db = -80", "rho_max_db"),
@@ -823,6 +824,79 @@ class TestCliProcess:
         assert len(outcome.stderr.splitlines()) == 1
         assert "Traceback" not in outcome.stderr
         assert not out.exists()
+
+    def test_integer_keys_past_2_53_exit_2_naming_the_key(self, tmp_path):
+        # Each of these ran past validate and ended in a traceback (exit 1).
+        # Only parse: a count the run could take would allocate or loop.
+        keys = 0
+        for name, spec in EXPERIMENTS.items():
+            for key, option in spec.schema.items():
+                default = option.default[0] if isinstance(option.default, list) else option.default
+                if type(default) is not int:
+                    continue
+                keys += 1
+                body = f"[experiment]\nexperiment = {name}\n\n[{name}]\n{key} = {10**400}\n"
+                if name == "rural-broadband":
+                    body += "allow_override = true\n"
+                path = write_config(tmp_path / "c.ini", body)
+                for args in (["validate"], ["run", "--out", str(tmp_path / "o")]):
+                    outcome = CliRunner().invoke(main, args + ["--config", path])
+                    assert outcome.exit_code == 2, (name, key, args[0], outcome.output)
+                    assert outcome.stderr == f"config error: key '{name}.{key}': must be at most 2**53 = " \
+                        f"{2**53} in magnitude, got a 401-digit integer\n"
+        assert keys == 17
+        assert not (tmp_path / "o").exists()
+
+    def test_count_bound_is_2_53(self, tmp_path):
+        # Parse only: a count this large is accepted, never run.
+        head = "[experiment]\nexperiment = focusing-map\n"
+        path = write_config(tmp_path / "ok.ini", f"{head}\n[focusing-map]\nm = {2**53}\n")
+        assert parse_config(path, trials=2**53).params["m"] == 2**53
+        path = write_config(tmp_path / "over.ini", f"{head}\n[focusing-map]\nm = {2**53 + 1}\n")
+        with pytest.raises(ConfigError, match=f"'focusing-map.m': .* got {2**53 + 1}$"):
+            parse_config(path)
+        path = write_config(tmp_path / "trials.ini", f"{head}trials = {2**53 + 1}\n")
+        with pytest.raises(ConfigError, match=r"trials must be >= 1 and at most 2\*\*53"):
+            parse_config(path)
+
+    @pytest.mark.parametrize(
+        "error, message",
+        [
+            (MemoryError("Unable to allocate 256. TiB for an array\nwith shape (35184372088832,)"),
+             "error: out of memory: Unable to allocate 256. TiB for an array with shape (35184372088832,)\n"),
+            (MemoryError(), "error: out of memory: an allocation failed\n"),
+        ],
+        ids=["numpy", "bare"],
+    )
+    def test_memory_error_exit_code_3_in_one_line(self, tmp_path, monkeypatch, error, message):
+        def runner(config):
+            raise error
+
+        monkeypatch.setitem(EXPERIMENTS, "svd-spread", replace(EXPERIMENTS["svd-spread"], runner=runner))
+        path = write_config(tmp_path / "c.ini", "[experiment]\nexperiment = svd-spread\ntrials = 2\n")
+        outcome = CliRunner().invoke(main, ["run", "--config", path, "--out", str(tmp_path / "o")])
+        assert outcome.exit_code == 3
+        assert outcome.stderr == message
+
+    def test_numpy_size_refusal_exit_code_3_other_value_errors_raise(self, tmp_path, monkeypatch):
+        def refused(config):
+            # numpy refuses both sizes before it tries to allocate anything.
+            return np.empty((2**40, 2**40)) if config.seed else np.empty(2**64)
+
+        def broken(config):
+            raise ValueError("a bug")
+
+        path = write_config(tmp_path / "c.ini", "[experiment]\nexperiment = svd-spread\ntrials = 2\n")
+        for runner, seed, code in ((refused, 1, 3), (refused, 0, 3), (broken, 0, 1)):
+            monkeypatch.setitem(EXPERIMENTS, "svd-spread", replace(EXPERIMENTS["svd-spread"], runner=runner))
+            args = ["run", "--config", path, "--seed", str(seed), "--out", str(tmp_path / "o")]
+            outcome = CliRunner().invoke(main, args)
+            assert outcome.exit_code == code
+            if code == 3:
+                assert outcome.stderr.startswith("error: out of memory: numpy refused an array size: ")
+                assert outcome.stderr.count("\n") == 1
+            else:
+                assert isinstance(outcome.exception, ValueError)
 
     # out=None leaves the empty path to the file's `output_dir =`, "" passes it as --out.
     @pytest.mark.parametrize("command, out", [("run", None), ("validate", None), ("run", "")])

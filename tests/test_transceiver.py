@@ -1,4 +1,5 @@
 import itertools
+import threading
 from collections import Counter
 
 import numpy as np
@@ -292,7 +293,9 @@ class TestFieldMap:
     def test_field_block_size_does_not_change_bytes(self, monkeypatch):
         seed = Seed(25)
         scene = make_focusing_scene(seed.child(0), m_antennas=8, n_scatterers=50)
-        grid = np.linspace(-50.0, 50.0, 41)  # 1,681 = 42 * 40 + 1 points: a one-row tail at 40 rows
+        # 41 x 41 points: one grid row a block at 2, 7 and 40 rows, blocks of 3 grid
+        # rows (the last of 2) at 128, the whole grid at 1,681. No tail is one point.
+        grid = np.linspace(-50.0, 50.0, 41)
         maps = []
         for rows in (2, 7, 40, 128, grid.size**2):
             monkeypatch.setattr(channel, "FIELD_BLOCK_ROWS", rows)
@@ -301,6 +304,26 @@ class TestFieldMap:
             for fmap, ref in zip(other, maps[0]):
                 assert np.array_equal(fmap.power_db, ref.power_db)
                 assert np.array_equal(fmap.terminal_power_db, ref.terminal_power_db)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_grid_workspace_per_worker_thread(self, monkeypatch, workers):
+        built = []
+
+        class CountingWorkspace(channel._LegWorkspace):
+            def __init__(self, rows, s):
+                built.append((threading.get_ident(), rows))
+                super().__init__(rows, s)
+
+        monkeypatch.setattr(channel, "_LegWorkspace", CountingWorkspace)
+        seed = Seed(26)
+        scene = make_focusing_scene(seed.child(0), m_antennas=8, n_scatterers=30)
+        grid = np.linspace(-50.0, 50.0, 11)  # 121 points, one block; the legs have 8 and 5 rows
+        field_map(scene, ("mrt", "zf"), grid, grid, 6, seed.child(1), workers=workers)
+        # Each trial builds its antenna and terminal legs in workspaces of their own.
+        assert Counter(rows for _, rows in built if rows != grid.size**2) == {8: 6, 5: 6}
+        per_thread = Counter(thread for thread, rows in built if rows == grid.size**2)
+        assert 1 <= len(per_thread) <= workers
+        assert set(per_thread.values()) == {1}
 
     @pytest.mark.parametrize("schemes", [(), ("mrt", "mrt"), ("mrt", "foo")])
     def test_bad_schemes_rejected(self, schemes):
