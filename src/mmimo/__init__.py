@@ -1,6 +1,12 @@
-"""Deterministic massive MIMO link-level simulator."""
+"""Deterministic massive MIMO link-level simulator.
 
-from . import capacity, channel, errors, numerics, pilots, transceiver
+`errors` and `numerics` load with the package. `capacity`, `channel`,
+`pilots` and `transceiver` load on first use: as attributes of `mmimo`,
+through `from mmimo import channel`, or when code that needs them runs. So a
+run imports only the modules it uses.
+"""
+
+from . import errors, numerics
 from .numerics import EmpiricalCdf, Seed
 
 __version__ = "0.1.0"
@@ -16,3 +22,15 @@ __all__ = [
     "transceiver",
     "__version__",
 ]
+
+_ON_FIRST_USE = ("capacity", "channel", "pilots", "transceiver")
+
+
+def __getattr__(name: str):
+    # Called only for names not yet bound: importing a submodule binds it
+    # here. __import__ takes the import statement's path, which
+    # `python -X importtime` reports module by module.
+    if name in _ON_FIRST_USE:
+        __import__(f"{__name__}.{name}")
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

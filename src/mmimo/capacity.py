@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import draw_shadow_db, large_scale_gain, squared_ground_radii
 from .errors import ConfigError, DegenerateChannelError, DimensionError, DomainError, RankError
 from .numerics import BLOCK_ENTRIES, Seed, bartlett_blocks
 
@@ -585,6 +584,8 @@ def rural_broadband(config: RuralConfig, seed: Seed, drops: int) -> RuralResult:
     rate bound. Only slow-fading scalars are handled, so the array size never
     materialises as a matrix.
     """
+    from .channel import draw_shadow_db, large_scale_gain, squared_ground_radii
+
     if drops < 1:
         raise DomainError("need at least one drop")
     noise = noise_power_w(config.bandwidth_hz, config.noise_figure_db)

@@ -134,10 +134,10 @@ class ScattererScene:
             raise GeometryError("scene needs at least one antenna")
 
 
-def _axis_squares(coords, scatterer_coords) -> np.ndarray:
+def _axis_squares(coords, scatterer_coords, out=None) -> np.ndarray:
     """(len(coords), S) squared differences of one coordinate to each
-    scatterer's, in wavelengths squared."""
-    squares = np.subtract.outer(coords, scatterer_coords)
+    scatterer's, in wavelengths squared, written to `out` if given."""
+    squares = np.subtract.outer(coords, scatterer_coords, out=out)
     squares *= squares
     return squares
 
@@ -147,9 +147,11 @@ class _LegWorkspace:
     float64 squared distances, float32 phase and the complex128 leg, 28
     bytes per entry. The float64 turns live in the leg's memory until the
     phase is taken from them. One workspace serves every block of a field,
-    and in `field_map` every trial a worker thread runs."""
+    and in `field_map` every trial a worker thread runs; so does one for the
+    antenna leg."""
 
     def __init__(self, rows: int, s: int):
+        self.shape = (rows, s)
         self.squares = np.empty((rows, s))
         self.phase = np.empty((rows, s), dtype=np.float32)
         self.leg = np.empty((rows, s), dtype=np.complex128)
@@ -185,14 +187,29 @@ def _phasor_leg(work: _LegWorkspace, rows: int, floor: float) -> np.ndarray:
     return leg
 
 
-def _ray_leg(origins: np.ndarray, scene: ScattererScene, floor: float) -> np.ndarray:
+def _kept(cache, name: str, shape: tuple[int, int], make):
+    """The buffer `cache.<name>`, a `threading.local` attribute with a
+    `shape`, or a new make(*shape) kept there when it is missing or has
+    another shape."""
+    held = getattr(cache, name, None)
+    if held is None or held.shape != shape:
+        held = make(*shape)
+        setattr(cache, name, held)
+    return held
+
+
+def _ray_leg(origins: np.ndarray, scene: ScattererScene, floor: float, work: _LegWorkspace | None = None) -> np.ndarray:
     """(rows, S) complex128 leg from each origin to each scatterer: the
-    squared distances, then `_phasor_leg` in a workspace of its own."""
+    squared distances, then `_phasor_leg` in `work` (of exactly rows x S), or
+    in a workspace of its own. The two axis squares are formed in the two
+    halves of the leg's bytes, which `_phasor_leg` then overwrites."""
     sx, sy = scene.scatterer_positions.T
-    work = _LegWorkspace(origins.shape[0], sx.size)
+    if work is None:
+        work = _LegWorkspace(origins.shape[0], sx.size)
+    x2, y2 = work.leg.view(np.float64).reshape(2, *work.shape)
     squares = np.add(
-        _axis_squares(origins[:, 0], sx),
-        _axis_squares(origins[:, 1], sy),
+        _axis_squares(origins[:, 0], sx, out=x2),
+        _axis_squares(origins[:, 1], sy, out=y2),
         out=work.squares,
     )
     if not squares.all():
@@ -204,6 +221,13 @@ def antenna_leg(scene: ScattererScene, min_amplitude_distance: float = 0.0) -> n
     """(M, S) ray leg from every antenna to every scatterer, the factor that
     `scatterer_channel_matrix` and the excitations of `scatterer_field` share."""
     return _ray_leg(scene.antenna_positions, scene, min_amplitude_distance)
+
+
+def _antenna_leg(scene: ScattererScene, floor: float, cache) -> np.ndarray:
+    """`antenna_leg` built in the workspace `cache.antenna` (see `_kept`). It
+    is a view of that workspace, overwritten by the thread's next call."""
+    shape = (scene.antenna_positions.shape[0], scene.scatterer_positions.shape[0])
+    return _ray_leg(scene.antenna_positions, scene, floor, _kept(cache, "antenna", shape, _LegWorkspace))
 
 
 def scatterer_channel_matrix(
@@ -264,26 +288,25 @@ def scatterer_field(
 
 
 def _field_blocks(scene: ScattererScene, grid_x, grid_y, excitations, floor: float, cache) -> np.ndarray:
-    """`scatterer_field`, with the block workspace kept as `cache.work`, a
-    `threading.local` attribute: made on a thread's first call, reused by its
-    later calls on a grid and scatterer count of the same shape."""
+    """`scatterer_field`, with the block workspace kept as `cache.work` and
+    the lattice's dx^2 and dy^2 as `cache.lattice`, `threading.local`
+    attributes: made on a thread's first call, reused by its later calls on
+    a grid and scatterer count of the same shape (`_kept`)."""
     gx = np.asarray(grid_x, dtype=float).ravel()
     gy = np.asarray(grid_y, dtype=float).ravel()
     sx, sy = scene.scatterer_positions.T
-    dx2 = _axis_squares(gx, sx)
-    dy2 = _axis_squares(gy, sy)
+    nx, ny = gx.size, gy.size
+    lattice = _kept(cache, "lattice", (nx + ny, sx.size), lambda *shape: np.empty(shape))
+    dx2 = _axis_squares(gx, sx, out=lattice[:nx])
+    dy2 = _axis_squares(gy, sy, out=lattice[nx:])
     # d = 0 exactly where both squares of one scatterer's column vanish.
     if np.any((dx2 == 0.0).any(axis=0) & (dy2 == 0.0).any(axis=0)):
         raise GeometryError(_ZERO_RAY)
-    nx, ny = gx.size, gy.size
     starts = list(range(0, ny, max(1, FIELD_BLOCK_ROWS // nx))) + [ny]
     if len(starts) > 2 and (ny - starts[-2]) * nx == 1:
         del starts[-2]
     blocks = list(zip(starts[:-1], starts[1:]))
-    shape = (max(y1 - y0 for y0, y1 in blocks) * nx, sx.size)
-    work = getattr(cache, "work", None)
-    if work is None or work.squares.shape != shape:
-        work = cache.work = _LegWorkspace(*shape)
+    work = _kept(cache, "work", (max(y1 - y0 for y0, y1 in blocks) * nx, sx.size), _LegWorkspace)
     field = np.empty((len(excitations), nx * ny), dtype=np.complex128)
     for y0, y1 in blocks:
         rows = (y1 - y0) * nx

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Any, Callable, get_type_hints
 
 import numpy as np
 
-from . import __version__, capacity, channel, pilots, transceiver
+from . import __version__, capacity
 from .errors import ConfigError, DomainError
 from .numerics import EmpiricalCdf, Seed, bartlett_blocks, singular_value_spread_db
 
@@ -117,7 +117,9 @@ def _channel_groups(config: ExperimentConfig):
     the singular values and Gram matrices of M x K i.i.d. CN(0, 1) draws,
     also for M < K, without an M-length axis."""
     if config.channels_path is not None:
-        measured = channel.load_measured_channels(config.channels_path)
+        from .channel import load_measured_channels
+
+        measured = load_measured_channels(config.channels_path)
         yield measured.shape[1], measured.shape[2], [measured]
         return
     k = config.params["k"]
@@ -173,6 +175,8 @@ def _json_db(value) -> float | str:
 
 
 def _run_focusing_map(config: ExperimentConfig):
+    from . import channel, transceiver
+
     p = config.params
     schemes = ("mrt", "zf") if p["scheme"] == "both" else (p["scheme"],)
     seed = Seed(config.seed)
@@ -203,10 +207,12 @@ def _run_focusing_map(config: ExperimentConfig):
 
 
 def _check_focusing_map(*, m, scheme, **_) -> None:
-    if scheme != "mrt" and m < channel.FOCUSING_TERMINALS:
+    from .channel import FOCUSING_TERMINALS
+
+    if scheme != "mrt" and m < FOCUSING_TERMINALS:
         raise ConfigError(
             f"key 'focusing-map.m': zero-forcing (scheme = {scheme}) needs m >= "
-            f"{channel.FOCUSING_TERMINALS}, the scene's terminal count, got {m}"
+            f"{FOCUSING_TERMINALS}, the scene's terminal count, got {m}"
         )
 
 
@@ -283,6 +289,8 @@ def _check_ee_se(*, rho_min_db, rho_max_db, rho_points, coherence_symbols, m_mas
 
 
 def _run_pilot_contamination(config: ExperimentConfig):
+    from . import pilots
+
     p = config.params
     seed = Seed(config.seed)
     m_values = list(p["m_list"])

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterator, TypeVar
 
 T = TypeVar("T")
@@ -14,12 +13,18 @@ def ordered_trial_map(fn: Callable[[int], T], n_trials: int, workers: int = 1) -
 
     Trials must be pure functions of their index (seeds derived per index),
     so the worker count never changes results, only wall-clock time. At most
-    min(workers, n_trials, os.cpu_count()) threads are started.
+    min(workers, n_trials, CPUs) threads are started, counting the CPUs this
+    process may run on (its affinity set, which `taskset` or a cpuset
+    narrows, where the platform has one). With one thread every trial runs
+    on the calling thread, and `concurrent.futures` is not imported.
     """
-    threads = min(workers or 1, n_trials, os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    threads = min(workers or 1, n_trials, cpus)
     if threads <= 1:
         for i in range(n_trials):
             yield fn(i)
         return
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         yield from pool.map(fn, range(n_trials))

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ScattererScene, _field_blocks, antenna_leg, redraw_scatterers, scatterer_channel_matrix
+from .channel import ScattererScene, _antenna_leg, _field_blocks, redraw_scatterers, scatterer_channel_matrix
 from .errors import DegenerateChannelError, DimensionError, DomainError, RankError
 from .numerics import Seed, pseudo_inverse
 from .parallel import ordered_trial_map
@@ -158,13 +158,14 @@ def field_map(
     terminals and, at every grid point, `channel.scatterer_field` of v, which
     builds each grid point's ray leg once per trial in blocks of whole grid
     rows from the lattice's squared distances and never forms the grid's ray
-    matrix. Each worker thread builds one block workspace for the whole call
-    and reuses it in every trial it runs; the workspaces go with the call. All
-    schemes share each trial's scatterer draw and ray legs; only the
-    precoder differs. The precoders and the terminal field use the same
-    channel rows, so zero-forcing nulls land on the exact terminal
-    coordinates at the float64 floor. Every ray's amplitude is floored at
-    MIN_AMPLITUDE_DISTANCE.
+    matrix. Each worker thread builds its antenna-leg workspace, block
+    workspace and lattice squares once for the whole call and reuses them in
+    every trial it runs, so a trial maps no fresh pages for them; the
+    workspaces go with the call. All schemes share each trial's scatterer
+    draw and ray legs; only the precoder differs. The precoders and the
+    terminal field use the same channel rows, so zero-forcing nulls land on
+    the exact terminal coordinates at the float64 floor. Every ray's
+    amplitude is floored at MIN_AMPLITUDE_DISTANCE.
     """
     if trials < 1:
         raise DomainError("need at least one trial")
@@ -175,11 +176,11 @@ def field_map(
     if gx.size == 0 or gy.size == 0:
         raise DomainError("field map needs at least one grid point on each axis")
     n_grid = gx.size * gy.size
-    workspaces = threading.local()  # each worker thread's block workspace, for this call only
+    workspaces = threading.local()  # each worker thread's leg workspaces, for this call only
 
     def one_trial(index: int) -> np.ndarray:
         trial_scene = redraw_scatterers(scene, seed.child(index))
-        ant_leg = antenna_leg(trial_scene, MIN_AMPLITUDE_DISTANCE)
+        ant_leg = _antenna_leg(trial_scene, MIN_AMPLITUDE_DISTANCE, workspaces)
         # Perfect CSI toward the K terminals.
         h = scatterer_channel_matrix(trial_scene, scene.terminal_positions, MIN_AMPLITUDE_DISTANCE, ant_leg=ant_leg).T
         targets = []

@@ -319,10 +319,13 @@ class TestFieldMap:
         scene = make_focusing_scene(seed.child(0), m_antennas=8, n_scatterers=30)
         grid = np.linspace(-50.0, 50.0, 11)  # 121 points, one block; the legs have 8 and 5 rows
         field_map(scene, ("mrt", "zf"), grid, grid, 6, seed.child(1), workers=workers)
-        # Each trial builds its antenna and terminal legs in workspaces of their own.
-        assert Counter(rows for _, rows in built if rows != grid.size**2) == {8: 6, 5: 6}
-        per_thread = Counter(thread for thread, rows in built if rows == grid.size**2)
-        assert 1 <= len(per_thread) <= workers
+        # Each trial builds its terminal leg in a workspace of its own.
+        assert Counter(rows for _, rows in built if rows == 5) == {5: 6}
+        # Each worker thread builds one antenna-leg and one block workspace for the whole call.
+        per_thread = Counter((thread, rows) for thread, rows in built if rows != 5)
+        threads = {thread for thread, _ in per_thread}
+        assert 1 <= len(threads) <= workers
+        assert set(per_thread) == {(thread, rows) for thread in threads for rows in (8, grid.size**2)}
         assert set(per_thread.values()) == {1}
 
     @pytest.mark.parametrize("schemes", [(), ("mrt", "mrt"), ("mrt", "foo")])
