@@ -43,6 +43,19 @@ _SCHEMES = ("mrc", "zf")
 VALIDATOR_BLOCK = 250
 
 
+# The rule of every dB level that a config sets, and its wording.
+_DB_LEVEL = "a dB level of at most 3000 dB whose linear value is > 0"
+
+
+def _is_db_level(value: float) -> bool:
+    """Whether the linear value 10^(x/10) of a level in dB is a float in
+    (0, 1e300]: from about 3,063 dB the runs' own products of it overflow."""
+    try:
+        return 0.0 < 10.0 ** (value / 10.0) <= 1e300
+    except OverflowError:
+        return False
+
+
 def noise_power_w(bandwidth_hz: float, noise_figure_db: float) -> float:
     """Receiver noise floor in watts for the given bandwidth and noise figure."""
     if bandwidth_hz <= 0.0:
@@ -378,65 +391,36 @@ def ee_se_sweep(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PowerControl:
-    """Per-terminal downlink power fractions `eta` (K,), the excluded set and
-    the equalised SINR of the served terminals."""
+def maxmin_power_control(betas, gammas, rho_dl: float, m: int, drop_fraction: float = 0.05):
+    """Equalise the downlink conjugate-beamforming SINR across the served
+    terminals of D drops at once, for R rows of estimate qualities.
 
-    eta: np.ndarray
-    dropped: tuple[int, ...]
-    sinr: float
+    `betas` is (D, K) and `gammas` (R, D, K); one drop is `betas[None]` with
+    `gammas[None, None]`. In each drop the weakest `drop_fraction` of the
+    terminals by slow fading are excluded (ties broken by terminal index),
+    then the full power budget is split so every served terminal sees the
+    same effective SINR. With the total-power constraint the equalising split
+    is closed-form: terminal k's power fraction is eta_k = sinr * cost_k,
+    cost_k = (1 + rho_dl beta_k) / (rho_dl m gamma_k), and sinr = 1 / sum of
+    the costs.
 
-    @property
-    def served(self) -> np.ndarray:
-        mask = np.ones(self.eta.size, dtype=bool)
-        mask[list(self.dropped)] = False
-        return np.flatnonzero(mask)
-
-
-def maxmin_power_control(
-    betas,
-    gammas,
-    rho_dl: float,
-    m: int,
-    drop_fraction: float = 0.05,
-) -> PowerControl:
-    """Equalise the downlink conjugate-beamforming SINR across served terminals.
-
-    The weakest `drop_fraction` of terminals by slow fading are excluded
-    (ties broken by terminal index), then the full power budget is split so
-    every served terminal sees the same effective SINR. With the total-power
-    constraint the equalising split is closed-form:
-    eta_k proportional to (1 + rho_dl beta_k) / gamma_k.
+    Returns each drop's served terminals in ascending order of beta as (D, S)
+    flat indices into `betas`, their (R, D, S) costs, and the (R, D)
+    equalised SINRs. Each row is summed as a 1-D array, whose bits a sum
+    along an axis of the 3-D costs need not match.
     """
     b = np.asarray(betas, dtype=float)
     g = np.asarray(gammas, dtype=float)
-    if b.size == 0:
+    if b.size == 0 or g.size == 0:
         raise DomainError("no terminals to serve")
-    if b.ndim != 1 or g.shape != b.shape:
-        raise DimensionError("betas and gammas must align")
-    served, cost, sinr = _equal_sinr(b[None], g[None, None], rho_dl, m, drop_fraction)
-    eta = np.zeros(b.size)
-    eta[served[0]] = sinr[0, 0] * cost[0, 0]
-    dropped = tuple(np.setdiff1d(np.arange(b.size), served[0]).tolist())
-    return PowerControl(eta=eta, dropped=dropped, sinr=float(sinr[0, 0]))
-
-
-def _equal_sinr(b: np.ndarray, g: np.ndarray, rho_dl: float, m: int, drop_fraction: float):
-    """`maxmin_power_control` for D drops at once: `b` is (D, K) and `g`
-    (R, D, K). Returns each drop's served terminals in ascending order of
-    beta as (D, S) flat indices into `b`, their (R, D, S) costs
-    (1 + rho_dl beta) / (rho_dl m gamma), and the (R, D) equalised SINRs,
-    1 / a row's sum. Each row is summed as a 1-D array, whose bits a sum
-    along an axis of the 3-D costs need not match."""
+    if b.ndim != 2 or g.ndim != 3 or g.shape[1:] != b.shape:
+        raise DimensionError(f"betas (D, K) and gammas (R, D, K) must align, got {b.shape} and {g.shape}")
     if np.any(b <= 0.0) or np.any(g <= 0.0):
         raise DomainError("slow-fading and estimate-quality coefficients must be positive")
     if not 0.0 <= drop_fraction < 1.0:
         raise DomainError("drop fraction must be in [0, 1)")
     d, k = b.shape
-    n_drop = int(math.floor(drop_fraction * k))
-    if n_drop == k:
-        raise DomainError("power control dropped every terminal")
+    n_drop = int(math.floor(drop_fraction * k))  # < k, since drop_fraction < 1
     # Equal betas have equal costs, so only a tie across the cut needs the
     # index tie-break of a stable sort; the default sort is about 4x faster.
     order = np.argsort(b, axis=-1)
@@ -498,12 +482,15 @@ class RuralConfig:
             "total_power_w": (self.total_power_w > 0.0, "> 0"),
             "bandwidth_hz": (self.bandwidth_hz > 0.0, "> 0"),
             "exclusion_km": (self.exclusion_km >= 0.0, ">= 0"),
-            "radius_km": (self.radius_km > self.exclusion_km, f"> exclusion_km = {self.exclusion_km}"),
+            "radius_km": (self.exclusion_km < self.radius_km < 1e154, f"in (exclusion_km = {self.exclusion_km}, 1e154)"),
             "pilot_fraction": (0.0 < self.pilot_fraction < 1.0, "in (0, 1)"),
             # The coherence interval must be a finite count of symbols.
             "coherence_s": (
                 0.0 < self.coherence_s * self.bandwidth_hz < math.inf, "> 0, with coherence_s x bandwidth_hz finite"
             ),
+            "noise_figure_db": (_is_db_level(self.noise_figure_db), _DB_LEVEL),
+            "terminal_gain_db": (_is_db_level(self.terminal_gain_db), _DB_LEVEL),
+            "base_gain_db": (_is_db_level(self.base_gain_db), _DB_LEVEL),
             "shadow_sigma_db": (self.shadow_sigma_db >= 0.0, ">= 0"),
             "drop_fraction": (0.0 <= self.drop_fraction < 1.0, "in [0, 1)"),
             # A non-positive pilot power would give an estimate quality above beta.
@@ -516,6 +503,19 @@ class RuralConfig:
             raise ConfigError(
                 f"the pilot, pilot_fraction x coherence_s x bandwidth_hz, must round to at least 1 symbol, "
                 f"got {self.pilot_symbols}"
+            )
+        # The run's link budget: a noise floor that is a positive float, and
+        # over it a finite downlink SNR and strongest pilot energy (10x, tau symbols).
+        try:
+            noise = noise_power_w(self.bandwidth_hz, self.noise_figure_db)
+        except OverflowError:
+            noise = math.inf
+        pilot_energy = 10.0 * self.terminal_pilot_power_w * self.pilot_symbols
+        if not 0.0 < noise < math.inf or math.inf in (self.total_power_w / noise, pilot_energy / noise):
+            raise ConfigError(
+                f"noise_figure_db = {self.noise_figure_db} over bandwidth_hz = {self.bandwidth_hz} gives a noise "
+                f"floor of {noise} W; it must be a positive float over which total_power_w = {self.total_power_w} "
+                f"and terminal_pilot_power_w = {self.terminal_pilot_power_w} give finite SNRs"
             )
         if self.allow_override:
             return
@@ -576,7 +576,7 @@ def rural_broadband(config: RuralConfig, seed: Seed, drops: int) -> RuralResult:
     `seed.child(i).child(0)` (`squared_ground_radii`; the link budget needs
     no azimuth) and their shadow fading from `seed.child(i).child(1)`. The
     drops are then evaluated RURAL_PIECE_DROPS at a time: the slow-fading
-    profile, and one max-min power control per drop over the served set,
+    profile, and one `maxmin_power_control` call per piece over the served sets,
     with one row of estimate qualities per pilot power: the configured one,
     10x weaker and 10x stronger (the scenario fixes only that pilots are
     accurate enough, so the summary reports the last two as a sensitivity).
@@ -602,7 +602,7 @@ def rural_broadband(config: RuralConfig, seed: Seed, drops: int) -> RuralResult:
         shadow = [draw_shadow_db(s.child(1), config.shadow_sigma_db, k) for s in piece]
         betas = large_scale_gain(np.array(squared_radii), np.array(shadow), config.base_gain_db + config.terminal_gain_db)
         gammas = estimate_quality(betas, rho_pilot, tau)
-        served, _, piece_sinr = _equal_sinr(betas, gammas, rho_dl, config.m, config.drop_fraction)
+        served, _, piece_sinr = maxmin_power_control(betas, gammas, rho_dl, config.m, config.drop_fraction)
         sinr[:, start : start + len(piece)] = piece_sinr
         quality[start : start + len(piece)] = np.min(np.take(gammas[0] / betas, served), axis=-1)
     # math.log2 per SINR, not np.log2, which may differ in the last bit.
@@ -624,7 +624,6 @@ def rural_broadband(config: RuralConfig, seed: Seed, drops: int) -> RuralResult:
 __all__ = [
     "SystemParams",
     "SweepCurve",
-    "PowerControl",
     "RuralConfig",
     "RuralResult",
     "noise_power_w",

@@ -59,9 +59,8 @@ def run(config: ExperimentConfig) -> ExperimentResult:
 
 
 # The CSV formatter of each cell type a table holds; every cell of a column
-# shares one formatter. np.float64 subclasses float, so float.__repr__ gives
-# repr(float(v)).
-_COLUMN_FORMATS = {float: float.__repr__, np.float64: float.__repr__, int: int.__repr__, str: str}
+# shares one formatter. Float cells are Python floats, from `.tolist()`.
+_COLUMN_FORMATS = {float: float.__repr__, int: int.__repr__, str: str}
 
 
 def _format_column(column: tuple) -> list[str]:
@@ -134,7 +133,7 @@ def _run_svd_spread(config: ExperimentConfig):
     medians: dict[str, float] = {}
     for m, k, stacks in _channel_groups(config):
         spreads = np.concatenate([singular_value_spread_db(h) for h in stacks])
-        rows.extend((m, k, t, s) for t, s in enumerate(spreads))
+        rows.extend((m, k, t, s) for t, s in enumerate(spreads.tolist()))
         medians[str(m)] = EmpiricalCdf.from_samples(spreads).median
     summary = {"median_spread_db": medians}
     return summary, {"spread": Table(("M", "K", "trial", "spread_db"), rows)}
@@ -153,7 +152,7 @@ def _run_mrt_sumrate(config: ExperimentConfig):
         # G = F^H F by einsum, not BLAS, so that no sum depends on the BLAS thread count.
         grams = (np.einsum("tri,trj->tij", f.conj(), f) for f in stacks)
         rates = np.concatenate([capacity.mrt_sum_rates(g, snr) for g in grams])
-        rows.extend((m, k, t, r) for t, r in enumerate(rates))
+        rows.extend((m, k, t, r) for t, r in enumerate(rates.tolist()))
         means[str(m)] = float(np.mean(rates))
     summary = {
         "mean_sum_rate_bps_hz": means,
@@ -406,15 +405,10 @@ def _parse_positive_float(text: str) -> float:
 
 
 def _parse_db(text: str) -> float:
-    """A level in dB whose linear value 10^(x/10) is a float in (0, 1e300]:
-    from about 3,063 dB the runs' own products of it overflow."""
+    """A level in dB under `capacity._is_db_level`'s rule."""
     value = _parse_finite_float(text)
-    try:
-        linear = 10.0 ** (value / 10.0)
-    except OverflowError:
-        linear = math.inf
-    if not 0.0 < linear <= 1e300:
-        raise ValueError(f"must be a dB level of at most 3000 dB whose linear value is > 0, got {text.strip()!r}")
+    if not capacity._is_db_level(value):
+        raise ValueError(f"must be {capacity._DB_LEVEL}, got {text.strip()!r}")
     return value
 
 

@@ -23,17 +23,20 @@ def contamination_sir_limit_db(beta_home, betas_contaminating) -> float:
     """Asymptotic (antenna count to infinity) signal-to-interference ratio under
     conjugate processing with a pilot-contaminated estimate.
 
-    Returns +inf when no other terminal shares the pilot.
+    Returns +inf when no other terminal shares the pilot. The ratio
+    beta_home^2 / sum(beta_c^2) is formed in dB, with the sum scaled by its
+    largest term, so no square overflows or underflows.
     """
     if beta_home <= 0.0:
         raise DomainError("home slow-fading coefficient must be positive")
     others = np.asarray(betas_contaminating, dtype=float).ravel()
     if np.any(others < 0.0):
         raise DomainError("contaminating coefficients must be >= 0")
-    denom = float(np.sum(others**2))
-    if denom == 0.0:
+    largest = float(np.max(others, initial=0.0))
+    if largest == 0.0:
         return math.inf
-    return float(10.0 * np.log10(beta_home**2 / denom))
+    scaled = float(np.sum((others / largest) ** 2))  # in [1, n]
+    return 20.0 * (math.log10(beta_home) - math.log10(largest)) - 10.0 * math.log10(scaled)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ values (run with -s to see them live) and then asserts the stated windows.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from click.testing import CliRunner
 from mmimo import capacity as cap
 from mmimo.channel import make_focusing_scene
 from mmimo.cli import main as cli_main
+from mmimo.config import parse_config
+from mmimo.experiments import run
 from mmimo.numerics import Seed, draw_complex_gaussian, singular_value_spread_db
 from mmimo.pilots import contamination_sir_limit_db, simulate_contamination
 from mmimo.transceiver import (
@@ -23,15 +26,23 @@ from mmimo.transceiver import (
     mrt_precoder,
 )
 
-from test_capacity import bisect_equal_sinr
+from test_capacity import bisect_equal_sinr, one_drop
+
+CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def report(number: int, passed: bool, detail: str) -> None:
     print(f"[{'PASS' if passed else 'FAIL'}] criterion {number}: {detail}")
 
 
+def shipped_summary(experiment: str, seed: int, trials: int) -> dict:
+    """The summary metrics of the bundled config, as `mmimo run` computes them."""
+    return run(parse_config(CONFIGS_DIR / f"{experiment}.ini", seed=seed, trials=trials)).summary
+
+
 def test_criterion_1_singular_value_spread_cdf():
-    """i.i.d. spread medians: 23 +/- 3 dB at M=4, < 3.5 dB at M=128, decreasing."""
+    """i.i.d. spread medians: 23 +/- 3 dB at M=4, < 3.5 dB at M=128, decreasing,
+    from per-matrix draws and from what `mmimo run` of the bundled config computes."""
     start = time.monotonic()
     seed = Seed(101)
     medians = {}
@@ -42,22 +53,25 @@ def test_criterion_1_singular_value_spread_cdf():
         ]
         medians[m] = float(np.median(spreads))
     elapsed = time.monotonic() - start
-    ok = (
-        20.0 <= medians[4] <= 26.0
-        and medians[128] < 3.5
-        and medians[4] > medians[32] > medians[128]
-        and elapsed < 60.0
+    shipped = {int(m): v for m, v in shipped_summary("svd-spread", 101, 10_000)["median_spread_db"].items()}
+    ok = elapsed < 60.0 and all(
+        20.0 <= v[4] <= 26.0 and v[128] < 3.5 and v[4] > v[32] > v[128] for v in (medians, shipped)
     )
     report(
         1,
         ok,
         f"medians dB M4={medians[4]:.2f} (want 23+/-3) M32={medians[32]:.2f} "
-        f"M128={medians[128]:.2f} (want <3.5), {elapsed:.1f}s",
+        f"M128={medians[128]:.2f} (want <3.5), {elapsed:.1f}s; shipped path M4={shipped[4]:.2f} "
+        f"M32={shipped[32]:.2f} M128={shipped[128]:.2f}",
     )
-    assert medians[128] < 3.5
-    assert medians[4] > medians[32] > medians[128]
+    assert sorted(shipped) == [4, 32, 128]
+    for path in (medians, shipped):
+        assert path[128] < 3.5
+        assert path[4] > path[32] > path[128]
     assert elapsed < 60.0
-    assert 20.0 <= medians[4] <= 26.0
+    assert 20.0 <= medians[4] <= 26.0 and 20.0 <= shipped[4] <= 26.0, (
+        f"4x4 medians {medians[4]:.2f} dB (per matrix), {shipped[4]:.2f} dB (shipped path)"
+    )
 
 
 def test_criterion_2_mrt_sum_rate_vs_antennas():
@@ -82,6 +96,27 @@ def test_criterion_2_mrt_sum_rate_vs_antennas():
         f"sum-rate bits/s/Hz M4={means[0]:.2f} (<=9) M128={means[-1]:.2f} (>=12, "
         f"ceiling 13.84), increasing={increasing}, {elapsed:.1f}s",
     )
+    assert increasing
+    assert means[-1] >= 12.0
+    assert means[0] <= 9.0
+    assert elapsed < 120.0
+
+
+def test_criterion_2_mrt_sum_rate_shipped_path():
+    """Criterion 2's windows on what `mmimo run` of the bundled config computes."""
+    start = time.monotonic()
+    by_m = shipped_summary("mrt-sumrate", 102, 2000)["mean_sum_rate_bps_hz"]
+    elapsed = time.monotonic() - start
+    means = [by_m[str(m)] for m in (4, 8, 16, 32, 64, 128)]
+    increasing = bool(np.all(np.diff(means) > 0))
+    ok = increasing and means[-1] >= 12.0 and means[0] <= 9.0 and elapsed < 120.0
+    report(
+        2,
+        ok,
+        f"shipped path: sum-rate bits/s/Hz M4={means[0]:.2f} (<=9) M128={means[-1]:.2f} (>=12, "
+        f"ceiling 13.84), increasing={increasing}, {elapsed:.1f}s",
+    )
+    assert sorted(map(int, by_m)) == [4, 8, 16, 32, 64, 128]
     assert increasing
     assert means[-1] >= 12.0
     assert means[0] <= 9.0
@@ -237,10 +272,9 @@ def test_criterion_7_bound_validity_suite():
         k = int(rng.integers(2, 50))
         betas = rng.uniform(0.01, 2.0, k)
         gammas = betas * rng.uniform(0.5, 1.0, k)
-        control = cap.maxmin_power_control(betas, gammas, 40.0, 128, drop_fraction=0.05)
-        served = control.served
+        served, _, sinr = one_drop(betas, gammas, 40.0, 128, drop_fraction=0.05)
         oracle = bisect_equal_sinr(betas[served], gammas[served], 40.0, 128)
-        max_dev = max(max_dev, abs(control.sinr - oracle) / oracle)
+        max_dev = max(max_dev, abs(sinr - oracle) / oracle)
     elapsed = time.monotonic() - start
     ok = worst <= 0.0 and max_dev <= 1e-9
     report(

@@ -170,14 +170,23 @@ class TestEeSeSweep:
         )
 
 
+def one_drop(betas, gammas, rho_dl, m, drop_fraction=0.05):
+    """`maxmin_power_control` of one drop with one row of estimate qualities:
+    the served terminals in index order, the power fractions
+    eta = SINR x cost on them (0 elsewhere) and the equalised SINR."""
+    served, cost, sinr = cap.maxmin_power_control(betas[None], gammas[None, None], rho_dl, m, drop_fraction)
+    eta = np.zeros(betas.size)
+    eta[served[0]] = sinr[0, 0] * cost[0, 0]
+    return np.sort(served[0]), eta, float(sinr[0, 0])
+
+
 class TestMaxMinPowerControl:
     def test_equal_betas_uniform(self):
         betas = np.ones(20)
         gammas = 0.9 * betas
-        control = cap.maxmin_power_control(betas, gammas, rho_dl=10.0, m=64)
-        served = control.served
-        assert len(control.dropped) == 1
-        assert np.allclose(control.eta[served], control.eta[served][0], rtol=1e-12)
+        served, eta, _ = one_drop(betas, gammas, rho_dl=10.0, m=64)
+        assert served.size == 19
+        assert np.allclose(eta[served], eta[served][0], rtol=1e-12)
 
     def test_matches_bisection_oracle(self):
         rng = np.random.default_rng(3)
@@ -186,19 +195,19 @@ class TestMaxMinPowerControl:
             betas = rng.uniform(0.01, 2.0, k)
             gammas = betas * rng.uniform(0.5, 1.0, k)
             rho, m = 50.0, 256
-            control = cap.maxmin_power_control(betas, gammas, rho, m, drop_fraction=0.0)
+            _, _, sinr = one_drop(betas, gammas, rho, m, drop_fraction=0.0)
             oracle = bisect_equal_sinr(betas, gammas, rho, m)
-            assert control.sinr == pytest.approx(oracle, rel=1e-9)
+            assert sinr == pytest.approx(oracle, rel=1e-9)
 
     def test_two_user_closed_form(self):
         betas = np.array([1.0, 0.25])
         gammas = np.array([0.9, 0.2])
         rho, m = 8.0, 32
-        control = cap.maxmin_power_control(betas, gammas, rho, m, drop_fraction=0.0)
+        _, eta, _ = one_drop(betas, gammas, rho, m, drop_fraction=0.0)
         weights = (1.0 + rho * betas) / gammas
         expected_eta = weights / np.sum(weights)
-        assert np.allclose(control.eta, expected_eta, rtol=1e-12)
-        sinrs = rho * m * control.eta * gammas / (1.0 + rho * betas)
+        assert np.allclose(eta, expected_eta, rtol=1e-12)
+        sinrs = rho * m * eta * gammas / (1.0 + rho * betas)
         assert sinrs[0] == pytest.approx(sinrs[1], rel=1e-9)
 
     def test_equalisation_and_optimality(self):
@@ -206,63 +215,66 @@ class TestMaxMinPowerControl:
         betas = rng.uniform(0.05, 1.0, 15)
         gammas = betas * 0.9
         rho, m = 20.0, 128
-        control = cap.maxmin_power_control(betas, gammas, rho, m, drop_fraction=0.0)
-        sinrs = rho * m * control.eta * gammas / (1.0 + rho * betas)
-        assert np.allclose(sinrs, control.sinr, rtol=1e-9)
+        _, control_eta, control_sinr = one_drop(betas, gammas, rho, m, drop_fraction=0.0)
+        sinrs = rho * m * control_eta * gammas / (1.0 + rho * betas)
+        assert np.allclose(sinrs, control_sinr, rtol=1e-9)
         # Any feasible perturbation strictly lowers the minimum SINR.
         for _ in range(25):
             delta = rng.normal(0, 1e-3, betas.size)
             delta -= delta.mean()
-            eta = control.eta + delta
+            eta = control_eta + delta
             if np.any(eta < 0):
                 continue
             perturbed = rho * m * eta * gammas / (1.0 + rho * betas * np.sum(eta))
-            assert perturbed.min() < control.sinr
+            assert perturbed.min() < control_sinr
 
     def test_weakest_served_gets_largest_share(self):
         rng = np.random.default_rng(5)
         betas = rng.uniform(0.05, 1.0, 40)
         gammas = betas * rng.uniform(0.8, 1.0, 40)
-        control = cap.maxmin_power_control(betas, gammas, rho_dl=30.0, m=256)
-        served = control.served
+        served, eta, _ = one_drop(betas, gammas, rho_dl=30.0, m=256)
         weakest = served[np.argmin(gammas[served])]
-        assert control.eta[weakest] == pytest.approx(np.max(control.eta), rel=1e-12)
+        assert eta[weakest] == pytest.approx(np.max(eta), rel=1e-12)
 
     def test_tie_break_is_stable(self):
         betas = np.ones(40)
         gammas = 0.9 * betas
-        control = cap.maxmin_power_control(betas, gammas, rho_dl=10.0, m=64)
-        assert control.dropped == (0, 1)
+        served, _, _ = one_drop(betas, gammas, rho_dl=10.0, m=64)
+        assert served.tolist() == list(range(2, 40))
 
-    def test_drop_everything_rejected(self):
-        with pytest.raises(DomainError):
-            cap.maxmin_power_control(np.array([]), np.array([]), 1.0, 4)
+    @pytest.mark.parametrize("betas_shape, gammas_shape", [((1, 0), (1, 1, 0)), ((1, 3), (0, 1, 3))])
+    def test_empty_input_rejected(self, betas_shape, gammas_shape):
+        with pytest.raises(DomainError, match="no terminals"):
+            cap.maxmin_power_control(np.ones(betas_shape), np.full(gammas_shape, 0.5), 1.0, 4)
 
     @pytest.mark.parametrize("drop_fraction", [0.0, 0.05, 0.3])
-    def test_piece_rows_equal_one_dimensional_calls(self, drop_fraction):
-        # The piece helper's (R, D, K) rows are D x R 1-D calls, bit for bit.
+    def test_piece_rows_equal_one_drop_calls(self, drop_fraction):
+        # A piece's (R, D, K) rows are D x R one-drop calls, bit for bit.
         rng = np.random.default_rng(7)
         betas = rng.lognormal(-20.0, 2.0, (4, 300))
         gammas = betas * rng.uniform(0.5, 1.0, (3, *betas.shape))
-        served, _, sinr = cap._equal_sinr(betas, gammas, 1e12, 6400, drop_fraction)
+        served, cost, sinr = cap.maxmin_power_control(betas, gammas, 1e12, 6400, drop_fraction)
         assert sinr.shape == (3, 4) and served.shape == (4, 300 - math.floor(drop_fraction * 300))
+        assert cost.shape == (3, *served.shape)
         for d in range(4):
             for r in range(3):
-                single = cap.maxmin_power_control(betas[d], gammas[r, d], 1e12, 6400, drop_fraction)
-                assert sinr[r, d] == single.sinr
-                assert np.array_equal(np.sort(served[d] - 300 * d), single.served)
+                single_served, eta, single_sinr = one_drop(betas[d], gammas[r, d], 1e12, 6400, drop_fraction)
+                assert sinr[r, d] == single_sinr
+                assert np.array_equal(np.sort(served[d] - 300 * d), single_served)
+                assert np.array_equal(eta[served[d] - 300 * d], sinr[r, d] * cost[r, d])
 
     def test_piece_tie_break_is_stable(self):
         # A tie across the cut drops the lowest indices, whatever the piece's
         # other drops hold; the sort alone may order the 77 ties of 13 levels otherwise.
         betas = np.stack([np.linspace(2.0, 1.0, 1000), np.ones(1000), 1.0 + np.arange(1000) % 13])
-        served, _, _ = cap._equal_sinr(betas, 0.9 * betas[None], 10.0, 64, 0.05)
+        served, _, _ = cap.maxmin_power_control(betas, 0.9 * betas[None], 10.0, 64, 0.05)
         dropped = [sorted(set(range(1000)) - set(row.tolist())) for row in served % 1000]
         assert dropped == [list(range(950, 1000)), list(range(50)), list(range(0, 650, 13))]
 
     @pytest.mark.parametrize(
         "betas_shape, gammas_shape",
-        [((5,), (4,)), ((5,), (3, 4)), ((5,), (2, 3, 5)), ((1, 5), (1, 5)), ((5,), ())],
+        [((5,), (1, 1, 5)), ((1, 5), (1, 5)), ((1, 5), (1, 1, 4)), ((1, 5), (2, 2, 5)), ((2, 5), (1, 5, 2)),
+         ((1, 5), ())],
     )
     def test_misaligned_shapes_rejected(self, betas_shape, gammas_shape):
         with pytest.raises(DimensionError, match="must align"):
@@ -461,17 +473,17 @@ class TestDlBoundValidity:
         betas = np.linspace(0.4, 1.5, k)
         params = cap.SystemParams(m=m, k=k, tau=k, coherence_symbols=196, rho_dl=5.0, rho_pilot=5.0)
         gammas = cap.estimate_quality(betas, 5.0, k)
-        control = cap.maxmin_power_control(betas, gammas, 5.0, m, drop_fraction=0.0)
-        bound_sinr = cap.dl_mrt_sinr(m, 5.0, betas, gammas, control.eta)
+        _, eta, _ = one_drop(betas, gammas, 5.0, m, drop_fraction=0.0)
+        bound_sinr = cap.dl_mrt_sinr(m, 5.0, betas, gammas, eta)
         bound = params.overhead_prefactor * np.log2(1.0 + bound_sinr)
-        simulated = cap.simulate_dl_rates(params, betas, control.eta, Seed(1), n_draws=4000)
+        simulated = cap.simulate_dl_rates(params, betas, eta, Seed(1), n_draws=4000)
         assert np.all(bound <= simulated * 1.01)
 
 
 def reference_rural(config, seed, drops):
     """`rural_broadband` drop by drop: the link budget at the 3-D distance
     over the squared ground radius (the first uniform draw of the drop's
-    `child(0)`) and one 1-D max-min power control per pilot power (x1, x0.1,
+    `child(0)`) and one one-drop max-min power control per pilot power (x1, x0.1,
     x10), each rate from math.log2. Returns (rates per pilot power, the x1
     SINRs, pilot_quality_min, served)."""
     noise = cap.noise_power_w(config.bandwidth_hz, config.noise_figure_db)
@@ -487,13 +499,13 @@ def reference_rural(config, seed, drops):
         betas = 10.0 ** ((-path_loss_db(distance) + shadow + (config.base_gain_db + config.terminal_gain_db)) / 10.0)
         for scale, scale_rates in zip((1.0, 0.1, 10.0), rates):
             gammas = cap.estimate_quality(betas, scale * config.terminal_pilot_power_w / noise, tau)
-            control = cap.maxmin_power_control(betas, gammas, rho_dl, config.m, config.drop_fraction)
-            rate = (1.0 - config.pilot_fraction) * math.log2(1.0 + control.sinr) * config.bandwidth_hz / 1e6
+            drop_served, _, sinr = one_drop(betas, gammas, rho_dl, config.m, config.drop_fraction)
+            rate = (1.0 - config.pilot_fraction) * math.log2(1.0 + sinr) * config.bandwidth_hz / 1e6
             scale_rates.append(rate)
             if scale == 1.0:
-                sinrs.append(control.sinr)
-                qualities.append(float(np.min(gammas[control.served] / betas[control.served])))
-                served.add(len(control.served))
+                sinrs.append(sinr)
+                qualities.append(float(np.min(gammas[drop_served] / betas[drop_served])))
+                served.add(len(drop_served))
     (count,) = served
     return [np.array(r) for r in rates], np.array(sinrs), min(qualities), count
 
@@ -520,6 +532,20 @@ class TestRuralBroadband:
             "pilot_power_x0.1_mean": float(np.mean(weaker)),
             "pilot_power_x10_mean": float(np.mean(stronger)),
         }
+
+    def test_calls_the_public_maxmin_once_per_piece(self, monkeypatch):
+        # What the traced layer `capacity.maxmin` wraps is what the run calls.
+        shapes = []
+        maxmin = cap.maxmin_power_control
+
+        def recording(betas, gammas, *args):
+            shapes.append((betas.shape, gammas.shape))
+            return maxmin(betas, gammas, *args)
+
+        monkeypatch.setattr(cap, "maxmin_power_control", recording)
+        assert cap.RURAL_PIECE_DROPS == 4
+        cap.rural_broadband(cap.RuralConfig(), Seed(1), 5)
+        assert shapes == [((4, 1000), (3, 4, 1000)), ((1, 1000), (3, 1, 1000))]
 
     def test_piece_size_changes_no_byte(self, monkeypatch):
         pieces = cap.rural_broadband(cap.RuralConfig(), Seed(8), drops=6)

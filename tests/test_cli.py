@@ -197,7 +197,11 @@ class TestRunAndEmit:
             emit_tables(result, str(out))
         assert not out.exists()
 
-    @pytest.mark.parametrize("cells, error", [((1, 2.0), ValueError), ((True, False), KeyError)], ids=["mixed", "bool"])
+    @pytest.mark.parametrize(
+        "cells, error",
+        [((1, 2.0), ValueError), ((True, False), KeyError), ((np.float64(1.0), np.float64(2.0)), KeyError)],
+        ids=["mixed", "bool", "numpy-float"],
+    )
     def test_column_without_one_formatter_rejected(self, tmp_path, cells, error):
         # Every column holds one cell type of `_COLUMN_FORMATS`; no cell is formatted on its own.
         result = ExperimentResult(
@@ -693,6 +697,20 @@ class TestCliProcess:
             # A pilot of 0.00328 symbols, which rounds to none, and a coherence interval of inf symbols.
             "pilot_fraction = 1e-9",
             "coherence_s = 1e300\nbandwidth_hz = 1e300",
+            # Exited 1 with a traceback: OverflowError squaring the radius or forming the noise floor, and
+            # ZeroDivisionError over a noise floor of 0.
+            "radius_km = 1e200",
+            "radius_km = 2e200\nexclusion_km = 1e200",
+            "noise_figure_db = 4000",
+            "noise_figure_db = 1e300",
+            "noise_figure_db = -1e300",
+            "noise_figure_db = 3000\nbandwidth_hz = 1e100\ncoherence_s = 1e-90",
+            # Exited 3 after the run, with a NaN or an infinity in the summary.
+            "noise_figure_db = -3000",
+            "total_power_w = 1e300",
+            "terminal_pilot_power_w = 1e300",
+            "terminal_gain_db = 4000",
+            "base_gain_db = -1e300",
         ],
     )
     def test_rural_override_out_of_range_rejected_before_run(self, tmp_path, monkeypatch, command, values):
@@ -709,8 +727,25 @@ class TestCliProcess:
             outcome = CliRunner().invoke(main, args)
         assert outcome.exit_code == 2, outcome.output
         assert outcome.stderr.startswith("config error:") and outcome.stderr.count("\n") == 1
+        assert values.split("=")[0].strip() in outcome.stderr  # the first key set names the fault
         assert [str(w.message) for w in caught] == []
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "values, limit_db",
+        [("beta_home = 1e200", 4000.0), ("beta_home = 1e-300", -6000.0), ("betas_contaminating = 1e200", -4000.0)],
+    )
+    def test_pilot_contamination_limit_finite_at_extreme_coefficients(self, tmp_path, values, limit_db):
+        # These exited 1 with an OverflowError, or wrote "unbounded" with RuntimeWarnings.
+        body = f"[experiment]\nexperiment = pilot-contamination\ntrials = 2\n\n[pilot-contamination]\n{values}\n"
+        path = write_config(tmp_path / "c.ini", body)
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outcome = CliRunner().invoke(main, ["run", "--config", path, "--out", str(out)])
+        assert outcome.exit_code == 0, outcome.output
+        assert [str(w.message) for w in caught] == []
+        assert json.loads((out / "summary.json").read_text())["metrics"]["sir_limit_db"] == pytest.approx(limit_db)
 
     @pytest.mark.parametrize("rho_max_db", [200, 3000])
     def test_ee_se_tradeoff_finite_at_high_snr(self, tmp_path, rho_max_db):

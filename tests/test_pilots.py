@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,16 @@ class TestContaminationLimit:
         assert contamination_sir_limit_db(1.0, [0.1, 0.1]) == pytest.approx(
             10 * math.log10(1.0 / 0.02), rel=1e-9
         )
+
+    @pytest.mark.parametrize(
+        "beta_home, others, expected",
+        # The squares overflowed, underflowed to the "no contaminator" +inf, or both.
+        [(1e200, [1.0], 4000.0), (1e-300, [1.0], -6000.0), (1.0, [1e200], -4000.0), (1.0, [1e-300, 1e-310], 6000.0)],
+    )
+    def test_extreme_coefficients_give_a_finite_limit(self, beta_home, others, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert contamination_sir_limit_db(beta_home, others) == pytest.approx(expected, rel=1e-12)
 
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):
