@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateChannelError, DimensionError, DomainError, RankError
+from .errors import ConfigError, DegenerateChannelError, DimensionError, DomainError, NumericError, RankError
 from .numerics import BLOCK_ENTRIES, Seed, bartlett_blocks
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
@@ -406,8 +406,7 @@ def maxmin_power_control(betas, gammas, rho_dl: float, m: int, drop_fraction: fl
 
     Returns each drop's served terminals in ascending order of beta as (D, S)
     flat indices into `betas`, their (R, D, S) costs, and the (R, D)
-    equalised SINRs. Each row is summed as a 1-D array, whose bits a sum
-    along an axis of the 3-D costs need not match.
+    equalised SINRs.
     """
     b = np.asarray(betas, dtype=float)
     g = np.asarray(gammas, dtype=float)
@@ -430,8 +429,7 @@ def maxmin_power_control(betas, gammas, rho_dl: float, m: int, drop_fraction: fl
         order[tied] = np.argsort(b[tied], axis=-1, kind="stable")
     served = order[:, n_drop:] + k * np.arange(d)[:, None]
     cost = (1.0 + rho_dl * np.take(b, served)) / (rho_dl * m * np.take(g.reshape(len(g), -1), served, axis=1))
-    sums = np.array([np.sum(row) for row in cost.reshape(-1, k - n_drop)])
-    return served, cost, 1.0 / sums.reshape(cost.shape[:-1])
+    return served, cost, 1.0 / cost.sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -563,26 +561,35 @@ class RuralResult:
         }
 
 
-# Drops of `rural_broadband` evaluated at once: at the pinned 1000 terminals
-# a piece's arrays span about BLOCK_ENTRIES float64 entries. Of 1 to 16 drops,
-# 4 was the fastest. The piece size changes no output.
+# Drops of `rural_broadband` evaluated at once, within a block of drops: at
+# the pinned 1000 terminals a piece's arrays span about BLOCK_ENTRIES float64
+# entries. Of 1 to 16 drops, 4 was the fastest; a whole 32-drop block at once
+# was no faster and took more memory. The piece size changes no output.
 RURAL_PIECE_DROPS = BLOCK_ENTRIES // (8 * RuralConfig.n_terminals)
 
 
 def rural_broadband(config: RuralConfig, seed: Seed, drops: int) -> RuralResult:
     """Monte Carlo over terminal placement and shadow fading.
 
-    Drop i draws its terminals' squared ground radii from
-    `seed.child(i).child(0)` (`squared_ground_radii`; the link budget needs
-    no azimuth) and their shadow fading from `seed.child(i).child(1)`. The
-    drops are then evaluated RURAL_PIECE_DROPS at a time: the slow-fading
-    profile, and one `maxmin_power_control` call per piece over the served sets,
-    with one row of estimate qualities per pilot power: the configured one,
-    10x weaker and 10x stronger (the scenario fixes only that pilots are
-    accurate enough, so the summary reports the last two as a sensitivity).
-    Each row's equalised SINR gives that pilot power's conjugate beamforming
-    rate bound. Only slow-fading scalars are handled, so the array size never
-    materialises as a matrix.
+    The drops are drawn in blocks of max(1, BLOCK_ENTRIES // n_terminals)
+    drops, 32 at the pinned 1000 terminals. Block b draws the squared ground
+    radii of all its terminals with one (drops, K) `uniform` call on
+    `seed.child(b).child(0)` (`squared_ground_radii`; the link budget needs no
+    azimuth) and their shadow fading with one (drops, K) `standard_normal`
+    call on `seed.child(b).child(1)`, both row-major: each drop is a row of its
+    block. The block size does not depend on `drops`, so the first T drops are
+    the same for every drop count of at least T. Each block is then evaluated
+    RURAL_PIECE_DROPS drops at a time: the slow-fading profile, and one
+    `maxmin_power_control` call per piece over the served sets, with one row
+    of estimate qualities per pilot power: the configured one, 10x weaker and
+    10x stronger (the scenario fixes only that pilots are accurate enough, so
+    the summary reports the last two as a sensitivity). Each row's equalised
+    SINR gives that pilot power's conjugate beamforming rate bound. Only
+    slow-fading scalars are handled, so the array size never materialises as
+    a matrix.
+
+    Raises `NumericError` naming the first drop whose equalised SINR is 0 or
+    not finite, where the link budget leaves the float range.
     """
     from .channel import draw_shadow_db, large_scale_gain, squared_ground_radii
 
@@ -591,20 +598,37 @@ def rural_broadband(config: RuralConfig, seed: Seed, drops: int) -> RuralResult:
     noise = noise_power_w(config.bandwidth_hz, config.noise_figure_db)
     rho_dl = config.total_power_w / noise
     # Pilot powers x1 (the scenario), x0.1 and x10 (its sensitivity), one per row.
-    rho_pilot = np.array([1.0, 0.1, 10.0])[:, None, None] * config.terminal_pilot_power_w / noise
+    scales = (1.0, 0.1, 10.0)
+    rho_pilot = np.array(scales)[:, None, None] * config.terminal_pilot_power_w / noise
     tau = config.pilot_symbols
     k = config.n_terminals
+    gains_db = config.base_gain_db + config.terminal_gain_db
+    block = max(1, BLOCK_ENTRIES // k)
     sinr = np.empty((rho_pilot.size, drops))  # one row per pilot power
     quality = np.empty(drops)
-    for start in range(0, drops, RURAL_PIECE_DROPS):
-        piece = [seed.child(i) for i in range(start, min(start + RURAL_PIECE_DROPS, drops))]
-        squared_radii = [squared_ground_radii(s.child(0), k, config.radius_km, config.exclusion_km) for s in piece]
-        shadow = [draw_shadow_db(s.child(1), config.shadow_sigma_db, k) for s in piece]
-        betas = large_scale_gain(np.array(squared_radii), np.array(shadow), config.base_gain_db + config.terminal_gain_db)
-        gammas = estimate_quality(betas, rho_pilot, tau)
-        served, _, piece_sinr = maxmin_power_control(betas, gammas, rho_dl, config.m, config.drop_fraction)
-        sinr[:, start : start + len(piece)] = piece_sinr
-        quality[start : start + len(piece)] = np.min(np.take(gammas[0] / betas, served), axis=-1)
+    # An SINR out of the float range is raised below, not warned about on the way.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for index, first in enumerate(range(0, drops, block)):
+            shape = (min(block, drops - first), k)
+            block_seed = seed.child(index)
+            squared_radii = squared_ground_radii(block_seed.child(0), shape, config.radius_km, config.exclusion_km)
+            shadow = draw_shadow_db(block_seed.child(1), config.shadow_sigma_db, shape)
+            for start in range(0, shape[0], RURAL_PIECE_DROPS):
+                piece = slice(start, start + RURAL_PIECE_DROPS)
+                betas = large_scale_gain(squared_radii[piece], shadow[piece], gains_db)
+                gammas = estimate_quality(betas, rho_pilot, tau)
+                served, _, piece_sinr = maxmin_power_control(betas, gammas, rho_dl, config.m, config.drop_fraction)
+                columns = slice(first + start, first + start + len(betas))
+                sinr[:, columns] = piece_sinr
+                quality[columns] = np.min(np.take(gammas[0] / betas, served), axis=-1)
+    bad = ~((sinr > 0.0) & (sinr < math.inf))
+    if np.any(bad):
+        drop = int(np.argmax(np.any(bad, axis=0)))
+        row = int(np.argmax(bad[:, drop]))
+        raise NumericError(
+            f"rural drop {drop}: the equalised SINR at pilot power x{scales[row]} is {sinr[row, drop]}; "
+            f"the link budget leaves the float range"
+        )
     # math.log2 per SINR, not np.log2, which may differ in the last bit.
     log_rates = [[math.log2(1.0 + s) for s in row] for row in sinr.tolist()]
     rate, weaker, stronger = (1.0 - config.pilot_fraction) * np.array(log_rates) * config.bandwidth_hz / 1e6

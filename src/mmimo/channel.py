@@ -49,9 +49,11 @@ def path_loss_db(distance_km) -> np.ndarray | float:
     return float(loss) if np.isscalar(distance_km) else loss
 
 
-def draw_shadow_db(seed: Seed, sigma_db: float, n: int) -> np.ndarray:
-    """`n` draws of zero-mean log-normal shadow fading in dB with the given
-    std deviation."""
+def draw_shadow_db(seed: Seed, sigma_db: float, n: int | tuple[int, ...]) -> np.ndarray:
+    """Zero-mean log-normal shadow fading in dB with the given std deviation:
+    `n` draws, or an array of shape `n` filled row-major by one
+    `standard_normal` call, so its first row is the `n[-1]` draws of the
+    same seed."""
     if sigma_db < 0.0:
         raise DomainError("shadow fading standard deviation must be >= 0 dB")
     return sigma_db * seed.generator().standard_normal(n)
@@ -64,10 +66,14 @@ def place_terminals(seed: Seed, n: int, radius_km: float, exclusion_km: float = 
     return np.sqrt(squared_ground_radii(seed, n, radius_km, exclusion_km))
 
 
-def squared_ground_radii(seed: Seed, n: int, radius_km: float, exclusion_km: float = 0.0) -> np.ndarray:
+def squared_ground_radii(
+    seed: Seed, n: int | tuple[int, ...], radius_km: float, exclusion_km: float = 0.0
+) -> np.ndarray:
     """The squared ground radii, in km^2, of `place_terminals`: the first
-    uniform draw of `seed`."""
-    if n < 0:
+    uniform draw of `seed`, of `n` terminals or of shape `n`, filled row-major
+    by one `uniform` call, so its first row is the radii of `n[-1]` terminals
+    of the same seed."""
+    if np.any(np.asarray(n) < 0):
         raise DomainError("terminal count must be >= 0")
     if not 0.0 <= exclusion_km < radius_km:
         raise DomainError("need 0 <= exclusion radius < cell radius")

@@ -6,9 +6,10 @@ block-drawn or accepts measured channels. Adding an experiment is one entry.
 
 Every experiment is a pure function of its resolved configuration: trials
 derive their draws from per-index sub-seeds (one per block of trials for the
-block-drawn experiments, see `numerics.bartlett_blocks`), reductions run in
-trial order, and floats are written in shortest round-trip form, so reruns
-are byte-identical no matter how many workers execute the trials.
+block-drawn experiments, see `numerics.bartlett_blocks` and
+`capacity.rural_broadband`), reductions run in trial order, and floats are
+written in shortest round-trip form, so reruns are byte-identical no matter
+how many workers execute the trials.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import TYPE_CHECKING, Any, Callable, get_type_hints
 import numpy as np
 
 from . import __version__, capacity
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NumericError
 from .numerics import EmpiricalCdf, Seed, bartlett_blocks, singular_value_spread_db
 
 if TYPE_CHECKING:
@@ -311,10 +312,8 @@ def _run_pilot_contamination(config: ExperimentConfig):
         if mi < len(m_values):
             mean_desired.append(float(np.mean(sample.desired)))
             mean_directed.append(float(np.mean(sample.directed)))
-        elif float(np.mean(sample.directed)) == 0.0:
-            sir_at_limit = math.inf
         else:
-            sir_at_limit = 10.0 * math.log10(float(np.mean(sample.desired)) / float(np.mean(sample.directed)))
+            sir_at_limit = _sir_db(float(np.mean(sample.desired)), float(np.mean(sample.directed)))
     log_m = np.log(np.asarray(m_values, dtype=float))
     desired_slope = float(np.polyfit(log_m, np.log(mean_desired), 1)[0])
     directed_slope = float(np.polyfit(log_m, np.log(mean_directed), 1)[0])
@@ -328,6 +327,20 @@ def _run_pilot_contamination(config: ExperimentConfig):
     }
     table = Table(("M", "trial", "desired_power", "directed_power", "noise_power"), rows)
     return summary, {"contamination": table}
+
+
+def _sir_db(desired: float, directed: float) -> float:
+    """10 log10(desired / directed) of the mean powers at m_limit, +inf when
+    `directed` is 0. A ratio past the float range is formed as a difference
+    of logs."""
+    if directed == 0.0:
+        return math.inf
+    if desired == 0.0:
+        raise NumericError("pilot-contamination: the mean desired power at m_limit underflows to 0")
+    ratio = desired / directed
+    if 0.0 < ratio < math.inf:
+        return 10.0 * math.log10(ratio)
+    return 10.0 * (math.log10(desired) - math.log10(directed))
 
 
 def _check_pilot_contamination(*, m_list, **_) -> None:
@@ -451,7 +464,9 @@ class Experiment:
     trials: tuple[int, int]  # default trial counts, (desk, paper), indexed by paper_scale
     runner: Callable[[ExperimentConfig], tuple[dict, dict[str, Table]]]
     check: Callable[..., object] = lambda **params: None  # gets the parsed params; raises ConfigError
-    block_drawn: bool = False  # trials are Bartlett factors in blocks of BLOCK_ENTRIES (`numerics.bartlett_blocks`)
+    # Its trials are drawn in blocks sized by BLOCK_ENTRIES: Bartlett factors
+    # (`numerics.bartlett_blocks`), or rural drops (`capacity.rural_broadband`).
+    block_drawn: bool = False
     measured: bool = False  # it accepts a measured-channel set (--channels)
 
 
@@ -509,5 +524,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         (200, 1000), _run_pilot_contamination, _check_pilot_contamination, block_drawn=True,
     ),
     # The scenario's own checks: ranges, pinned values, pilot length.
-    "rural-broadband": Experiment(_dataclass_schema(capacity.RuralConfig), (50, 500), _run_rural, capacity.RuralConfig),
+    "rural-broadband": Experiment(
+        _dataclass_schema(capacity.RuralConfig), (50, 500), _run_rural, capacity.RuralConfig, block_drawn=True
+    ),
 }

@@ -31,16 +31,20 @@ class Seed:
     paths yield streams with no shared state, so Monte Carlo trials can be
     evaluated in any order or in parallel with bit-identical results.
 
-    Experiments give each trial its own path, except those that depend on
-    their i.i.d. channels only through the inner products: svd-spread,
-    mrt-sumrate, pilot-contamination and the capacity validators. These draw
-    the K x K sufficient statistics by the Bartlett decomposition, never an
-    M x K channel (`bartlett_blocks`): Z^H Z = A A^H for an M x K i.i.d.
-    CN(0, 1) Z, with A lower triangular (lower trapezoidal, K x M, when
-    M < K), and Z^H Z_e distributed as A X for an independent Z_e. Block b
-    draws from `seed.child(b)` of its group's seed: the diagonal from its
-    child 0, and the CN(0, 1) entries from float64 uniforms on its child 1,
-    one pair of 64-bit words per entry, by Box-Muller (`_box_muller`).
+    Only focusing-map gives each trial its own path. The other random
+    experiments give each block of trials one path. rural-broadband draws a
+    block of drops from two generators, one for all its squared ground radii
+    and one for all its shadow fading (`capacity.rural_broadband`).
+    svd-spread, mrt-sumrate, pilot-contamination and the capacity
+    validators depend on their i.i.d. channels only through the inner
+    products, and draw the K x K sufficient statistics by the Bartlett
+    decomposition, never an M x K channel (`bartlett_blocks`):
+    Z^H Z = A A^H for an M x K i.i.d. CN(0, 1) Z, with A lower triangular
+    (lower trapezoidal, K x M, when M < K), and Z^H Z_e distributed as A X
+    for an independent Z_e. Block b draws from `seed.child(b)` of its
+    group's seed: the diagonal from its child 0, and the CN(0, 1) entries
+    from float64 uniforms on its child 1, one pair of 64-bit words per
+    entry, by Box-Muller (`_box_muller`).
     """
 
     master: int

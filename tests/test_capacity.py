@@ -10,7 +10,7 @@ import pytest
 from mmimo import capacity as cap
 from mmimo.channel import BASE_HEIGHT_M, TERMINAL_HEIGHT_M, path_loss_db
 from mmimo.errors import ConfigError, DegenerateChannelError, DimensionError, DomainError, RankError
-from mmimo.numerics import Seed, draw_bartlett, draw_complex_gaussian
+from mmimo.numerics import BLOCK_ENTRIES, Seed, draw_bartlett, draw_complex_gaussian
 from mmimo.transceiver import budget_for_mean_desired_snr, evaluate_downlink, mrt_precoder
 
 from mc_compare import assert_same_means
@@ -271,6 +271,18 @@ class TestMaxMinPowerControl:
         dropped = [sorted(set(range(1000)) - set(row.tolist())) for row in served % 1000]
         assert dropped == [list(range(950, 1000)), list(range(50)), list(range(0, 650, 13))]
 
+    @pytest.mark.parametrize("shape", [(3, 4, 950), (1, 1, 1), (2, 7, 37), (3, 1, 9000), (1, 5, 129)])
+    def test_axis_sum_equals_row_sums(self, shape):
+        # The SINRs come from one sum along the last axis of the contiguous
+        # (R, D, S) costs; each equals the sum of its row as a 1-D array, bit for bit.
+        rng = np.random.default_rng(sum(shape))
+        betas = rng.lognormal(-20.0, 2.0, shape[1:])
+        gammas = betas * rng.uniform(0.5, 1.0, shape)
+        _, cost, sinr = cap.maxmin_power_control(betas, gammas, 1e12, 6400, 0.0)
+        assert cost.shape == shape and cost.flags.c_contiguous
+        rows = np.array([np.sum(row) for row in cost.reshape(-1, shape[-1])]).reshape(shape[:-1])
+        assert np.array_equal(sinr, 1.0 / rows)
+
     @pytest.mark.parametrize(
         "betas_shape, gammas_shape",
         [((5,), (1, 1, 5)), ((1, 5), (1, 5)), ((1, 5), (1, 1, 4)), ((1, 5), (2, 2, 5)), ((2, 5), (1, 5, 2)),
@@ -481,22 +493,28 @@ class TestDlBoundValidity:
 
 
 def reference_rural(config, seed, drops):
-    """`rural_broadband` drop by drop: the link budget at the 3-D distance
-    over the squared ground radius (the first uniform draw of the drop's
-    `child(0)`) and one one-drop max-min power control per pilot power (x1, x0.1,
-    x10), each rate from math.log2. Returns (rates per pilot power, the x1
-    SINRs, pilot_quality_min, served)."""
+    """`rural_broadband` drop by drop: drop i is row i % B of block i // B,
+    B = max(1, BLOCK_ENTRIES // K), whose squared ground radii are one
+    (rows, K) uniform draw of the block's `child(0)` and whose shadow fading
+    is one (rows, K) normal draw of its `child(1)`. Then the link budget at
+    the 3-D distance over the squared ground radius and one one-drop max-min
+    power control per pilot power (x1, x0.1, x10), each rate from math.log2.
+    Returns (rates per pilot power, the x1 SINRs, pilot_quality_min, served)."""
     noise = cap.noise_power_w(config.bandwidth_hz, config.noise_figure_db)
     rho_dl = config.total_power_w / noise
     tau = int(round(config.pilot_fraction * config.coherence_s * config.bandwidth_hz))
     k = config.n_terminals
+    block = max(1, BLOCK_ENTRIES // k)
     rates, sinrs, qualities, served = ([], [], []), [], [], set()
     for index in range(drops):
-        drop_seed = seed.child(index)
-        squared_radii = drop_seed.child(0).generator().uniform(config.exclusion_km**2, config.radius_km**2, k)
-        distance = np.sqrt(squared_radii + ((BASE_HEIGHT_M - TERMINAL_HEIGHT_M) / 1000.0) ** 2)
-        shadow = config.shadow_sigma_db * drop_seed.child(1).generator().standard_normal(k)
-        betas = 10.0 ** ((-path_loss_db(distance) + shadow + (config.base_gain_db + config.terminal_gain_db)) / 10.0)
+        block_seed = seed.child(index // block)
+        rows = (min(block, drops - index // block * block), k)
+        squared_radii = block_seed.child(0).generator().uniform(config.exclusion_km**2, config.radius_km**2, rows)
+        shadow = config.shadow_sigma_db * block_seed.child(1).generator().standard_normal(rows)
+        row = index % block
+        distance = np.sqrt(squared_radii[row] + ((BASE_HEIGHT_M - TERMINAL_HEIGHT_M) / 1000.0) ** 2)
+        gains_db = config.base_gain_db + config.terminal_gain_db
+        betas = 10.0 ** ((-path_loss_db(distance) + shadow[row] + gains_db) / 10.0)
         for scale, scale_rates in zip((1.0, 0.1, 10.0), rates):
             gammas = cap.estimate_quality(betas, scale * config.terminal_pilot_power_w / noise, tau)
             drop_served, _, sinr = one_drop(betas, gammas, rho_dl, config.m, config.drop_fraction)
@@ -508,6 +526,19 @@ def reference_rural(config, seed, drops):
                 served.add(len(drop_served))
     (count,) = served
     return [np.array(r) for r in rates], np.array(sinrs), min(qualities), count
+
+
+def assert_equals_reference(config, seed, drops):
+    result = cap.rural_broadband(config, seed, drops)
+    (rate, weaker, stronger), sinr, quality, served = reference_rural(config, seed, drops)
+    assert np.array_equal(result.equal_rate_mbps, rate)
+    assert np.array_equal(result.sinr, sinr)
+    assert result.pilot_quality_min == quality
+    assert result.served == served
+    assert result.sensitivity_mbps == {
+        "pilot_power_x0.1_mean": float(np.mean(weaker)),
+        "pilot_power_x10_mean": float(np.mean(stronger)),
+    }
 
 
 class TestRuralBroadband:
@@ -522,16 +553,35 @@ class TestRuralBroadband:
     )
     @pytest.mark.parametrize("drops", [1, cap.RURAL_PIECE_DROPS, cap.RURAL_PIECE_DROPS + 1, 6])
     def test_equals_three_pass_reference(self, config, drops):
-        result = cap.rural_broadband(config, Seed(7), drops)
-        (rate, weaker, stronger), sinr, quality, served = reference_rural(config, Seed(7), drops)
-        assert np.array_equal(result.equal_rate_mbps, rate)
-        assert np.array_equal(result.sinr, sinr)
-        assert result.pilot_quality_min == quality
-        assert result.served == served
-        assert result.sensitivity_mbps == {
-            "pilot_power_x0.1_mean": float(np.mean(weaker)),
-            "pilot_power_x10_mean": float(np.mean(stronger)),
-        }
+        assert_equals_reference(config, Seed(7), drops)
+
+    @pytest.mark.parametrize("drops", [3, 4, 5, 9])
+    def test_equals_reference_across_block_boundaries(self, drops):
+        # 8192 terminals make blocks of 4 drops: 9 drops end one drop into a third block.
+        config = cap.RuralConfig(n_terminals=8192, allow_override=True)
+        assert max(1, BLOCK_ENTRIES // config.n_terminals) == 4
+        assert_equals_reference(config, Seed(11), drops)
+
+    def test_first_drops_do_not_depend_on_the_drop_count(self):
+        # Drop 32 opens a second block of the pinned run; the first 32 keep their bytes.
+        short = cap.rural_broadband(cap.RuralConfig(), Seed(9), 32)
+        long = cap.rural_broadband(cap.RuralConfig(), Seed(9), 33)
+        assert short.equal_rate_mbps.tobytes() == long.equal_rate_mbps[:32].tobytes()
+        assert short.sinr.tobytes() == long.sinr[:32].tobytes()
+
+    @pytest.mark.parametrize("drops", [1, 32, 33, 70])
+    def test_two_generators_per_block(self, monkeypatch, drops):
+        calls = []
+        generator = Seed.generator
+
+        def counting(seed):
+            calls.append(seed.path)
+            return generator(seed)
+
+        monkeypatch.setattr(Seed, "generator", counting)
+        cap.rural_broadband(cap.RuralConfig(), Seed(1), drops)
+        blocks = math.ceil(drops / (BLOCK_ENTRIES // 1000))
+        assert sorted(calls) == [(b, stream) for b in range(blocks) for stream in (0, 1)]
 
     def test_calls_the_public_maxmin_once_per_piece(self, monkeypatch):
         # What the traced layer `capacity.maxmin` wraps is what the run calls.

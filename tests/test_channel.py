@@ -100,6 +100,13 @@ class TestShadowFading:
         with pytest.raises(DomainError):
             draw_shadow_db(Seed(0), -1.0, 1)
 
+    def test_block_rows_continue_one_draw(self):
+        # A (rows, n) block is one row-major draw: its first row is the n draws of the same seed.
+        block = draw_shadow_db(Seed(4), 8.0, (3, 50))
+        assert block.shape == (3, 50)
+        assert np.array_equal(block.ravel(), draw_shadow_db(Seed(4), 8.0, 150))
+        assert np.array_equal(block[0], draw_shadow_db(Seed(4), 8.0, 50))
+
 
 class TestPlaceTerminals:
     def test_empty(self):
@@ -118,6 +125,8 @@ class TestPlaceTerminals:
     def test_invalid_args(self):
         with pytest.raises(DomainError):
             place_terminals(Seed(0), -1, 6.0)
+        with pytest.raises(DomainError, match="terminal count"):
+            squared_ground_radii(Seed(0), (2, -1), 6.0)
         with pytest.raises(DomainError):
             place_terminals(Seed(0), 5, 6.0, exclusion_km=6.0)
 
@@ -126,6 +135,9 @@ class TestPlaceTerminals:
         squared = Seed(3).generator().uniform(0.5**2, 6.0**2, size=50)
         assert np.array_equal(squared_ground_radii(Seed(3), 50, 6.0, exclusion_km=0.5), squared)
         assert np.array_equal(place_terminals(Seed(3), 50, 6.0, exclusion_km=0.5), np.sqrt(squared))
+        # A (rows, n) block is the same draw, row-major.
+        block = squared_ground_radii(Seed(3), (5, 10), 6.0, exclusion_km=0.5)
+        assert np.array_equal(block, squared.reshape(5, 10))
 
     def test_heights_enter_distance(self):
         d = terminal_distance_km(np.array([0.03**2]))

@@ -263,7 +263,7 @@ class TestRunAndEmit:
         for name in EXPERIMENTS:
             path = write_config(tmp_path / f"{name}.ini", f"[experiment]\nexperiment = {name}\n")
             resolved = parse_config(path).resolved()
-            drawn = name in ("svd-spread", "mrt-sumrate", "pilot-contamination")
+            drawn = name in ("svd-spread", "mrt-sumrate", "pilot-contamination", "rural-broadband")
             assert resolved.get("block_entries") == (BLOCK_ENTRIES if drawn else None), name
         channels = tmp_path / "set.cfcsv"
         save_measured_channels(draw_complex_gaussian(Seed(0), 4, 4), channels)
@@ -746,6 +746,44 @@ class TestCliProcess:
         assert outcome.exit_code == 0, outcome.output
         assert [str(w.message) for w in caught] == []
         assert json.loads((out / "summary.json").read_text())["metrics"]["sir_limit_db"] == pytest.approx(limit_db)
+
+    def test_pilot_contamination_sir_at_m_limit_past_the_float_range(self, tmp_path):
+        # The ratio of the mean powers at m_limit underflows to 0; this exited 1 with a math domain error.
+        values = "beta_home = 1e-300\nbetas_contaminating = 1e300"
+        body = f"[experiment]\nexperiment = pilot-contamination\ntrials = 2\n\n[pilot-contamination]\n{values}\n"
+        path = write_config(tmp_path / "c.ini", body)
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outcome = CliRunner().invoke(main, ["run", "--config", path, "--out", str(out)])
+        assert outcome.exit_code == 0, outcome.output
+        assert [str(w.message) for w in caught] == []
+        sir = json.loads((out / "summary.json").read_text())["metrics"]["sir_at_m_limit_db"]
+        rows = [line.split(",") for line in (out / "contamination.csv").read_text().splitlines()[1:]]
+        desired, directed = (np.mean([float(r[c]) for r in rows if r[0] == "10000"]) for c in (2, 3))
+        assert sir == pytest.approx(10.0 * (math.log10(desired) - math.log10(directed)), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "value, sinr",
+        # A noise floor of about 1e287 W leaves every SINR at 0: this wrote sinr_db = -inf and exited 0.
+        # A gain of 3000 dB makes beta infinite: this failed on a summary with inf after about ten warnings.
+        [("noise_figure_db = 3000", "0.0"), ("terminal_gain_db = 3000", "inf")],
+    )
+    def test_rural_sinr_out_of_float_range_exit_code_3_without_files(self, tmp_path, value, sinr):
+        body = (
+            "[experiment]\nexperiment = rural-broadband\ntrials = 2\n\n"
+            f"[rural-broadband]\nallow_override = true\n{value}\n"
+        )
+        path = write_config(tmp_path / "c.ini", body)
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outcome = CliRunner().invoke(main, ["run", "--config", path, "--out", str(out)])
+        assert outcome.exit_code == 3, outcome.output
+        assert outcome.stderr.startswith(f"error: rural drop 0: the equalised SINR at pilot power x1.0 is {sinr};")
+        assert outcome.stderr.count("\n") == 1
+        assert [str(w.message) for w in caught] == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("rho_max_db", [200, 3000])
     def test_ee_se_tradeoff_finite_at_high_snr(self, tmp_path, rho_max_db):
