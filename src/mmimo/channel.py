@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,25 +192,25 @@ def _phasor_leg(work: _LegWorkspace, rows: int, floor: float) -> np.ndarray:
     return leg
 
 
-def _kept(cache, name: str, shape: tuple[int, int], make):
-    """The buffer `cache.<name>`, a `threading.local` attribute with a
+def _kept(workspace, name: str, shape: tuple[int, int], make):
+    """The buffer `workspace.<name>`, a `threading.local` attribute with a
     `shape`, or a new make(*shape) kept there when it is missing or has
-    another shape."""
-    held = getattr(cache, name, None)
+    another shape. Without a `workspace`, a new make(*shape)."""
+    held = getattr(workspace, name, None)
     if held is None or held.shape != shape:
         held = make(*shape)
-        setattr(cache, name, held)
+        if workspace is not None:
+            setattr(workspace, name, held)
     return held
 
 
-def _ray_leg(origins: np.ndarray, scene: ScattererScene, floor: float, work: _LegWorkspace | None = None) -> np.ndarray:
+def _ray_leg(origins: np.ndarray, scene: ScattererScene, floor: float, workspace=None, name: str = "leg") -> np.ndarray:
     """(rows, S) complex128 leg from each origin to each scatterer: the
-    squared distances, then `_phasor_leg` in `work` (of exactly rows x S), or
-    in a workspace of its own. The two axis squares are formed in the two
-    halves of the leg's bytes, which `_phasor_leg` then overwrites."""
+    squared distances, then `_phasor_leg` in the rows x S workspace kept as
+    `workspace.<name>` (`_kept`), or a new one. The axis squares are formed
+    in the two halves of the leg's bytes, which `_phasor_leg` overwrites."""
     sx, sy = scene.scatterer_positions.T
-    if work is None:
-        work = _LegWorkspace(origins.shape[0], sx.size)
+    work = _kept(workspace, name, (origins.shape[0], sx.size), _LegWorkspace)
     x2, y2 = work.leg.view(np.float64).reshape(2, *work.shape)
     squares = np.add(
         _axis_squares(origins[:, 0], sx, out=x2),
@@ -223,17 +222,13 @@ def _ray_leg(origins: np.ndarray, scene: ScattererScene, floor: float, work: _Le
     return _phasor_leg(work, origins.shape[0], floor)
 
 
-def antenna_leg(scene: ScattererScene, min_amplitude_distance: float = 0.0) -> np.ndarray:
+def antenna_leg(scene: ScattererScene, min_amplitude_distance: float = 0.0, workspace=None) -> np.ndarray:
     """(M, S) ray leg from every antenna to every scatterer, the factor that
-    `scatterer_channel_matrix` and the excitations of `scatterer_field` share."""
-    return _ray_leg(scene.antenna_positions, scene, min_amplitude_distance)
-
-
-def _antenna_leg(scene: ScattererScene, floor: float, cache) -> np.ndarray:
-    """`antenna_leg` built in the workspace `cache.antenna` (see `_kept`). It
-    is a view of that workspace, overwritten by the thread's next call."""
-    shape = (scene.antenna_positions.shape[0], scene.scatterer_positions.shape[0])
-    return _ray_leg(scene.antenna_positions, scene, floor, _kept(cache, "antenna", shape, _LegWorkspace))
+    `scatterer_channel_matrix` and the excitations of `scatterer_field` share.
+    With a per-thread `workspace` (a `threading.local`), it is built in the
+    buffers kept as `workspace.antenna` (`_kept`), as the same bytes, and is
+    a view of them that the thread's next call overwrites."""
+    return _ray_leg(scene.antenna_positions, scene, min_amplitude_distance, workspace, "antenna")
 
 
 def scatterer_channel_matrix(
@@ -272,6 +267,7 @@ def scatterer_field(
     grid_y,
     excitations,
     min_amplitude_distance: float = 0.0,
+    workspace=None,
 ) -> np.ndarray:
     """Field at every point of the grid `grid_x` x `grid_y` re-radiated by
     the scatterers, for each S-vector of scatterer `excitations`, as a
@@ -289,20 +285,17 @@ def scatterer_field(
     size: numpy hands a one-row product to a dot routine that rounds
     differently, so a one-point tail (nx = 1 only) is folded into the block
     before it. The rays obey the accuracy contract of `_phasor_leg`.
+
+    A per-thread `workspace` (a `threading.local`) keeps the block workspace
+    as `workspace.work` and the lattice's dx^2 and dy^2 as
+    `workspace.lattice` (`_kept`) for the thread's later calls on a grid and
+    scatterer count of the same shape. Reuse changes no byte of the field.
     """
-    return _field_blocks(scene, grid_x, grid_y, excitations, min_amplitude_distance, threading.local())
-
-
-def _field_blocks(scene: ScattererScene, grid_x, grid_y, excitations, floor: float, cache) -> np.ndarray:
-    """`scatterer_field`, with the block workspace kept as `cache.work` and
-    the lattice's dx^2 and dy^2 as `cache.lattice`, `threading.local`
-    attributes: made on a thread's first call, reused by its later calls on
-    a grid and scatterer count of the same shape (`_kept`)."""
     gx = np.asarray(grid_x, dtype=float).ravel()
     gy = np.asarray(grid_y, dtype=float).ravel()
     sx, sy = scene.scatterer_positions.T
     nx, ny = gx.size, gy.size
-    lattice = _kept(cache, "lattice", (nx + ny, sx.size), lambda *shape: np.empty(shape))
+    lattice = _kept(workspace, "lattice", (nx + ny, sx.size), lambda *shape: np.empty(shape))
     dx2 = _axis_squares(gx, sx, out=lattice[:nx])
     dy2 = _axis_squares(gy, sy, out=lattice[nx:])
     # d = 0 exactly where both squares of one scatterer's column vanish.
@@ -312,12 +305,12 @@ def _field_blocks(scene: ScattererScene, grid_x, grid_y, excitations, floor: flo
     if len(starts) > 2 and (ny - starts[-2]) * nx == 1:
         del starts[-2]
     blocks = list(zip(starts[:-1], starts[1:]))
-    work = _kept(cache, "work", (max(y1 - y0 for y0, y1 in blocks) * nx, sx.size), _LegWorkspace)
+    work = _kept(workspace, "work", (max(y1 - y0 for y0, y1 in blocks) * nx, sx.size), _LegWorkspace)
     field = np.empty((len(excitations), nx * ny), dtype=np.complex128)
     for y0, y1 in blocks:
         rows = (y1 - y0) * nx
         np.add(dy2[y0:y1, None], dx2, out=work.squares[:rows].reshape(y1 - y0, nx, sx.size))
-        leg = _phasor_leg(work, rows, floor)
+        leg = _phasor_leg(work, rows, min_amplitude_distance)
         for row, v in zip(field, excitations):
             row[y0 * nx : y1 * nx] = leg @ v
     return field

@@ -206,13 +206,30 @@ def _run_focusing_map(config: ExperimentConfig):
     return summary, tables
 
 
-def _check_focusing_map(*, m, scheme, **_) -> None:
+def _check_focusing_map(*, m, scheme, antenna_spacing_lambda, grid_extent_lambda, **lengths) -> None:
+    """Reject a scheme the antenna count cannot serve, and a scene whose span,
+    the sum of the terms below, passes 1e150 wavelengths: no coordinate
+    difference of its points exceeds it, so no squared distance passes 2e300."""
     from .channel import FOCUSING_TERMINALS
 
     if scheme != "mrt" and m < FOCUSING_TERMINALS:
         raise ConfigError(
             f"key 'focusing-map.m': zero-forcing (scheme = {scheme}) needs m >= "
             f"{FOCUSING_TERMINALS}, the scene's terminal count, got {m}"
+        )
+    terms = {
+        "region_side_lambda": lengths["region_side_lambda"],
+        "bs_distance_lambda": lengths["bs_distance_lambda"],
+        "antenna_spacing_lambda": (m - 1) * antenna_spacing_lambda,
+        "grid_extent_lambda": 2.0 * grid_extent_lambda,
+        "other_user_offset_lambda": lengths["other_user_offset_lambda"],
+    }
+    span = sum(terms.values())  # a float, perhaps inf
+    if span > 1e150:
+        raise ConfigError(
+            f"key 'focusing-map.{max(terms, key=terms.get)}': the scene spans region_side + bs_distance + "
+            f"(m - 1) antenna_spacing + 2 grid_extent + other_user_offset = {span:.6g} wavelengths; "
+            "past 1e150 its squared distances overflow"
         )
 
 
@@ -315,8 +332,14 @@ def _run_pilot_contamination(config: ExperimentConfig):
         else:
             sir_at_limit = _sir_db(float(np.mean(sample.desired)), float(np.mean(sample.directed)))
     log_m = np.log(np.asarray(m_values, dtype=float))
-    desired_slope = float(np.polyfit(log_m, np.log(mean_desired), 1)[0])
-    directed_slope = float(np.polyfit(log_m, np.log(mean_directed), 1)[0])
+    fits = (("beta_home", "desired", mean_desired), ("betas_contaminating", "directed", mean_directed))
+    for key, kind, means in fits:
+        if 0.0 in means:
+            raise NumericError(
+                f"key 'pilot-contamination.{key}': the mean {kind} power at m_list entry "
+                f"{m_values[means.index(0.0)]} underflows to 0, so its log-log slope is undefined"
+            )
+    desired_slope, directed_slope = (float(np.polyfit(log_m, np.log(means), 1)[0]) for _, _, means in fits)
     limit = pilots.contamination_sir_limit_db(p["beta_home"], p["betas_contaminating"])
     summary = {
         "desired_power_loglog_slope": desired_slope,
@@ -336,7 +359,7 @@ def _sir_db(desired: float, directed: float) -> float:
     if directed == 0.0:
         return math.inf
     if desired == 0.0:
-        raise NumericError("pilot-contamination: the mean desired power at m_limit underflows to 0")
+        raise NumericError("key 'pilot-contamination.beta_home': the mean desired power at m_limit underflows to 0")
     ratio = desired / directed
     if 0.0 < ratio < math.inf:
         return 10.0 * math.log10(ratio)

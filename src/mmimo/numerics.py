@@ -95,71 +95,6 @@ def draw_complex_gaussian(
     return out
 
 
-def draw_bartlett(seed: Seed, m: int, k: int, count: int, cross: bool = False):
-    """Bartlett factors of `count` complex Wishart(M, I_K) matrices, and with
-    `cross` their cross terms: a (count, K, r) stack A and a (count, r, K)
-    stack X, r = min(M, K), such that for an M x K i.i.d. CN(0, 1) matrix Z
-    and an independent copy Z_e,
-
-        Z^H Z = A A^H  and  Z^H Z_e = A X  in distribution.
-
-    This is the QR decomposition Z = Q R read backwards (A = R^H): |A_ii|^2 is
-    Gamma(M - i, 1) for i < r (a chi-square with 2(M - i) degrees of freedom,
-    halved), every entry below the diagonal is CN(0, 1), and Q^H Z_e is an
-    r x K i.i.d. CN(0, 1) matrix X independent of A. When M < K, Z^H Z has
-    rank M and A is K x M lower trapezoidal: rows M..K-1 are all CN(0, 1).
-    No operand has an M-length axis. Without `cross`, X is None.
-
-    The CN(0, 1) entries are Box-Muller transforms of uniforms with a float32
-    phasor: each is within 3e-7 (relative) of the value the same uniforms
-    give in float64, and its modulus is float64 (`_box_muller`).
-
-    The stack is the concatenation of the pieces of `_bartlett_pieces`.
-    """
-    a, x = zip(*_bartlett_pieces(seed, m, k, count, cross))
-    return np.concatenate(a), (np.concatenate(x) if cross else None)
-
-
-def _bartlett_pieces(seed: Seed, m: int, k: int, count: int, cross: bool):
-    """Yield the (A, X) stacks of `draw_bartlett(seed, m, k, count, cross)` in
-    trial order, in pieces of at most max(1, BLOCK_ENTRIES // K^2) trials.
-
-    The diagonal comes from one `standard_gamma` call on `seed.child(0)`, the
-    below-diagonal entries and then X from one generator on `seed.child(1)`,
-    both trial-major: each piece draws its own (piece, 2, width) float64
-    uniforms, exactly 2 * width 64-bit words per trial, and `_box_muller`
-    turns each pair into one CN(0, 1) entry, whose real and imaginary parts
-    it writes into A and X. So the pieces do not depend on the piece size,
-    and the first matrices of a stack do not depend on its length.
-    """
-    if m < 1 or k < 1:
-        raise DimensionError(f"Wishart dimensions must be >= 1, got M={m}, K={k}")
-    if count < 1:
-        raise DimensionError(f"stack size must be >= 1, got {count}")
-    r = min(m, k)
-    diag = np.arange(r)
-    rows, cols = np.tril_indices(k, -1, r)
-    below = rows.size
-    width = below + (r * k if cross else 0)
-    chi = seed.child(0).generator().standard_gamma(m - diag, size=(count, r))
-    uniforms = seed.child(1).generator()
-    piece = max(1, BLOCK_ENTRIES // (k * k))
-    for start in range(0, count, piece):
-        n = min(piece, count - start)
-        a = np.zeros((n, k, r), dtype=complex)
-        a[:, diag, diag] = np.sqrt(chi[start : start + n])
-        x = None
-        if width:  # K = 1 without cross terms has no normal entry
-            parts = _box_muller(uniforms.random((n, 2, width)))
-            a.real[:, rows, cols] = parts[:, 0, :below]
-            a.imag[:, rows, cols] = parts[:, 1, :below]
-            if cross:
-                x = np.empty((n, r, k), dtype=complex)
-                x.real = parts[:, 0, below:].reshape(n, r, k)
-                x.imag = parts[:, 1, below:].reshape(n, r, k)
-        yield a, x
-
-
 def _box_muller(u: np.ndarray) -> np.ndarray:
     """Turn a (n, 2, w) stack of uniforms on [0, 1) in place into the real
     (u[:, 0]) and imaginary (u[:, 1]) parts of n x w CN(0, 1) entries
@@ -182,18 +117,66 @@ def _box_muller(u: np.ndarray) -> np.ndarray:
 
 
 def bartlett_blocks(seed: Seed, m: int, k: int, trials: int, size: int | None = None, cross: bool = False):
-    """Yield `trials` draws of `draw_bartlett` in trial order, as (A, X)
-    stacks of at most max(1, BLOCK_ENTRIES // K^2) trials each.
+    """Yield the Bartlett factors of `trials` complex Wishart(M, I_K)
+    matrices, and with `cross` their cross terms, in trial order: (A, X)
+    stacks of n trials, A of shape (n, K, r) and X of shape (n, r, K),
+    r = min(M, K), such that for an M x K i.i.d. CN(0, 1) matrix Z and an
+    independent copy Z_e,
+
+        Z^H Z = A A^H  and  Z^H Z_e = A X  in distribution.
+
+    This is the QR decomposition Z = Q R read backwards (A = R^H): |A_ii|^2 is
+    Gamma(M - i, 1) for i < r (a chi-square with 2(M - i) degrees of freedom,
+    halved), every entry below the diagonal is CN(0, 1), and Q^H Z_e is an
+    r x K i.i.d. CN(0, 1) matrix X independent of A. When M < K, Z^H Z has
+    rank M and A is K x M lower trapezoidal: rows M..K-1 are all CN(0, 1).
+    No operand has an M-length axis. Without `cross`, X is None.
+
+    The CN(0, 1) entries are Box-Muller transforms of uniforms with a float32
+    phasor: each is within 3e-7 (relative) of the value the same uniforms
+    give in float64, and its modulus is float64 (`_box_muller`).
 
     A block holds `size` trials, by default max(1, BLOCK_ENTRIES // K^2), and
-    block b is `draw_bartlett(seed.child(b), ...)`, yielded in the pieces of
-    `_bartlett_pieces`: a block of the default size is a single piece. The
-    block size does not depend on `trials`, so the draws of the first T
-    trials are the same for every trial count of at least T.
+    is yielded in pieces of at most that default: a block of the default size
+    is a single piece. Block b draws the diagonal from one `standard_gamma`
+    call on `seed.child(b, 0)`, and the below-diagonal entries and then X
+    from one generator on `seed.child(b, 1)`, both trial-major: each piece
+    draws its own (piece, 2, width) float64 uniforms, exactly 2 * width 64-bit
+    words per trial, and `_box_muller` turns each pair into one CN(0, 1)
+    entry, whose real and imaginary parts it writes into A and X. So the
+    pieces do not depend on the piece size, and since the block size does not
+    depend on `trials`, the draws of the first T trials are the same for every
+    trial count of at least T.
     """
-    size = max(1, BLOCK_ENTRIES // (k * k)) if size is None else size
-    for index, start in enumerate(range(0, trials, size)):
-        yield from _bartlett_pieces(seed.child(index), m, k, min(size, trials - start), cross)
+    if m < 1 or k < 1:
+        raise DimensionError(f"Wishart dimensions must be >= 1, got M={m}, K={k}")
+    if trials < 1:
+        raise DimensionError(f"trial count must be >= 1, got {trials}")
+    r = min(m, k)
+    diag = np.arange(r)
+    rows, cols = np.tril_indices(k, -1, r)
+    below = rows.size
+    width = below + (r * k if cross else 0)
+    piece = max(1, BLOCK_ENTRIES // (k * k))
+    size = piece if size is None else size
+    for index, first in enumerate(range(0, trials, size)):
+        count = min(size, trials - first)
+        chi = seed.child(index, 0).generator().standard_gamma(m - diag, size=(count, r))
+        uniforms = seed.child(index, 1).generator()
+        for start in range(0, count, piece):
+            n = min(piece, count - start)
+            a = np.zeros((n, k, r), dtype=complex)
+            a[:, diag, diag] = np.sqrt(chi[start : start + n])
+            x = None
+            if width:  # K = 1 without cross terms has no normal entry
+                parts = _box_muller(uniforms.random((n, 2, width)))
+                a.real[:, rows, cols] = parts[:, 0, :below]
+                a.imag[:, rows, cols] = parts[:, 1, :below]
+                if cross:
+                    x = np.empty((n, r, k), dtype=complex)
+                    x.real = parts[:, 0, below:].reshape(n, r, k)
+                    x.imag = parts[:, 1, below:].reshape(n, r, k)
+            yield a, x
 
 
 def _checked_matrix(h) -> np.ndarray:

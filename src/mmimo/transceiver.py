@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ScattererScene, _antenna_leg, _field_blocks, redraw_scatterers, scatterer_channel_matrix
+from .channel import ScattererScene, antenna_leg, redraw_scatterers, scatterer_channel_matrix, scatterer_field
 from .errors import DegenerateChannelError, DimensionError, DomainError, RankError
 from .numerics import Seed, pseudo_inverse
 from .parallel import ordered_trial_map
@@ -180,7 +180,7 @@ def field_map(
 
     def one_trial(index: int) -> np.ndarray:
         trial_scene = redraw_scatterers(scene, seed.child(index))
-        ant_leg = _antenna_leg(trial_scene, MIN_AMPLITUDE_DISTANCE, workspaces)
+        ant_leg = antenna_leg(trial_scene, MIN_AMPLITUDE_DISTANCE, workspaces)
         # Perfect CSI toward the K terminals.
         h = scatterer_channel_matrix(trial_scene, scene.terminal_positions, MIN_AMPLITUDE_DISTANCE, ant_leg=ant_leg).T
         targets = []
@@ -189,7 +189,7 @@ def field_map(
             targets.append(precoder.w[:, 0])
         # A contiguous copy of each precoder column keeps the product's call, and so its bytes, fixed.
         excitations = [ant_leg.T @ np.ascontiguousarray(w) for w in targets]
-        grid_field = _field_blocks(trial_scene, gx, gy, excitations, MIN_AMPLITUDE_DISTANCE, workspaces)
+        grid_field = scatterer_field(trial_scene, gx, gy, excitations, MIN_AMPLITUDE_DISTANCE, workspaces)
         # One matrix-vector product per scheme: stacking the precoders into
         # one matmul may round differently.
         terminal_field = np.array([h.T @ w for w in targets])

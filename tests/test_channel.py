@@ -326,18 +326,19 @@ class TestScattererField:
             assert np.array_equal(row, point_leg @ v)
 
     def test_kept_buffers_reused_bit_identical(self):
-        cache = threading.local()
+        # A reused per-thread workspace gives the bytes of a fresh one.
+        workspace = threading.local()
         kept = None
         for index, n_scatterers in enumerate((30, 30, 31)):
             scene = make_focusing_scene(Seed(10).child(index), m_antennas=6, n_scatterers=n_scatterers)
             gx, gy = np.linspace(-300.0, 250.0, 9), np.linspace(-120.0, 330.0, 7)
-            leg = channel._antenna_leg(scene, 2.0, cache)
-            assert np.shares_memory(leg, cache.antenna.leg)
-            assert np.array_equal(leg, antenna_leg(scene, 2.0))
+            leg = antenna_leg(scene, 2.0, workspace)
+            assert np.shares_memory(leg, workspace.antenna.leg)
+            assert leg.tobytes() == antenna_leg(scene, 2.0).tobytes()
             excitations = self._excitations(scene)
-            field = channel._field_blocks(scene, gx, gy, excitations, 2.0, cache)
-            assert np.array_equal(field, scatterer_field(scene, gx, gy, excitations, 2.0))
-            buffers = (cache.antenna, cache.work, cache.lattice)
+            field = scatterer_field(scene, gx, gy, excitations, 2.0, workspace)
+            assert field.tobytes() == scatterer_field(scene, gx, gy, excitations, 2.0).tobytes()
+            buffers = (workspace.antenna, workspace.work, workspace.lattice)
             # Kept while the shapes hold; a new scatterer count makes new ones.
             if kept is not None:
                 assert [a is b for a, b in zip(buffers, kept)] == [n_scatterers == 30] * 3

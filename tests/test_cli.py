@@ -622,6 +622,9 @@ class TestCliProcess:
             ("focusing-map", 1, "grid_extent_lambda=nan"),
             ("focusing-map", 1, "bs_distance_lambda=nan"),
             ("focusing-map", 1, "bs_distance_lambda=-1"),
+            ("focusing-map", 1, "region_side_lambda=1e300"),
+            ("focusing-map", 1, "grid_extent_lambda=1e300"),
+            ("focusing-map", 1, "bs_distance_lambda=1e200"),
             ("svd-spread", 1, "m_list=4,0"),
             ("mrt-sumrate", 1, "m_list=-4"),
             ("mrt-sumrate", 1, "target_snr_db=nan"),
@@ -762,6 +765,63 @@ class TestCliProcess:
         rows = [line.split(",") for line in (out / "contamination.csv").read_text().splitlines()[1:]]
         desired, directed = (np.mean([float(r[c]) for r in rows if r[0] == "10000"]) for c in (2, 3))
         assert sir == pytest.approx(10.0 * (math.log10(desired) - math.log10(directed)), rel=1e-12)
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize(
+        "values", ["region_side_lambda = 1e300", "grid_extent_lambda = 1e300", "bs_distance_lambda = 1e200"]
+    )
+    def test_focusing_map_scene_past_the_float_range_rejected(self, tmp_path, command, values):
+        # These ran to an overflow and an invalid-value warning, then exited 3 naming no key.
+        body = f"[experiment]\nexperiment = focusing-map\ntrials = 2\n\n[focusing-map]\n{values}\n"
+        args = [command, "--config", write_config(tmp_path / "c.ini", body)]
+        args += ["--out", str(tmp_path / "o")] if command == "run" else []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outcome = CliRunner().invoke(main, args)
+        assert outcome.exit_code == 2, outcome.output
+        key = values.split("=")[0].strip()
+        assert outcome.stderr.startswith(f"config error: key 'focusing-map.{key}':")
+        assert outcome.stderr.count("\n") == 1
+        assert [str(w.message) for w in caught] == []
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "values, code, stderr",
+        [
+            # ZF is rank-deficient when the array is that far off.
+            ("bs_distance_lambda = 1e150", 3, "error: matrix is numerically rank-deficient\n"),
+            ("bs_distance_lambda = 1e150\nscheme = mrt", 0, ""),
+        ],
+    )
+    def test_focusing_map_scene_inside_the_span_limit_runs(self, tmp_path, values, code, stderr):
+        body = (
+            "[experiment]\nexperiment = focusing-map\ntrials = 2\n\n"
+            f"[focusing-map]\nm = 8\nn_scatterers = 20\ngrid_points = 5\n{values}\n"
+        )
+        path = write_config(tmp_path / "c.ini", body)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outcome = CliRunner().invoke(main, ["run", "--config", path, "--out", str(tmp_path / "o")])
+        assert outcome.exit_code == code, outcome.output
+        assert outcome.stderr == stderr
+        assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("key, entry", [("beta_home", 1024), ("betas_contaminating", 256)])
+    def test_pilot_contamination_mean_power_underflow_exit_code_3(self, tmp_path, key, entry):
+        # A mean power of 0 at an m_list entry made the log-log fit NaN: this printed a divide-by-zero
+        # warning and exited 3 on a summary with nan, naming no key.
+        body = f"[experiment]\nexperiment = pilot-contamination\ntrials = 2\n\n[pilot-contamination]\n{key} = 5e-324\n"
+        path = write_config(tmp_path / "c.ini", body)
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outcome = CliRunner().invoke(main, ["run", "--config", path, "--out", str(out)])
+        assert outcome.exit_code == 3, outcome.output
+        assert outcome.stderr.startswith(f"error: key 'pilot-contamination.{key}': ")
+        assert f"at m_list entry {entry} underflows to 0" in outcome.stderr
+        assert outcome.stderr.count("\n") == 1
+        assert [str(w.message) for w in caught] == []
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "value, sinr",

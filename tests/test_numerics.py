@@ -11,7 +11,6 @@ from mmimo.numerics import (
     EmpiricalCdf,
     Seed,
     bartlett_blocks,
-    draw_bartlett,
     draw_complex_gaussian,
     pseudo_inverse,
     singular_value_spread_db,
@@ -101,7 +100,8 @@ def box_muller_reference(u):
 
 
 def one_shot_bartlett(seed, m, k, count, cross):
-    """Reference for the stream of `draw_bartlett`: the diagonal from one
+    """Reference for the stream of one block of `bartlett_blocks`, drawn from
+    `seed` (block b of a call draws from its seed.child(b)): the diagonal from one
     `standard_gamma` call on seed.child(0), then the below-diagonal entries
     and X from one (count, 2, width) `random` call on seed.child(1),
     trial-major, each pair of uniforms one complex normal."""
@@ -114,6 +114,12 @@ def one_shot_bartlett(seed, m, k, count, cross):
     z = box_muller_reference(seed.child(1).generator().random((count, 2, width)))
     a[:, rows, cols] = z[:, : rows.size]
     return a, (z[:, rows.size :].reshape(count, r, k) if cross else None)
+
+
+def bartlett_stack(seed, m, k, count, cross=False, size=None):
+    """The (A, X) stacks that `bartlett_blocks` yields, concatenated."""
+    a, x = zip(*bartlett_blocks(seed, m, k, count, size, cross))
+    return np.concatenate(a), (np.concatenate(x) if cross else None)
 
 
 def bartlett_entries(a, x):
@@ -132,11 +138,12 @@ def dkw_distance(samples, cdf) -> float:
 
 
 class TestBoxMullerDraw:
-    # M = 100, K = 40 with cross terms: 780 + 1,600 normals per trial.
+    # M = 100, K = 40 with cross terms: 780 + 1,600 normals per trial, in one
+    # block of 100 trials drawn from seed.child(0), yielded in pieces of 20.
     M, K, TRIALS = 100, 40, 100
 
     def draw(self, seed):
-        return draw_bartlett(seed, self.M, self.K, self.TRIALS, cross=True)
+        return bartlett_stack(seed, self.M, self.K, self.TRIALS, cross=True, size=self.TRIALS)
 
     def test_entries_follow_complex_normal_law(self):
         # Dvoretzky-Kiefer-Wolfowitz: the empirical CDF of n samples leaves a
@@ -157,7 +164,7 @@ class TestBoxMullerDraw:
     def test_entries_within_float32_phase_accuracy(self):
         seed = Seed(61)
         z = bartlett_entries(*self.draw(seed))
-        u = seed.child(1).generator().random(z.shape[:1] + (2,) + z.shape[1:])
+        u = seed.child(0, 1).generator().random(z.shape[:1] + (2,) + z.shape[1:])
         exact = np.sqrt(-np.log1p(-u[:, 0])) * np.exp(2j * np.pi * u[:, 1])
         assert np.all(np.abs(z - exact) <= 3e-7 * np.abs(exact))
 
@@ -175,9 +182,9 @@ class TestBoxMullerDraw:
         seed = Seed(62)
         a, x = self.draw(seed)
         width = bartlett_entries(a, x).shape[1]
-        fresh = generator(seed.child(1)).bit_generator
+        fresh = generator(seed.child(0, 1)).bit_generator
         fresh.advance(2 * width * self.TRIALS)
-        assert made[(1,)].bit_generator.state == fresh.state
+        assert made[(0, 1)].bit_generator.state == fresh.state
 
 
 class TestBartlettBlocks:
@@ -193,7 +200,7 @@ class TestBartlettBlocks:
             blocks = list(bartlett_blocks(Seed(51), 6, 4, 7, size=3, cross=cross))
             assert len(blocks) == 3
             for index, (a, x) in enumerate(blocks):
-                expected_a, expected_x = draw_bartlett(Seed(51).child(index), 6, 4, a.shape[0], cross)
+                expected_a, expected_x = one_shot_bartlett(Seed(51).child(index), 6, 4, a.shape[0], cross)
                 assert np.array_equal(a, expected_a)
                 assert (x is None) if not cross else np.array_equal(x, expected_x)
 
@@ -232,9 +239,6 @@ class TestBartlettBlocks:
             expected_a, expected_x = one_shot_bartlett(Seed(57).child(index), m, k, n, cross)
             assert a[start : start + n].tobytes() == expected_a.tobytes()
             assert (x is None) if not cross else x[start : start + n].tobytes() == expected_x.tobytes()
-            drawn_a, drawn_x = draw_bartlett(Seed(57).child(index), m, k, n, cross)
-            assert drawn_a.tobytes() == expected_a.tobytes()
-            assert (drawn_x is None) if not cross else drawn_x.tobytes() == expected_x.tobytes()
             start += n
 
     def test_terminal_count_of_a_thousand_draws_one_trial_per_piece(self):
@@ -243,14 +247,14 @@ class TestBartlettBlocks:
 
     def test_single_terminal_without_cross_terms(self):
         # K = 1 has no entry below the diagonal: A is sqrt(Gamma(M, 1)) alone.
-        a, x = draw_bartlett(Seed(59), 4, 1, 3)
-        expected = np.sqrt(Seed(59).child(0).generator().standard_gamma(4.0, size=3))
+        a, x = bartlett_stack(Seed(59), 4, 1, 3)
+        expected = np.sqrt(Seed(59).child(0, 0).generator().standard_gamma(4.0, size=3))
         assert x is None and a.shape == (3, 1, 1)
         assert np.array_equal(a[:, 0, 0], expected)
 
     @pytest.mark.parametrize("m, k", [(7, 3), (3, 3), (2, 5), (1, 4)])
     def test_factor_shape_and_structure(self, m, k):
-        a, x = draw_bartlett(Seed(53), m, k, 4, cross=True)
+        a, x = bartlett_stack(Seed(53), m, k, 4, cross=True)
         r = min(m, k)
         assert a.shape == (4, k, r) and x.shape == (4, r, k)
         # Lower triangular (trapezoidal when M < K) with a positive real diagonal.
@@ -260,10 +264,9 @@ class TestBartlettBlocks:
         assert np.all(diag.imag == 0) and np.all(diag.real > 0)
 
     def test_rejects_empty_dimensions(self):
-        with pytest.raises(DimensionError):
-            draw_bartlett(Seed(0), 0, 3, 2)
-        with pytest.raises(DimensionError):
-            draw_bartlett(Seed(0), 3, 3, 0)
+        for m, k, trials in [(0, 3, 2), (3, 0, 2), (3, 3, 0)]:
+            with pytest.raises(DimensionError):
+                next(bartlett_blocks(Seed(0), m, k, trials))
 
     @pytest.mark.parametrize("m, k", [(1, 1), (1, 4), (2, 5), (3, 3), (6, 2), (40, 4)])
     def test_moments_match_direct_draw(self, m, k):
@@ -271,7 +274,7 @@ class TestBartlettBlocks:
         # CN(0, 1) draws Z and Z_e: entrywise means of the real and imaginary
         # parts and of |.|^2, and the mean of W_ii |Y_ij|^2 (E = M^2 + M).
         draws = 6000
-        a, x = draw_bartlett(Seed(54), m, k, draws, cross=True)
+        a, x = bartlett_stack(Seed(54), m, k, draws, cross=True)
         z = draw_complex_gaussian(Seed(55), m, k, draws)
         z_e = draw_complex_gaussian(Seed(56), m, k, draws)
         engine = (a @ a.conj().transpose(0, 2, 1), a @ x)
