@@ -14,6 +14,8 @@ how many workers execute the trials.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 import os
@@ -32,8 +34,26 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class Table:
+    """One CSV table, held as the row groups its run produces.
+
+    A group is a tuple with one cell per column of `header`. A cell is either
+    one `int`, `float` or `str` that every row of the group shares, or a 1-D
+    float64 or int64 array with one entry per row; a group's arrays have one
+    length, its row count, and a group of scalars alone is one row. Groups
+    may hold the same array object, such as a shared grid or trial index:
+    `emit_tables` formats it once."""
+
     header: tuple[str, ...]
-    rows: list[tuple]
+    groups: list[tuple]
+
+    @property
+    def rows(self) -> list[tuple]:
+        """Every row as a tuple of Python values, group by group."""
+        rows = []
+        for group in self.groups:
+            n = next((len(cell) for cell in group if isinstance(cell, np.ndarray)), 1)
+            rows.extend(zip(*(cell.tolist() if isinstance(cell, np.ndarray) else [cell] * n for cell in group)))
+        return rows
 
 
 @dataclass(frozen=True)
@@ -59,22 +79,69 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     )
 
 
-# The CSV formatter of each cell type a table holds; every cell of a column
-# shares one formatter. Float cells are Python floats, from `.tolist()`.
-_COLUMN_FORMATS = {float: float.__repr__, int: int.__repr__, str: str}
+# The CSV formatter of each type a column's cells may hold, found by exact
+# type, so a bool or a numpy scalar has none. An array cell holds the Python
+# type of its dtype's values. `repr` is float's and int's own `__repr__`,
+# called without the slot wrapper's overhead.
+_COLUMN_FORMATS = {float: repr, int: repr, str: str}
+_ARRAY_KINDS = {np.dtype(np.float64): float, np.dtype(np.int64): int}
 
 
-def _format_column(column: tuple) -> list[str]:
-    """The CSV text of every cell of a column, through its one formatter."""
-    (fmt,) = {_COLUMN_FORMATS[kind] for kind in set(map(type, column))}
-    return list(map(fmt, column))
+def _cell_kind(cell) -> type:
+    """The type whose formatter writes a cell: KeyError for a cell without one."""
+    if isinstance(cell, np.ndarray):
+        if cell.ndim != 1:
+            raise ValueError(f"a table's array cell must be 1-D, got shape {cell.shape}")
+        return _ARRAY_KINDS[cell.dtype]
+    if type(cell) not in _COLUMN_FORMATS:
+        raise KeyError(type(cell))
+    return type(cell)
+
+
+def _table_lines(table: Table) -> list[str]:
+    """The CSV lines of a table, header first, written group by group. A
+    scalar cell is formatted once per group, and an array once per table
+    (memoised by identity, holding the array so that no id is reused)."""
+    lines = [",".join(table.header)]
+    kinds = None
+    texts: dict[int, tuple[np.ndarray, list[str]]] = {}
+    for group in table.groups:
+        group_kinds = tuple(map(_cell_kind, group))
+        if kinds is None:
+            kinds = group_kinds
+        elif group_kinds != kinds:
+            raise ValueError(f"a column of table {table.header} mixes cell types across its groups")
+        cells, rows = [], None
+        for cell, kind in zip(group, kinds):
+            fmt = _COLUMN_FORMATS[kind]
+            if isinstance(cell, np.ndarray):
+                if rows is not None and cell.size != rows:
+                    raise ValueError(f"a group of table {table.header} holds arrays of unequal lengths")
+                rows = cell.size
+                if id(cell) not in texts:
+                    texts[id(cell)] = (cell, list(map(fmt, cell.tolist())))
+                cells.append(texts[id(cell)][1])
+            else:
+                cells.append(fmt(cell))
+        if rows is None:
+            lines.append(",".join(cells))
+        else:
+            columns = [cell if isinstance(cell, list) else itertools.repeat(cell, rows) for cell in cells]
+            lines.extend(map(",".join, zip(*columns)))
+    return lines
 
 
 def emit_tables(result: ExperimentResult, output_dir) -> list[str]:
     """Write one CSV per table plus summary.json; returns the file paths.
 
     summary.json is serialised first, as strict JSON: a NaN or infinity in it
-    raises `DomainError` before any file is written."""
+    raises `DomainError` before any file is written. Each table is written
+    from its groups (`Table`), never its rows: a scalar cell is formatted
+    once per group and an array once per table, in shortest round-trip form.
+    A column whose cells, across all groups, do not share one type of
+    `_COLUMN_FORMATS` raises `KeyError` (a cell type with no formatter: a
+    bool, a numpy scalar, an array of a dtype outside `_ARRAY_KINDS`) or
+    `ValueError` (a mix), as does a group whose arrays differ in length."""
     payload = {
         "experiment": result.experiment,
         "seed": result.seed,
@@ -91,8 +158,7 @@ def emit_tables(result: ExperimentResult, output_dir) -> list[str]:
     written = []
     for name, table in result.tables.items():
         path = os.path.join(output_dir, f"{name}.csv")
-        columns = [_format_column(column) for column in zip(*table.rows)]
-        lines = [",".join(table.header)] + list(map(",".join, zip(*columns)))
+        lines = _table_lines(table)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
         written.append(path)
@@ -130,14 +196,15 @@ def _channel_groups(config: ExperimentConfig):
 
 
 def _run_svd_spread(config: ExperimentConfig):
-    rows: list[tuple] = []
+    groups: list[tuple] = []
     medians: dict[str, float] = {}
+    trial_index = functools.cache(np.arange)  # one index array per length, shared by the groups
     for m, k, stacks in _channel_groups(config):
         spreads = np.concatenate([singular_value_spread_db(h) for h in stacks])
-        rows.extend((m, k, t, s) for t, s in enumerate(spreads.tolist()))
+        groups.append((m, k, trial_index(spreads.size), spreads))
         medians[str(m)] = EmpiricalCdf.from_samples(spreads).median
     summary = {"median_spread_db": medians}
-    return summary, {"spread": Table(("M", "K", "trial", "spread_db"), rows)}
+    return summary, {"spread": Table(("M", "K", "trial", "spread_db"), groups)}
 
 
 # ---------------------------------------------------------------------------
@@ -147,19 +214,20 @@ def _run_svd_spread(config: ExperimentConfig):
 
 def _run_mrt_sumrate(config: ExperimentConfig):
     snr = 10.0 ** (config.params["target_snr_db"] / 10.0)
-    rows: list[tuple] = []
+    groups: list[tuple] = []
     means: dict[str, float] = {}
+    trial_index = functools.cache(np.arange)  # one index array per length, shared by the groups
     for m, k, stacks in _channel_groups(config):
         # G = F^H F by einsum, not BLAS, so that no sum depends on the BLAS thread count.
         grams = (np.einsum("tri,trj->tij", f.conj(), f) for f in stacks)
         rates = np.concatenate([capacity.mrt_sum_rates(g, snr) for g in grams])
-        rows.extend((m, k, t, r) for t, r in enumerate(rates.tolist()))
+        groups.append((m, k, trial_index(rates.size), rates))
         means[str(m)] = float(np.mean(rates))
     summary = {
         "mean_sum_rate_bps_hz": means,
         "interference_free_ceiling_bps_hz": k * math.log2(1.0 + snr),
     }
-    return summary, {"sumrate": Table(("M", "K", "realization", "sum_rate_bps_hz"), rows)}
+    return summary, {"sumrate": Table(("M", "K", "realization", "sum_rate_bps_hz"), groups)}
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +261,9 @@ def _run_focusing_map(config: ExperimentConfig):
     tables: dict[str, Table] = {}
     summary: dict = {}
     for fmap in transceiver.field_map(scene, schemes, grid, grid, config.trials, seed.child(1), workers=config.workers):
-        # Row-major over (y, x), as Python floats.
-        xs = np.tile(fmap.x_lambda, fmap.y_lambda.size).tolist()
-        ys = np.repeat(fmap.y_lambda, fmap.x_lambda.size).tolist()
-        rows = list(zip(xs, ys, fmap.power_db.ravel().tolist()))
-        tables[f"focusing_map_{fmap.scheme}"] = Table(("x_lambda", "y_lambda", "avg_power_db"), rows)
+        # Row-major over (y, x): one group per grid row, all sharing the x grid.
+        groups = [(fmap.x_lambda, y, power) for y, power in zip(fmap.y_lambda.tolist(), fmap.power_db)]
+        tables[f"focusing_map_{fmap.scheme}"] = Table(("x_lambda", "y_lambda", "avg_power_db"), groups)
         # A ZF null that cancels exactly is -inf dB.
         summary[fmap.scheme] = {
             "target_gain_db": _json_db(fmap.target_gain_db),
@@ -245,12 +311,11 @@ def _run_ee_se(config: ExperimentConfig):
         10.0 ** (rho_db / 10.0), p["coherence_symbols"], p["m_massive"], p["k_massive"], p["m_beamforming"]
     )
     ref_se, ref_ee = curves["reference"].peak_ee_point()
-    rows = []
+    groups = []
     summary: dict = {"reference_peak": {"se_bps_hz": ref_se, "ee": ref_ee}}
     for label, curve in curves.items():
         ee_rel = curve.energy_efficiency / ref_ee
-        se, ee = curve.spectral_efficiency, curve.energy_efficiency
-        rows.extend(zip([label] * rho_db.size, rho_db.tolist(), se.tolist(), ee.tolist(), ee_rel.tolist()))
+        groups.append((label, rho_db, curve.spectral_efficiency, curve.energy_efficiency, ee_rel))
         se_rel = curve.spectral_efficiency / ref_se
         witness = (se_rel >= 10.0) & (ee_rel >= 100.0)
         summary[label] = {
@@ -259,7 +324,7 @@ def _run_ee_se(config: ExperimentConfig):
             "max_ee_relative_at_10x_se": float(np.max(ee_rel[se_rel >= 10.0], initial=0.0)),
             "has_10x_se_100x_ee_point": bool(np.any(witness)),
         }
-    table = Table(("system", "rho_db", "se_bps_hz", "ee_bits_per_joule", "ee_relative"), rows)
+    table = Table(("system", "rho_db", "se_bps_hz", "ee_bits_per_joule", "ee_relative"), groups)
     return summary, {"tradeoff": table}
 
 
@@ -311,7 +376,8 @@ def _run_pilot_contamination(config: ExperimentConfig):
     p = config.params
     seed = Seed(config.seed)
     m_values = list(p["m_list"])
-    rows = []
+    groups = []
+    trial = np.arange(config.trials)
     mean_desired = []
     mean_directed = []
     for mi, m in enumerate(m_values + [p["m_limit"]]):
@@ -324,8 +390,7 @@ def _run_pilot_contamination(config: ExperimentConfig):
             config.trials,
             seed.child(mi),
         )
-        powers = (sample.desired.tolist(), sample.directed.tolist(), sample.noise.tolist())
-        rows.extend(zip([m] * config.trials, range(config.trials), *powers))
+        groups.append((m, trial, sample.desired, sample.directed, sample.noise))
         if mi < len(m_values):
             mean_desired.append(float(np.mean(sample.desired)))
             mean_directed.append(float(np.mean(sample.directed)))
@@ -348,7 +413,7 @@ def _run_pilot_contamination(config: ExperimentConfig):
         "sir_at_m_limit_db": sir_at_limit if math.isfinite(sir_at_limit) else "unbounded",
         "m_limit": p["m_limit"],
     }
-    table = Table(("M", "trial", "desired_power", "directed_power", "noise_power"), rows)
+    table = Table(("M", "trial", "desired_power", "directed_power", "noise_power"), groups)
     return summary, {"contamination": table}
 
 
@@ -366,11 +431,30 @@ def _sir_db(desired: float, directed: float) -> float:
     return 10.0 * (math.log10(desired) - math.log10(directed))
 
 
-def _check_pilot_contamination(*, m_list, **_) -> None:
+def _check_pilot_contamination(*, m_list, m_limit, beta_home, betas_contaminating, rho_pilot, tau) -> None:
+    """Reject a ladder of fewer than two distinct antenna counts, and column
+    gains whose projections overflow. `pilots._contamination_sample` squares
+    g^T W_:l, with g the column gains and W = Z^H Z, and |g^T W_:l| is at
+    most (sum of g) max_j W_jj. Each W_jj is a Gamma(M, 1) draw, which passes
+    M + sqrt(84 M) + 42 with probability at most e^-42 (its sub-gamma tail),
+    so that bound times the gain sum must square to a float."""
     if len(set(m_list)) < 2:
         raise ConfigError(
             f"key 'pilot-contamination.m_list': the log-log slope fit needs at least two distinct "
             f"antenna counts, got {m_list}"
+        )
+    squares = {  # each key's largest column gain squared; a float, perhaps inf
+        "beta_home": beta_home,
+        "betas_contaminating": max(betas_contaminating),
+        "rho_pilot": 1.0 / (rho_pilot * tau),
+    }
+    gain_sum = math.sqrt(beta_home) + sum(map(math.sqrt, betas_contaminating)) + math.sqrt(squares["rho_pilot"])
+    antennas = max(m_list + [m_limit])
+    projection = gain_sum * (antennas + math.sqrt(84.0 * antennas) + 42.0)
+    if not math.isfinite(projection * projection):
+        raise ConfigError(
+            f"key 'pilot-contamination.{max(squares, key=squares.get)}': the column gains sum to "
+            f"{gain_sum:.6g}, so at {antennas} antennas the squared projections overflow a float"
         )
 
 
@@ -382,11 +466,9 @@ def _check_pilot_contamination(*, m_list, **_) -> None:
 def _run_rural(config: ExperimentConfig):
     rural_config = capacity.RuralConfig(**config.params)
     result = capacity.rural_broadband(rural_config, Seed(config.seed), config.trials)
-    sinr_db = (10.0 * np.log10(result.sinr)).tolist()
-    served = [result.served] * config.trials
-    rates = (result.equal_rate_mbps.tolist(), result.sum_throughput_gbps.tolist())
-    rows = list(zip(range(config.trials), served, sinr_db, *rates))
-    table = Table(("drop", "served", "sinr_db", "throughput_mbps", "sum_gbps"), rows)
+    sinr_db = 10.0 * np.log10(result.sinr)
+    group = (np.arange(config.trials), result.served, sinr_db, result.equal_rate_mbps, result.sum_throughput_gbps)
+    table = Table(("drop", "served", "sinr_db", "throughput_mbps", "sum_gbps"), [group])
     return result.summary(), {"rural": table}
 
 

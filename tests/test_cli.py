@@ -198,22 +198,52 @@ class TestRunAndEmit:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "cells, error",
-        [((1, 2.0), ValueError), ((True, False), KeyError), ((np.float64(1.0), np.float64(2.0)), KeyError)],
-        ids=["mixed", "bool", "numpy-float"],
+        "groups, error",
+        [
+            ([(1,), (2.0,)], ValueError),
+            ([(True,), (False,)], KeyError),
+            ([(np.float64(1.0),), (np.float64(2.0),)], KeyError),
+            ([(1, np.zeros(2)), (2.0, np.zeros(2))], ValueError),
+            ([(1, np.zeros(2, dtype=np.float32))], KeyError),
+            ([(1, np.zeros(2, dtype=bool))], KeyError),
+            ([(np.arange(2), np.zeros(3))], ValueError),
+            ([(1, np.zeros((2, 2)))], ValueError),
+        ],
+        ids=[
+            "mixed", "bool", "numpy-float", "group-int-float", "float32-array", "bool-array", "unequal-lengths",
+            "2d-array",
+        ],
     )
-    def test_column_without_one_formatter_rejected(self, tmp_path, cells, error):
-        # Every column holds one cell type of `_COLUMN_FORMATS`; no cell is formatted on its own.
+    def test_column_without_one_formatter_rejected(self, tmp_path, groups, error):
+        # Every column, across its groups, holds one cell type of `_COLUMN_FORMATS`, an array's
+        # by its dtype (`_ARRAY_KINDS`); no cell is formatted on its own.
         result = ExperimentResult(
             experiment="svd-spread",
             summary={},
-            tables={"spread": Table(("M",), [(cell,) for cell in cells])},
+            tables={"spread": Table(("M", "value")[: len(groups[0])], groups)},
             resolved_config={},
             config_hash="0",
             seed=0,
         )
         with pytest.raises(error):
             emit_tables(result, str(tmp_path / "out"))
+
+    @pytest.mark.parametrize(
+        "config, measured",
+        [(name, False) for name in EXPERIMENTS] + [(name, True) for name, spec in EXPERIMENTS.items() if spec.measured],
+    )
+    def test_groups_emit_the_bytes_of_their_rows(self, tmp_path, config, measured):
+        # A table written from its groups equals the same table written from its rows, each a one-row group.
+        channels = None
+        if measured:
+            channels = str(tmp_path / "set.cfcsv")
+            save_measured_channels(draw_complex_gaussian(Seed(5), 16, 4, 3), channels)
+        result = run(parse_config(str(CONFIGS_DIR / f"{config}.ini"), trials=3, channels_path=channels))
+        by_rows = replace(result, tables={name: Table(t.header, t.rows) for name, t in result.tables.items()})
+        files = [Path(f).name for f in emit_tables(result, str(tmp_path / "groups"))]
+        assert [Path(f).name for f in emit_tables(by_rows, str(tmp_path / "rows"))] == files
+        for name in files:
+            assert (tmp_path / "groups" / name).read_bytes() == (tmp_path / "rows" / name).read_bytes(), name
 
     def test_config_closure(self, tmp_path):
         # Every schema default appears in the emitted resolved config.
@@ -654,6 +684,8 @@ class TestCliProcess:
             ("pilot-contamination", 1, "m_list=0,16"),
             ("pilot-contamination", 1, "m_list=16"),
             ("pilot-contamination", 1, "m_list=16,16"),
+            ("pilot-contamination", 1, "beta_home=1e308"),
+            ("pilot-contamination", 1, "rho_pilot=5e-324"),
             ("rural-broadband", 1, "base_gain_db=nan"),
             ("rural-broadband", 1, "coherence_s=nan"),
             ("rural-broadband", 1, "terminal_pilot_power_w=-0.1"),
@@ -765,6 +797,41 @@ class TestCliProcess:
         rows = [line.split(",") for line in (out / "contamination.csv").read_text().splitlines()[1:]]
         desired, directed = (np.mean([float(r[c]) for r in rows if r[0] == "10000"]) for c in (2, 3))
         assert sir == pytest.approx(10.0 * (math.log10(desired) - math.log10(directed)), rel=1e-12)
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize(
+        "values, key",
+        [
+            ("beta_home = 1e308", "beta_home"),
+            ("beta_home = 1.5e300", "beta_home"),
+            ("rho_pilot = 5e-324", "rho_pilot"),
+            ("betas_contaminating = 1,1e301", "betas_contaminating"),
+        ],
+    )
+    def test_pilot_contamination_projection_past_the_float_range_rejected(self, tmp_path, command, values, key):
+        # Past the limit: all but beta_home = 1.5e300, which sits just past it, ran to overflow and
+        # invalid-value warnings, then exited 3 on a summary with nan, naming no key.
+        body = f"[experiment]\nexperiment = pilot-contamination\ntrials = 2\n\n[pilot-contamination]\n{values}\n"
+        args = [command, "--config", write_config(tmp_path / "c.ini", body)]
+        args += ["--out", str(tmp_path / "o")] if command == "run" else []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outcome = CliRunner().invoke(main, args)
+        assert outcome.exit_code == 2, outcome.output
+        assert outcome.stderr.startswith(f"config error: key 'pilot-contamination.{key}':")
+        assert outcome.stderr.count("\n") == 1
+        assert [str(w.message) for w in caught] == []
+        assert not (tmp_path / "o").exists()
+
+    def test_pilot_contamination_projection_inside_the_float_range_runs(self, tmp_path):
+        # At m_limit = 10000 the limit on beta_home lies between 1.4e300 and 1.5e300.
+        body = "[experiment]\nexperiment = pilot-contamination\ntrials = 2\n\n[pilot-contamination]\nbeta_home = 1.4e300\n"
+        path = write_config(tmp_path / "c.ini", body)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outcome = CliRunner().invoke(main, ["run", "--config", path, "--out", str(tmp_path / "o")])
+        assert outcome.exit_code == 0, outcome.output
+        assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize(
