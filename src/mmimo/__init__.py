@@ -3,9 +3,10 @@
 `errors` and `numerics` load with the package. `capacity`, `channel`,
 `pilots` and `transceiver` load on first use: as attributes of `mmimo`,
 through `from mmimo import channel`, or when code that needs them runs. So a
-run imports only the modules it uses. The CLI uses `capacity` from the
-start: `import mmimo.cli` loads it through `experiments`, whose experiment
-table reads `capacity.RuralConfig` and the dB rule of its keys.
+run imports only the modules it uses. `import mmimo.cli` loads click,
+`config`, `experiments`, `capacity` and orjson: `experiments` writes the
+arrays of its tables with orjson, and its experiment table reads
+`capacity.RuralConfig` and the dB rule of its keys.
 """
 
 from . import errors, numerics

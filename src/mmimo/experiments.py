@@ -23,6 +23,7 @@ from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Any, Callable, get_type_hints
 
 import numpy as np
+import orjson
 
 from . import __version__, capacity
 from .errors import ConfigError, DomainError, NumericError
@@ -81,8 +82,8 @@ def run(config: ExperimentConfig) -> ExperimentResult:
 
 # The CSV formatter of each type a column's cells may hold, found by exact
 # type, so a bool or a numpy scalar has none. An array cell holds the Python
-# type of its dtype's values. `repr` is float's and int's own `__repr__`,
-# called without the slot wrapper's overhead.
+# type of its dtype's values, and is written by `_array_texts`. `repr` is
+# float's and int's own `__repr__`, called without the slot wrapper's overhead.
 _COLUMN_FORMATS = {float: repr, int: repr, str: str}
 _ARRAY_KINDS = {np.dtype(np.float64): float, np.dtype(np.int64): int}
 
@@ -98,10 +99,33 @@ def _cell_kind(cell) -> type:
     return type(cell)
 
 
+def _array_texts(a: np.ndarray) -> list[str]:
+    """`repr` of each entry of a 1-D float64 or int64 array, byte for byte.
+
+    One orjson call writes every entry in its shortest round-trip form. For
+    an integer, and for a float that is zero or finite with magnitude in
+    [1e-4, 1e16), that is `repr`'s text. The other floats are written by
+    `repr`: orjson writes a non-finite one as null, and the rest in another
+    layout (1e-8, 0.000031 and 1e16 where `repr` writes 1e-08, 3.1e-05 and
+    1e+16)."""
+    if a.size == 0:
+        return []
+    texts = orjson.dumps(np.ascontiguousarray(a), option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    if a.dtype.kind == "f":
+        magnitude = np.abs(a)
+        outside = ~((magnitude >= 1e-4) & (magnitude < 1e16)) & (a != 0.0)
+        for i in np.flatnonzero(outside).tolist():
+            texts[i] = repr(float(a[i]))
+    return texts
+
+
 def _table_lines(table: Table) -> list[str]:
     """The CSV lines of a table, header first, written group by group. A
-    scalar cell is formatted once per group, and an array once per table
-    (memoised by identity, holding the array so that no id is reused)."""
+    scalar cell is formatted once per group, and an array once per table by
+    `_array_texts` (memoised by identity, holding the array so that no id is
+    reused). Every float is `repr`'s text: orjson's shortest round-trip
+    digits for zero and finite magnitudes in [1e-4, 1e16), where the two
+    agree, and `repr`'s own elsewhere."""
     lines = [",".join(table.header)]
     kinds = None
     texts: dict[int, tuple[np.ndarray, list[str]]] = {}
@@ -113,16 +137,15 @@ def _table_lines(table: Table) -> list[str]:
             raise ValueError(f"a column of table {table.header} mixes cell types across its groups")
         cells, rows = [], None
         for cell, kind in zip(group, kinds):
-            fmt = _COLUMN_FORMATS[kind]
             if isinstance(cell, np.ndarray):
                 if rows is not None and cell.size != rows:
                     raise ValueError(f"a group of table {table.header} holds arrays of unequal lengths")
                 rows = cell.size
                 if id(cell) not in texts:
-                    texts[id(cell)] = (cell, list(map(fmt, cell.tolist())))
+                    texts[id(cell)] = (cell, _array_texts(cell))
                 cells.append(texts[id(cell)][1])
             else:
-                cells.append(fmt(cell))
+                cells.append(_COLUMN_FORMATS[kind](cell))
         if rows is None:
             lines.append(",".join(cells))
         else:
@@ -137,7 +160,10 @@ def emit_tables(result: ExperimentResult, output_dir) -> list[str]:
     summary.json is serialised first, as strict JSON: a NaN or infinity in it
     raises `DomainError` before any file is written. Each table is written
     from its groups (`Table`), never its rows: a scalar cell is formatted
-    once per group and an array once per table, in shortest round-trip form.
+    once per group and an array once per table, each float in its shortest
+    round-trip form. An array is written by one orjson call, whose text
+    equals `repr`'s for zero and for finite magnitudes in [1e-4, 1e16);
+    `repr` writes the other floats.
     A column whose cells, across all groups, do not share one type of
     `_COLUMN_FORMATS` raises `KeyError` (a cell type with no formatter: a
     bool, a numpy scalar, an array of a dtype outside `_ARRAY_KINDS`) or
@@ -392,10 +418,10 @@ def _run_pilot_contamination(config: ExperimentConfig):
         )
         groups.append((m, trial, sample.desired, sample.directed, sample.noise))
         if mi < len(m_values):
-            mean_desired.append(float(np.mean(sample.desired)))
-            mean_directed.append(float(np.mean(sample.directed)))
+            mean_desired.append(_mean_power(sample.desired))
+            mean_directed.append(_mean_power(sample.directed))
         else:
-            sir_at_limit = _sir_db(float(np.mean(sample.desired)), float(np.mean(sample.directed)))
+            sir_at_limit = _sir_db(_mean_power(sample.desired), _mean_power(sample.directed))
     log_m = np.log(np.asarray(m_values, dtype=float))
     fits = (("beta_home", "desired", mean_desired), ("betas_contaminating", "directed", mean_directed))
     for key, kind, means in fits:
@@ -415,6 +441,15 @@ def _run_pilot_contamination(config: ExperimentConfig):
     }
     table = Table(("M", "trial", "desired_power", "directed_power", "noise_power"), groups)
     return summary, {"contamination": table}
+
+
+def _mean_power(powers: np.ndarray) -> float:
+    """The mean of finite powers >= 0, itself finite: where their sum could
+    pass the float range, it is the mean of the powers scaled by the largest."""
+    largest = float(np.max(powers))
+    if largest * powers.size < math.inf:
+        return float(np.mean(powers))
+    return largest * float(np.mean(powers / largest))
 
 
 def _sir_db(desired: float, directed: float) -> float:

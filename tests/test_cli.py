@@ -13,13 +13,14 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mmimo import capacity, cli, transceiver
 from mmimo.channel import save_measured_channels
 from mmimo.cli import main
 from mmimo.config import parse_config
 from mmimo.errors import ConfigError, DomainError
-from mmimo.experiments import EXPERIMENTS, ExperimentResult, Table, emit_tables, run
+from mmimo.experiments import EXPERIMENTS, ExperimentResult, Table, _array_texts, emit_tables, run
 from mmimo.numerics import BLOCK_ENTRIES, Seed, draw_complex_gaussian, singular_value_spread_db
 
 from mc_compare import assert_same_means
@@ -244,6 +245,37 @@ class TestRunAndEmit:
         assert [Path(f).name for f in emit_tables(by_rows, str(tmp_path / "rows"))] == files
         for name in files:
             assert (tmp_path / "groups" / name).read_bytes() == (tmp_path / "rows" / name).read_bytes(), name
+
+    # Zero, the edges of [1e-4, 1e16) where orjson's layout and repr's part, the extremes and
+    # integral floats; each with its negation.
+    FLOAT_EDGES = [
+        0.0, 1e-4, math.nextafter(1e-4, 0.0), 1e16, math.nextafter(1e16, 0.0), 5e-324, sys.float_info.max,
+        2.0**53, 2.0**53 + 2.0, 1.0, 3.0, 1e15, 123456789.0, math.inf, math.nan,
+    ]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        a=hnp.arrays(np.float64, st.integers(0, 40), elements=st.floats(width=64)),
+        step=st.sampled_from([1, 2, 3, -1, -2]),
+    )
+    @example(np.array(FLOAT_EDGES + [-x for x in FLOAT_EDGES]), 1)
+    @example(np.array(FLOAT_EDGES + [-x for x in FLOAT_EDGES]), -3)
+    def test_float_array_texts_are_repr(self, a, step):
+        # Any float64, subnormals and non-finite ones included, in a contiguous or strided array.
+        a = a[::step]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _array_texts(a) == list(map(repr, a.tolist()))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        a=hnp.arrays(np.int64, st.integers(0, 40), elements=st.integers(-(2**63), 2**63 - 1)),
+        step=st.sampled_from([1, 2, -1]),
+    )
+    @example(np.array([-(2**63), 2**63 - 1, 0, -1, 2**53 + 1]), 1)
+    def test_int_array_texts_are_repr(self, a, step):
+        a = a[::step]
+        assert _array_texts(a) == list(map(repr, a.tolist()))
 
     def test_config_closure(self, tmp_path):
         # Every schema default appears in the emitted resolved config.
@@ -832,6 +864,23 @@ class TestCliProcess:
             outcome = CliRunner().invoke(main, ["run", "--config", path, "--out", str(tmp_path / "o")])
         assert outcome.exit_code == 0, outcome.output
         assert [str(w.message) for w in caught] == []
+
+    def test_pilot_contamination_mean_power_sum_past_the_float_range_runs(self, tmp_path):
+        # The 20000 desired powers at m_limit, about 1.4e304 each, sum past the float range: this
+        # printed an overflow warning from np.mean and wrote sir_at_m_limit_db = "unbounded".
+        values = "beta_home = 1.4e300\nm_list = 16,64"
+        body = f"[experiment]\nexperiment = pilot-contamination\ntrials = 20000\n\n[pilot-contamination]\n{values}\n"
+        path = write_config(tmp_path / "c.ini", body)
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outcome = CliRunner().invoke(main, ["run", "--config", path, "--out", str(out)])
+        assert outcome.exit_code == 0, outcome.output
+        assert [str(w.message) for w in caught] == []
+        # At M = 10000 the exact means are about 1e4 beta_home (desired) and 1 (directed), so the SIR is
+        # about 10 log10(1.4e304) dB; 0.2 dB is about 6 standard errors of the directed mean.
+        sir = json.loads((out / "summary.json").read_text())["metrics"]["sir_at_m_limit_db"]
+        assert sir == pytest.approx(10.0 * math.log10(1.4e304), abs=0.2)
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize(

@@ -14,11 +14,13 @@ A change that does move a stream regenerates the fixture on purpose:
 
 which prints the digests that moved against the old fixture before it
 writes the new one, and its change log says which outputs moved and why.
-The fixture also records the numpy and BLAS build it was taken on: the
-float32 ray phasors and the BLAS products may round differently on another
-build or CPU, so on another stamp the test fails and names both stamps.
+The fixture also records the numpy and BLAS build it was taken on, and the
+OpenBLAS kernel that build picked for this CPU at load time: the float32 ray
+phasors and the BLAS products may round differently on another build, CPU or
+kernel, so on another stamp the test fails and names both stamps.
 """
 
+import ctypes
 import hashlib
 import json
 import sys
@@ -57,13 +59,30 @@ VALIDATORS = ("ul-mrc", "ul-zf", "dl-mrt")
 _PATH_KEYS = ('"output_dir":', '"channels_path":')
 
 
+def blas_core() -> str | None:
+    """The kernel numpy's bundled OpenBLAS runs, such as "SkylakeX", read from
+    the loaded library; None where there is no such library or symbol. The
+    build's "openblas configuration" names the build target, not this kernel,
+    which OpenBLAS picks per CPU (or by OPENBLAS_CORETYPE) when it loads."""
+    package = Path(np.__file__).resolve().parent
+    libraries = [*package.parent.glob("numpy.libs/libscipy_openblas64_*"), *package.glob(".dylibs/libscipy_openblas64_*")]
+    for path in sorted(libraries):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
 def stamp() -> dict:
-    """The numpy version, BLAS build and SIMD extensions the outputs depend on."""
+    """The numpy version, BLAS build and run-time kernel, and SIMD extensions the outputs depend on."""
     config = np.show_config(mode="dicts")
     blas = config["Build Dependencies"]["blas"]
     return {
         "numpy": np.__version__,
-        "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
+        "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")} | {"core": blas_core()},
         "simd": config["SIMD Extensions"],
     }
 

@@ -1,5 +1,6 @@
 import math
 import os
+import statistics
 import subprocess
 import sys
 import warnings
@@ -151,6 +152,43 @@ class TestContaminationDistribution:
             np.column_stack([getattr(direct, f) for f in fields]),
             f"M={m}",
         )
+
+
+def exact_means(m, beta_home, betas, rho_pilot, tau):
+    """E[desired], E[directed] and E[noise] of the contaminated-estimate
+    combiner. With column gains g = (sqrt(beta_home), sqrt(betas)...,
+    1/sqrt(rho tau), 0) and G^2 = sum g_j^2, column j of Z given the estimate
+    Z g is (g_j / G^2) Z g plus an independent part, so for the unit-norm
+    combiner E|u^H z_j|^2 = 1 + (M - 1) g_j^2 / G^2 exactly, at any M >= 1."""
+    g2 = beta_home + sum(betas) + 1.0 / (rho_pilot * tau)
+    desired = beta_home * (1.0 + (m - 1) * beta_home / g2)
+    directed = sum(b * (1.0 + (m - 1) * b / g2) for b in betas)
+    return desired, directed, 1.0
+
+
+class TestContaminationClosedForm:
+    # (M, beta_home, betas_contaminating, rho_pilot, tau): M below, at and above n + 3, strong and weak
+    # contaminators, and a noisy and a clean estimate.
+    GRID = [
+        (1, 1.0, [1.0], 1.0, 16),
+        (2, 0.3, [1.0], 0.1, 4),
+        (5, 1.0, [0.5, 0.1], 1.0, 1),
+        (16, 2.0, [1.0], 0.01, 8),
+        (64, 1.0, [0.2, 0.2, 0.2], 10.0, 16),
+        (256, 0.5, [1.5], 1.0, 64),
+    ]
+    TRIALS = 10_000
+    # Family-wise false-alarm rate over the 3 x len(GRID) two-sided comparisons (Bonferroni).
+    ALPHA = 1e-6
+
+    def test_simulated_means_match_the_closed_form(self):
+        z_max = statistics.NormalDist().inv_cdf(1.0 - self.ALPHA / (2 * 3 * len(self.GRID)))  # about 5.4
+        for index, (m, beta_home, betas, rho_pilot, tau) in enumerate(self.GRID):
+            sample = simulate_contamination(m, beta_home, betas, rho_pilot, tau, self.TRIALS, Seed(37).child(index))
+            powers = np.column_stack([sample.desired, sample.directed, sample.noise])
+            error = powers.std(axis=0, ddof=1) / math.sqrt(self.TRIALS)
+            z = (powers.mean(axis=0) - exact_means(m, beta_home, betas, rho_pilot, tau)) / error
+            assert np.all(np.abs(z) <= z_max), f"M={m}, beta_home={beta_home}, betas={betas}: z = {z}"
 
 
 @pytest.mark.slow
