@@ -20,6 +20,9 @@ inverted.
 Uplink MRC and ZF, downlink MRT and the perfect-CSI MRT sum rate of
 mrt-sumrate (`mrt_sum_rates`, with C = G) all end in one per-draw SINR
 reduction, `_rates`.
+Max-min power control is the closed-form equal split over the terminals it
+is given (`maxmin_power_control`); the rural broadband scenario picks them
+by one sort of each drop's slow-fading values, so no terminal index is kept.
 """
 
 from __future__ import annotations
@@ -391,45 +394,30 @@ def ee_se_sweep(
 # ---------------------------------------------------------------------------
 
 
-def maxmin_power_control(betas, gammas, rho_dl: float, m: int, drop_fraction: float = 0.05):
-    """Equalise the downlink conjugate-beamforming SINR across the served
+def maxmin_power_control(betas, gammas, rho_dl: float, m: int):
+    """Equalise the downlink conjugate-beamforming SINR across the given
     terminals of D drops at once, for R rows of estimate qualities.
 
-    `betas` is (D, K) and `gammas` (R, D, K); one drop is `betas[None]` with
-    `gammas[None, None]`. In each drop the weakest `drop_fraction` of the
-    terminals by slow fading are excluded (ties broken by terminal index),
-    then the full power budget is split so every served terminal sees the
-    same effective SINR. With the total-power constraint the equalising split
-    is closed-form: terminal k's power fraction is eta_k = sinr * cost_k,
-    cost_k = (1 + rho_dl beta_k) / (rho_dl m gamma_k), and sinr = 1 / sum of
-    the costs.
+    `betas` is (D, S) and `gammas` (R, D, S); one drop is `betas[None]` with
+    `gammas[None, None]`. Every terminal given is served, in the order given:
+    selection, such as leaving out the weakest share, is the caller's. With
+    the total-power constraint the equalising split is closed-form: terminal
+    k's power fraction is eta_k = sinr * cost_k, cost_k = (1 + rho_dl beta_k)
+    / (rho_dl m gamma_k), and sinr = 1 / sum of the costs, summed in the
+    order given.
 
-    Returns each drop's served terminals in ascending order of beta as (D, S)
-    flat indices into `betas`, their (R, D, S) costs, and the (R, D)
-    equalised SINRs.
+    Returns the (R, D, S) costs and the (R, D) equalised SINRs.
     """
     b = np.asarray(betas, dtype=float)
     g = np.asarray(gammas, dtype=float)
     if b.size == 0 or g.size == 0:
         raise DomainError("no terminals to serve")
     if b.ndim != 2 or g.ndim != 3 or g.shape[1:] != b.shape:
-        raise DimensionError(f"betas (D, K) and gammas (R, D, K) must align, got {b.shape} and {g.shape}")
+        raise DimensionError(f"betas (D, S) and gammas (R, D, S) must align, got {b.shape} and {g.shape}")
     if np.any(b <= 0.0) or np.any(g <= 0.0):
         raise DomainError("slow-fading and estimate-quality coefficients must be positive")
-    if not 0.0 <= drop_fraction < 1.0:
-        raise DomainError("drop fraction must be in [0, 1)")
-    d, k = b.shape
-    n_drop = int(math.floor(drop_fraction * k))  # < k, since drop_fraction < 1
-    # Equal betas have equal costs, so only a tie across the cut needs the
-    # index tie-break of a stable sort; the default sort is about 4x faster.
-    order = np.argsort(b, axis=-1)
-    if n_drop > 0:
-        cut = np.take_along_axis(b, order[:, n_drop - 1 : n_drop + 1], axis=-1)
-        tied = cut[:, 0] == cut[:, 1]
-        order[tied] = np.argsort(b[tied], axis=-1, kind="stable")
-    served = order[:, n_drop:] + k * np.arange(d)[:, None]
-    cost = (1.0 + rho_dl * np.take(b, served)) / (rho_dl * m * np.take(g.reshape(len(g), -1), served, axis=1))
-    return served, cost, 1.0 / cost.sum(axis=-1)
+    cost = (1.0 + rho_dl * b) / (rho_dl * m * g)
+    return cost, 1.0 / cost.sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -561,11 +549,13 @@ class RuralResult:
         }
 
 
-# Drops of `rural_broadband` evaluated at once, within a block of drops: at
-# the pinned 1000 terminals a piece's arrays span about BLOCK_ENTRIES float64
-# entries. Of 1 to 16 drops, 4 was the fastest; a whole 32-drop block at once
-# was no faster and took more memory. The piece size changes no output.
-RURAL_PIECE_DROPS = BLOCK_ENTRIES // (8 * RuralConfig.n_terminals)
+# Slow-fading values of `rural_broadband` evaluated at once, within a block
+# of drops: a piece is max(1, RURAL_PIECE_ENTRIES // K) drops of the run's K
+# terminals, 4 at the pinned 1000, whose arrays span about BLOCK_ENTRIES
+# float64 entries. Of 1 to 16 drops at K = 1000, 4 was the fastest; a whole
+# 32-drop block at once was no faster and took more memory. The piece size
+# changes no output.
+RURAL_PIECE_ENTRIES = BLOCK_ENTRIES // 8
 
 
 def rural_broadband(config: RuralConfig, seed: Seed, drops: int) -> RuralResult:
@@ -579,14 +569,17 @@ def rural_broadband(config: RuralConfig, seed: Seed, drops: int) -> RuralResult:
     call on `seed.child(b).child(1)`, both row-major: each drop is a row of its
     block. The block size does not depend on `drops`, so the first T drops are
     the same for every drop count of at least T. Each block is then evaluated
-    RURAL_PIECE_DROPS drops at a time: the slow-fading profile, and one
-    `maxmin_power_control` call per piece over the served sets, with one row
-    of estimate qualities per pilot power: the configured one, 10x weaker and
-    10x stronger (the scenario fixes only that pilots are accurate enough, so
-    the summary reports the last two as a sensitivity). Each row's equalised
-    SINR gives that pilot power's conjugate beamforming rate bound. Only
-    slow-fading scalars are handled, so the array size never materialises as
-    a matrix.
+    in pieces of max(1, RURAL_PIECE_ENTRIES // K) drops: the slow-fading
+    profile, sorted once per drop, whose last K - floor(drop_fraction K)
+    values are the served terminals in ascending order of beta (which of
+    tied terminals at the cut is left out moves no value). On those columns
+    only, the estimate qualities, with one row per pilot power: the
+    configured one, 10x weaker and 10x stronger (the scenario fixes only that
+    pilots are accurate enough, so the summary reports the last two as a
+    sensitivity), and one `maxmin_power_control` call per piece. Each row's
+    equalised SINR gives that pilot power's conjugate beamforming rate bound.
+    Only slow-fading scalars are handled, so the array size never
+    materialises as a matrix.
 
     Raises `NumericError` naming the first drop whose equalised SINR is 0 or
     not finite, where the link budget leaves the float range.
@@ -602,8 +595,10 @@ def rural_broadband(config: RuralConfig, seed: Seed, drops: int) -> RuralResult:
     rho_pilot = np.array(scales)[:, None, None] * config.terminal_pilot_power_w / noise
     tau = config.pilot_symbols
     k = config.n_terminals
+    dropped = math.floor(config.drop_fraction * k)  # < k, since drop_fraction < 1
     gains_db = config.base_gain_db + config.terminal_gain_db
     block = max(1, BLOCK_ENTRIES // k)
+    piece_drops = max(1, RURAL_PIECE_ENTRIES // k)
     sinr = np.empty((rho_pilot.size, drops))  # one row per pilot power
     quality = np.empty(drops)
     # An SINR out of the float range is raised below, not warned about on the way.
@@ -613,14 +608,15 @@ def rural_broadband(config: RuralConfig, seed: Seed, drops: int) -> RuralResult:
             block_seed = seed.child(index)
             squared_radii = squared_ground_radii(block_seed.child(0), shape, config.radius_km, config.exclusion_km)
             shadow = draw_shadow_db(block_seed.child(1), config.shadow_sigma_db, shape)
-            for start in range(0, shape[0], RURAL_PIECE_DROPS):
-                piece = slice(start, start + RURAL_PIECE_DROPS)
+            for start in range(0, shape[0], piece_drops):
+                piece = slice(start, start + piece_drops)
                 betas = large_scale_gain(squared_radii[piece], shadow[piece], gains_db)
+                betas = np.sort(betas, axis=-1)[:, dropped:]
                 gammas = estimate_quality(betas, rho_pilot, tau)
-                served, _, piece_sinr = maxmin_power_control(betas, gammas, rho_dl, config.m, config.drop_fraction)
+                _, piece_sinr = maxmin_power_control(betas, gammas, rho_dl, config.m)
                 columns = slice(first + start, first + start + len(betas))
                 sinr[:, columns] = piece_sinr
-                quality[columns] = np.min(np.take(gammas[0] / betas, served), axis=-1)
+                quality[columns] = np.min(gammas[0] / betas, axis=-1)
     bad = ~((sinr > 0.0) & (sinr < math.inf))
     if np.any(bad):
         drop = int(np.argmax(np.any(bad, axis=0)))
@@ -635,7 +631,7 @@ def rural_broadband(config: RuralConfig, seed: Seed, drops: int) -> RuralResult:
     return RuralResult(
         equal_rate_mbps=rate,
         sinr=sinr[0],
-        served=served.shape[-1],  # the same in every drop: it depends only on the counts
+        served=k - dropped,
         bandwidth_hz=config.bandwidth_hz,
         pilot_quality_min=float(np.min(quality)),
         sensitivity_mbps={

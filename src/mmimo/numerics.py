@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -116,6 +117,17 @@ def _box_muller(u: np.ndarray) -> np.ndarray:
     return u
 
 
+@lru_cache(maxsize=32)
+def _below_diagonal(k: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (rows, cols) of the entries below the diagonal of a K x r lower
+    trapezoidal factor, `np.tril_indices(k, -1, r)`: built once per (k, r),
+    read-only."""
+    indices = np.tril_indices(k, -1, r)
+    for index in indices:
+        index.flags.writeable = False
+    return indices
+
+
 def bartlett_blocks(seed: Seed, m: int, k: int, trials: int, size: int | None = None, cross: bool = False):
     """Yield the Bartlett factors of `trials` complex Wishart(M, I_K)
     matrices, and with `cross` their cross terms, in trial order: (A, X)
@@ -154,7 +166,7 @@ def bartlett_blocks(seed: Seed, m: int, k: int, trials: int, size: int | None = 
         raise DimensionError(f"trial count must be >= 1, got {trials}")
     r = min(m, k)
     diag = np.arange(r)
-    rows, cols = np.tril_indices(k, -1, r)
+    rows, cols = _below_diagonal(k, r)
     below = rows.size
     width = below + (r * k if cross else 0)
     piece = max(1, BLOCK_ENTRIES // (k * k))

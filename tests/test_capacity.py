@@ -6,6 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mmimo import capacity as cap
 from mmimo.channel import BASE_HEIGHT_M, TERMINAL_HEIGHT_M, path_loss_db
@@ -170,14 +173,31 @@ class TestEeSeSweep:
         )
 
 
+def select_served(betas, drop_fraction):
+    """The served terminals of each drop of (D, K) `betas` by index: all but
+    the weakest floor(drop_fraction K) by slow fading, as (D, S) indices into
+    each row in ascending order of beta. An argsort, re-sorted stably in the
+    drops with a tie across the cut, so that the lowest indices of the tie are
+    left out: the reference for the rural run's sort of values."""
+    n_drop = math.floor(drop_fraction * betas.shape[-1])
+    order = np.argsort(betas, axis=-1)
+    if n_drop > 0:
+        cut = np.take_along_axis(betas, order[:, n_drop - 1 : n_drop + 1], axis=-1)
+        tied = cut[:, 0] == cut[:, 1]
+        order[tied] = np.argsort(betas[tied], axis=-1, kind="stable")
+    return order[:, n_drop:]
+
+
 def one_drop(betas, gammas, rho_dl, m, drop_fraction=0.05):
-    """`maxmin_power_control` of one drop with one row of estimate qualities:
-    the served terminals in index order, the power fractions
-    eta = SINR x cost on them (0 elsewhere) and the equalised SINR."""
-    served, cost, sinr = cap.maxmin_power_control(betas[None], gammas[None, None], rho_dl, m, drop_fraction)
+    """Max-min power control of one drop with one row of estimate qualities
+    over the terminals `select_served` keeps: the served terminals in index
+    order, the power fractions eta = SINR x cost on them (0 elsewhere) and
+    the equalised SINR."""
+    served = select_served(betas[None], drop_fraction)[0]
+    cost, sinr = cap.maxmin_power_control(betas[served][None], gammas[served][None, None], rho_dl, m)
     eta = np.zeros(betas.size)
-    eta[served[0]] = sinr[0, 0] * cost[0, 0]
-    return np.sort(served[0]), eta, float(sinr[0, 0])
+    eta[served] = sinr[0, 0] * cost[0, 0]
+    return np.sort(served), eta, float(sinr[0, 0])
 
 
 class TestMaxMinPowerControl:
@@ -249,27 +269,60 @@ class TestMaxMinPowerControl:
 
     @pytest.mark.parametrize("drop_fraction", [0.0, 0.05, 0.3])
     def test_piece_rows_equal_one_drop_calls(self, drop_fraction):
-        # A piece's (R, D, K) rows are D x R one-drop calls, bit for bit.
+        # A piece's (R, D, S) rows are D x R one-drop calls, bit for bit.
         rng = np.random.default_rng(7)
         betas = rng.lognormal(-20.0, 2.0, (4, 300))
         gammas = betas * rng.uniform(0.5, 1.0, (3, *betas.shape))
-        served, cost, sinr = cap.maxmin_power_control(betas, gammas, 1e12, 6400, drop_fraction)
+        served = select_served(betas, drop_fraction)
+        cost, sinr = cap.maxmin_power_control(
+            np.take_along_axis(betas, served, axis=-1), np.take_along_axis(gammas, served[None], axis=-1), 1e12, 6400
+        )
         assert sinr.shape == (3, 4) and served.shape == (4, 300 - math.floor(drop_fraction * 300))
         assert cost.shape == (3, *served.shape)
         for d in range(4):
             for r in range(3):
                 single_served, eta, single_sinr = one_drop(betas[d], gammas[r, d], 1e12, 6400, drop_fraction)
                 assert sinr[r, d] == single_sinr
-                assert np.array_equal(np.sort(served[d] - 300 * d), single_served)
-                assert np.array_equal(eta[served[d] - 300 * d], sinr[r, d] * cost[r, d])
+                assert np.array_equal(np.sort(served[d]), single_served)
+                assert np.array_equal(eta[served[d]], sinr[r, d] * cost[r, d])
 
     def test_piece_tie_break_is_stable(self):
         # A tie across the cut drops the lowest indices, whatever the piece's
         # other drops hold; the sort alone may order the 77 ties of 13 levels otherwise.
         betas = np.stack([np.linspace(2.0, 1.0, 1000), np.ones(1000), 1.0 + np.arange(1000) % 13])
-        served, _, _ = cap.maxmin_power_control(betas, 0.9 * betas[None], 10.0, 64, 0.05)
-        dropped = [sorted(set(range(1000)) - set(row.tolist())) for row in served % 1000]
+        served = select_served(betas, 0.05)
+        dropped = [sorted(set(range(1000)) - set(row.tolist())) for row in served]
         assert dropped == [list(range(950, 1000)), list(range(50)), list(range(0, 650, 13))]
+
+    # 60 derandomized examples, about 0.3 s.
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), d=st.integers(1, 4), k=st.integers(1, 60), rows=st.integers(1, 3))
+    def test_sorted_values_equal_index_selection(self, data, d, k, rows):
+        # The rural run's path, one sort of the values and the qualities of the
+        # served columns only, gives the costs, SINRs and pilot quality of the
+        # index selection, bit for bit, also with a tie across the cut.
+        drop_fraction = data.draw(st.floats(0.0, 1.0, exclude_max=True))
+        betas = data.draw(hnp.arrays(float, (d, k), elements=st.floats(1e-15, 1e3)))
+        rho_pilot = data.draw(hnp.arrays(float, (rows, 1, 1), elements=st.floats(1e-3, 1e15)))
+        n_drop = math.floor(drop_fraction * k)
+        if n_drop > 0 and data.draw(st.booleans()):
+            # The weakest served terminal of each drop takes the value of the strongest dropped one.
+            order = np.argsort(betas, axis=-1)
+            for row, (out, kept) in enumerate(order[:, n_drop - 1 : n_drop + 1]):
+                betas[row, kept] = betas[row, out]
+        gammas = cap.estimate_quality(betas, rho_pilot, 8)
+        served = select_served(betas, drop_fraction)
+        flat = served + k * np.arange(d)[:, None]
+        served_gammas = np.take(gammas.reshape(rows, -1), flat, axis=1)
+        expected_cost = (1.0 + 1e12 * np.take(betas, flat)) / (1e12 * 6400 * served_gammas)
+        expected_quality = np.min(np.take(gammas[0] / betas, flat), axis=-1)
+
+        kept = np.sort(betas, axis=-1)[:, n_drop:]
+        kept_gammas = cap.estimate_quality(kept, rho_pilot, 8)
+        cost, sinr = cap.maxmin_power_control(kept, kept_gammas, 1e12, 6400)
+        assert cost.tobytes() == expected_cost.tobytes()
+        assert sinr.tobytes() == (1.0 / expected_cost.sum(axis=-1)).tobytes()
+        assert np.min(kept_gammas[0] / kept, axis=-1).tobytes() == expected_quality.tobytes()
 
     @pytest.mark.parametrize("shape", [(3, 4, 950), (1, 1, 1), (2, 7, 37), (3, 1, 9000), (1, 5, 129)])
     def test_axis_sum_equals_row_sums(self, shape):
@@ -278,7 +331,7 @@ class TestMaxMinPowerControl:
         rng = np.random.default_rng(sum(shape))
         betas = rng.lognormal(-20.0, 2.0, shape[1:])
         gammas = betas * rng.uniform(0.5, 1.0, shape)
-        _, cost, sinr = cap.maxmin_power_control(betas, gammas, 1e12, 6400, 0.0)
+        cost, sinr = cap.maxmin_power_control(betas, gammas, 1e12, 6400)
         assert cost.shape == shape and cost.flags.c_contiguous
         rows = np.array([np.sum(row) for row in cost.reshape(-1, shape[-1])]).reshape(shape[:-1])
         assert np.array_equal(sinr, 1.0 / rows)
@@ -551,9 +604,17 @@ class TestRuralBroadband:
         ],
         ids=["pinned", "k200-drop0", "k200-drop0.3"],
     )
-    @pytest.mark.parametrize("drops", [1, cap.RURAL_PIECE_DROPS, cap.RURAL_PIECE_DROPS + 1, 6])
+    @pytest.mark.parametrize("drops", [1, 4, 5, 6])
     def test_equals_three_pass_reference(self, config, drops):
+        # Pieces of 4 drops at K = 1000, 20 at K = 200.
         assert_equals_reference(config, Seed(7), drops)
+
+    @pytest.mark.parametrize("drops", [1, 409, 410])
+    def test_equals_reference_at_ten_terminals(self, drops):
+        # K = 10 makes pieces of 409 drops within blocks of 3276.
+        config = cap.RuralConfig(n_terminals=10, allow_override=True)
+        assert max(1, cap.RURAL_PIECE_ENTRIES // config.n_terminals) == 409
+        assert_equals_reference(config, Seed(12), drops)
 
     @pytest.mark.parametrize("drops", [3, 4, 5, 9])
     def test_equals_reference_across_block_boundaries(self, drops):
@@ -593,13 +654,12 @@ class TestRuralBroadband:
             return maxmin(betas, gammas, *args)
 
         monkeypatch.setattr(cap, "maxmin_power_control", recording)
-        assert cap.RURAL_PIECE_DROPS == 4
         cap.rural_broadband(cap.RuralConfig(), Seed(1), 5)
-        assert shapes == [((4, 1000), (3, 4, 1000)), ((1, 1000), (3, 1, 1000))]
+        assert shapes == [((4, 950), (3, 4, 950)), ((1, 950), (3, 1, 950))]
 
     def test_piece_size_changes_no_byte(self, monkeypatch):
         pieces = cap.rural_broadband(cap.RuralConfig(), Seed(8), drops=6)
-        monkeypatch.setattr(cap, "RURAL_PIECE_DROPS", 1)
+        monkeypatch.setattr(cap, "RURAL_PIECE_ENTRIES", 1)
         single = cap.rural_broadband(cap.RuralConfig(), Seed(8), drops=6)
         assert pieces.equal_rate_mbps.tobytes() == single.equal_rate_mbps.tobytes()
         assert pieces.sinr.tobytes() == single.sinr.tobytes()

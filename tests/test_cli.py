@@ -424,11 +424,12 @@ def run_finite(workdir, body, table):
     return outcome, rows
 
 
-def validated_run(body, table):
+def validated_run(body, table, run_errors=False):
     """`mmimo validate`, then `run_finite`, of an INI body in a fresh
     directory: the exit code the two must share, 0 or 2, and the rows of
     `table` (None when rejected). A rejection is one line from both commands
-    and no warning."""
+    and no warning. With `run_errors`, a run that `validate` accepts may
+    instead exit 3 with a one-line error, returned as 3 with no rows."""
     with tempfile.TemporaryDirectory() as work:
         workdir = Path(work)
         path = write_config(workdir / "c.ini", body)
@@ -438,6 +439,9 @@ def validated_run(body, table):
         assert [str(w.message) for w in caught] == []
         outcome, rows = run_finite(workdir, body, table)
     assert validated.exit_code in (0, 2), validated.output
+    if run_errors and validated.exit_code == 0 and outcome.exit_code == 3:
+        assert outcome.stderr.startswith("error:") and outcome.stderr.count("\n") == 1
+        return 3, None
     assert outcome.exit_code == validated.exit_code, outcome.output
     if validated.exit_code != 0:
         for rejected in (validated, outcome):
@@ -505,6 +509,64 @@ class TestMrtSumrateProperty:
         code, rows = validated_run(body, "sumrate.csv")
         if code == 0:
             assert len(rows) == trials * len(m_list)
+
+
+# Each rural key a property test sets besides K and the drop fraction: a
+# strategy over its typical range, and one over its whole accepted range and past it.
+_RURAL_RANGES = {
+    "shadow_sigma_db": (st.floats(0.0, 40.0), st.floats(-1.0, 1e4)),
+    "radius_km": (st.floats(0.1, 100.0), st.floats(-1.0, 1e160)),
+    "exclusion_km": (st.floats(0.0, 0.1), st.floats(-1.0, 10.0)),
+    "terminal_pilot_power_w": (st.floats(1e-6, 10.0), st.floats(-1.0, 1e300)),
+    "terminal_gain_db": (st.floats(-20.0, 30.0), st.floats(-3300.0, 3100.0)),
+    "base_gain_db": (st.floats(-20.0, 30.0), st.floats(-3300.0, 3100.0)),
+    "noise_figure_db": (st.floats(0.0, 20.0), st.floats(-3300.0, 3100.0)),
+}
+
+
+@st.composite
+def _rural_overrides(draw):
+    """Rural override values: K of 1 to 64, a drop fraction in [0, 1), and
+    every key of `_RURAL_RANGES` in its typical range, but in about half the
+    draws one key over its whole range and past it."""
+    wide = draw(st.sampled_from([None] * len(_RURAL_RANGES) + list(_RURAL_RANGES)))
+    values = {
+        "n_terminals": draw(st.integers(min_value=1, max_value=64)),
+        "drop_fraction": draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
+    }
+    for key, (typical, beyond) in _RURAL_RANGES.items():
+        values[key] = draw(beyond if key == wide else typical)
+    return values
+
+
+_PINNED_RURAL = {
+    "n_terminals": 1000, "drop_fraction": 0.05, "shadow_sigma_db": 8.0, "radius_km": 6.0, "exclusion_km": 0.035,
+    "terminal_pilot_power_w": 0.1, "terminal_gain_db": 8.0, "base_gain_db": 0.0, "noise_figure_db": 9.0,
+}
+
+
+class TestRuralBroadbandProperty:
+    """Every rural-broadband override that `validate` accepts runs 2 drops to
+    exit 0 with finite outputs and K - floor(drop_fraction K) served
+    terminals, or to exit 3 with a one-line error where the link budget
+    leaves the float range; every other one exits 2 from both commands with a
+    one-line message. No traceback and no warning either way."""
+
+    # 40 derandomized examples plus 3 explicit ones, about 0.4 s.
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(values=_rural_overrides(), seed=st.integers(min_value=0, max_value=2**16))
+    @example(_PINNED_RURAL, 1)
+    @example({**_PINNED_RURAL, "n_terminals": 1, "drop_fraction": 0.999}, 1)  # nothing left out
+    @example({**_PINNED_RURAL, "n_terminals": 64, "shadow_sigma_db": 1e4}, 1)  # slow fading past the float range
+    def test_accepted_overrides_run_to_finite_outputs(self, values, seed):
+        body = (
+            f"[experiment]\nexperiment = rural-broadband\ntrials = 2\nseed = {seed}\n\n[rural-broadband]\n"
+            "allow_override = true\n" + "".join(f"{key} = {value!r}\n" for key, value in values.items())
+        )
+        code, rows = validated_run(body, "rural.csv", run_errors=True)
+        if code == 0:
+            k = values["n_terminals"]
+            assert [int(row[1]) for row in rows] == [k - math.floor(values["drop_fraction"] * k)] * 2
 
 
 # Any value of any schema key: small integers, integers past the float range,

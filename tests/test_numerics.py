@@ -15,6 +15,7 @@ from mmimo.numerics import (
     pseudo_inverse,
     singular_value_spread_db,
     singular_values,
+    _below_diagonal,
 )
 
 from mc_compare import assert_same_means
@@ -244,6 +245,13 @@ class TestBartlettBlocks:
     def test_terminal_count_of_a_thousand_draws_one_trial_per_piece(self):
         a, x = next(bartlett_blocks(Seed(58), 1000, 1000, 250, 250))
         assert a.shape == (1, 1000, 1000) and x is None
+
+    def test_index_tables_are_built_once_and_read_only(self):
+        # Calls with the same (K, r) share one pair of tables, which no caller can change.
+        tables = _below_diagonal(6, 4)
+        assert _below_diagonal(6, 4) is tables
+        assert all(np.array_equal(a, b) for a, b in zip(tables, np.tril_indices(6, -1, 4)))
+        assert not any(index.flags.writeable for index in tables)
 
     def test_single_terminal_without_cross_terms(self):
         # K = 1 has no entry below the diagonal: A is sqrt(Gamma(M, 1)) alone.
