@@ -14,8 +14,6 @@ how many workers execute the trials.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import json
 import math
 import os
@@ -35,26 +33,18 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class Table:
-    """One CSV table, held as the row groups its run produces.
-
-    A group is a tuple with one cell per column of `header`. A cell is either
-    one `int`, `float` or `str` that every row of the group shares, or a 1-D
-    float64 or int64 array with one entry per row; a group's arrays have one
-    length, its row count, and a group of scalars alone is one row. Groups
-    may hold the same array object, such as a shared grid or trial index:
-    `emit_tables` formats it once."""
+    """One CSV table, held as its columns: one 1-D array per column of
+    `header`, all of one length, the row count, each of dtype float64, int64
+    or str ("U"). `emit_tables` writes each number column with one orjson
+    call."""
 
     header: tuple[str, ...]
-    groups: list[tuple]
+    columns: tuple[np.ndarray, ...]
 
     @property
     def rows(self) -> list[tuple]:
-        """Every row as a tuple of Python values, group by group."""
-        rows = []
-        for group in self.groups:
-            n = next((len(cell) for cell in group if isinstance(cell, np.ndarray)), 1)
-            rows.extend(zip(*(cell.tolist() if isinstance(cell, np.ndarray) else [cell] * n for cell in group)))
-        return rows
+        """Every row as a tuple of Python values."""
+        return list(zip(*(column.tolist() for column in self.columns)))
 
 
 @dataclass(frozen=True)
@@ -80,25 +70,6 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     )
 
 
-# The CSV formatter of each type a column's cells may hold, found by exact
-# type, so a bool or a numpy scalar has none. An array cell holds the Python
-# type of its dtype's values, and is written by `_array_texts`. `repr` is
-# float's and int's own `__repr__`, called without the slot wrapper's overhead.
-_COLUMN_FORMATS = {float: repr, int: repr, str: str}
-_ARRAY_KINDS = {np.dtype(np.float64): float, np.dtype(np.int64): int}
-
-
-def _cell_kind(cell) -> type:
-    """The type whose formatter writes a cell: KeyError for a cell without one."""
-    if isinstance(cell, np.ndarray):
-        if cell.ndim != 1:
-            raise ValueError(f"a table's array cell must be 1-D, got shape {cell.shape}")
-        return _ARRAY_KINDS[cell.dtype]
-    if type(cell) not in _COLUMN_FORMATS:
-        raise KeyError(type(cell))
-    return type(cell)
-
-
 def _array_texts(a: np.ndarray) -> list[str]:
     """`repr` of each entry of a 1-D float64 or int64 array, byte for byte.
 
@@ -120,38 +91,26 @@ def _array_texts(a: np.ndarray) -> list[str]:
 
 
 def _table_lines(table: Table) -> list[str]:
-    """The CSV lines of a table, header first, written group by group. A
-    scalar cell is formatted once per group, and an array once per table by
-    `_array_texts` (memoised by identity, holding the array so that no id is
-    reused). Every float is `repr`'s text: orjson's shortest round-trip
-    digits for zero and finite magnitudes in [1e-4, 1e16), where the two
-    agree, and `repr`'s own elsewhere."""
-    lines = [",".join(table.header)]
-    kinds = None
-    texts: dict[int, tuple[np.ndarray, list[str]]] = {}
-    for group in table.groups:
-        group_kinds = tuple(map(_cell_kind, group))
-        if kinds is None:
-            kinds = group_kinds
-        elif group_kinds != kinds:
-            raise ValueError(f"a column of table {table.header} mixes cell types across its groups")
-        cells, rows = [], None
-        for cell, kind in zip(group, kinds):
-            if isinstance(cell, np.ndarray):
-                if rows is not None and cell.size != rows:
-                    raise ValueError(f"a group of table {table.header} holds arrays of unequal lengths")
-                rows = cell.size
-                if id(cell) not in texts:
-                    texts[id(cell)] = (cell, _array_texts(cell))
-                cells.append(texts[id(cell)][1])
-            else:
-                cells.append(_COLUMN_FORMATS[kind](cell))
-        if rows is None:
-            lines.append(",".join(cells))
+    """The CSV lines of a table, header first. Each number column is written
+    by one `_array_texts` call, so every float is `repr`'s text, and each
+    label column by its own strings. A column that is not a 1-D float64,
+    int64 or str array raises `TypeError` (not an array, or another dtype) or
+    `ValueError` (another shape), as do columns of unequal lengths."""
+    texts = []
+    for name, column in zip(table.header, table.columns, strict=True):
+        if not isinstance(column, np.ndarray):
+            raise TypeError(f"column {name!r} of a table must be a numpy array, got {type(column).__name__}")
+        if column.ndim != 1:
+            raise ValueError(f"column {name!r} of a table must be 1-D, got shape {column.shape}")
+        if column.dtype.kind == "U":
+            texts.append(column.tolist())
+        elif column.dtype in (np.float64, np.int64):
+            texts.append(_array_texts(column))
         else:
-            columns = [cell if isinstance(cell, list) else itertools.repeat(cell, rows) for cell in cells]
-            lines.extend(map(",".join, zip(*columns)))
-    return lines
+            raise TypeError(f"column {name!r} of a table must be float64, int64 or str, got {column.dtype}")
+    if len({len(t) for t in texts}) > 1:
+        raise ValueError(f"the columns of table {table.header} have unequal lengths")
+    return [",".join(table.header), *map(",".join, zip(*texts))]
 
 
 def emit_tables(result: ExperimentResult, output_dir) -> list[str]:
@@ -159,15 +118,10 @@ def emit_tables(result: ExperimentResult, output_dir) -> list[str]:
 
     summary.json is serialised first, as strict JSON: a NaN or infinity in it
     raises `DomainError` before any file is written. Each table is written
-    from its groups (`Table`), never its rows: a scalar cell is formatted
-    once per group and an array once per table, each float in its shortest
-    round-trip form. An array is written by one orjson call, whose text
-    equals `repr`'s for zero and for finite magnitudes in [1e-4, 1e16);
-    `repr` writes the other floats.
-    A column whose cells, across all groups, do not share one type of
-    `_COLUMN_FORMATS` raises `KeyError` (a cell type with no formatter: a
-    bool, a numpy scalar, an array of a dtype outside `_ARRAY_KINDS`) or
-    `ValueError` (a mix), as does a group whose arrays differ in length."""
+    from its columns (`Table`), never its rows: one orjson call per number
+    column, whose text equals `repr`'s for zero and for finite magnitudes in
+    [1e-4, 1e16); `repr` writes the other floats. A column of another type or
+    shape, or of another length, raises as `_table_lines` says."""
     payload = {
         "experiment": result.experiment,
         "seed": result.seed,
@@ -221,16 +175,24 @@ def _channel_groups(config: ExperimentConfig):
         yield m, k, (a.conj().transpose(0, 2, 1) for a, _ in blocks)
 
 
+def _run_columns(runs: list[tuple[int, int, np.ndarray]]) -> tuple[np.ndarray, ...]:
+    """The columns (M, K, trial index, value) of (M, K, values) runs, run by run."""
+    lengths = [values.size for _, _, values in runs]
+    return (
+        np.repeat([m for m, _, _ in runs], lengths),
+        np.repeat([k for _, k, _ in runs], lengths),
+        np.concatenate([np.arange(n) for n in lengths]),
+        np.concatenate([values for _, _, values in runs]),
+    )
+
+
 def _run_svd_spread(config: ExperimentConfig):
-    groups: list[tuple] = []
-    medians: dict[str, float] = {}
-    trial_index = functools.cache(np.arange)  # one index array per length, shared by the groups
-    for m, k, stacks in _channel_groups(config):
-        spreads = np.concatenate([singular_value_spread_db(h) for h in stacks])
-        groups.append((m, k, trial_index(spreads.size), spreads))
-        medians[str(m)] = EmpiricalCdf.from_samples(spreads).median
-    summary = {"median_spread_db": medians}
-    return summary, {"spread": Table(("M", "K", "trial", "spread_db"), groups)}
+    runs = [
+        (m, k, np.concatenate([singular_value_spread_db(h) for h in stacks]))
+        for m, k, stacks in _channel_groups(config)
+    ]
+    summary = {"median_spread_db": {str(m): EmpiricalCdf.from_samples(spreads).median for m, _, spreads in runs}}
+    return summary, {"spread": Table(("M", "K", "trial", "spread_db"), _run_columns(runs))}
 
 
 # ---------------------------------------------------------------------------
@@ -240,20 +202,16 @@ def _run_svd_spread(config: ExperimentConfig):
 
 def _run_mrt_sumrate(config: ExperimentConfig):
     snr = 10.0 ** (config.params["target_snr_db"] / 10.0)
-    groups: list[tuple] = []
-    means: dict[str, float] = {}
-    trial_index = functools.cache(np.arange)  # one index array per length, shared by the groups
+    runs = []
     for m, k, stacks in _channel_groups(config):
         # G = F^H F by einsum, not BLAS, so that no sum depends on the BLAS thread count.
         grams = (np.einsum("tri,trj->tij", f.conj(), f) for f in stacks)
-        rates = np.concatenate([capacity.mrt_sum_rates(g, snr) for g in grams])
-        groups.append((m, k, trial_index(rates.size), rates))
-        means[str(m)] = float(np.mean(rates))
+        runs.append((m, k, np.concatenate([capacity.mrt_sum_rates(g, snr) for g in grams])))
     summary = {
-        "mean_sum_rate_bps_hz": means,
+        "mean_sum_rate_bps_hz": {str(m): float(np.mean(rates)) for m, _, rates in runs},
         "interference_free_ceiling_bps_hz": k * math.log2(1.0 + snr),
     }
-    return summary, {"sumrate": Table(("M", "K", "realization", "sum_rate_bps_hz"), groups)}
+    return summary, {"sumrate": Table(("M", "K", "realization", "sum_rate_bps_hz"), _run_columns(runs))}
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +245,10 @@ def _run_focusing_map(config: ExperimentConfig):
     tables: dict[str, Table] = {}
     summary: dict = {}
     for fmap in transceiver.field_map(scene, schemes, grid, grid, config.trials, seed.child(1), workers=config.workers):
-        # Row-major over (y, x): one group per grid row, all sharing the x grid.
-        groups = [(fmap.x_lambda, y, power) for y, power in zip(fmap.y_lambda.tolist(), fmap.power_db)]
-        tables[f"focusing_map_{fmap.scheme}"] = Table(("x_lambda", "y_lambda", "avg_power_db"), groups)
+        # Row-major over (y, x).
+        nx, ny = fmap.x_lambda.size, fmap.y_lambda.size
+        columns = (np.tile(fmap.x_lambda, ny), np.repeat(fmap.y_lambda, nx), fmap.power_db.ravel())
+        tables[f"focusing_map_{fmap.scheme}"] = Table(("x_lambda", "y_lambda", "avg_power_db"), columns)
         # A ZF null that cancels exactly is -inf dB.
         summary[fmap.scheme] = {
             "target_gain_db": _json_db(fmap.target_gain_db),
@@ -337,11 +296,9 @@ def _run_ee_se(config: ExperimentConfig):
         10.0 ** (rho_db / 10.0), p["coherence_symbols"], p["m_massive"], p["k_massive"], p["m_beamforming"]
     )
     ref_se, ref_ee = curves["reference"].peak_ee_point()
-    groups = []
     summary: dict = {"reference_peak": {"se_bps_hz": ref_se, "ee": ref_ee}}
     for label, curve in curves.items():
         ee_rel = curve.energy_efficiency / ref_ee
-        groups.append((label, rho_db, curve.spectral_efficiency, curve.energy_efficiency, ee_rel))
         se_rel = curve.spectral_efficiency / ref_se
         witness = (se_rel >= 10.0) & (ee_rel >= 100.0)
         summary[label] = {
@@ -350,7 +307,15 @@ def _run_ee_se(config: ExperimentConfig):
             "max_ee_relative_at_10x_se": float(np.max(ee_rel[se_rel >= 10.0], initial=0.0)),
             "has_10x_se_100x_ee_point": bool(np.any(witness)),
         }
-    table = Table(("system", "rho_db", "se_bps_hz", "ee_bits_per_joule", "ee_relative"), groups)
+    ee = np.concatenate([curve.energy_efficiency for curve in curves.values()])
+    columns = (
+        np.repeat(np.array(list(curves)), rho_db.size),
+        np.tile(rho_db, len(curves)),
+        np.concatenate([curve.spectral_efficiency for curve in curves.values()]),
+        ee,
+        ee / ref_ee,
+    )
+    table = Table(("system", "rho_db", "se_bps_hz", "ee_bits_per_joule", "ee_relative"), columns)
     return summary, {"tradeoff": table}
 
 
@@ -402,26 +367,16 @@ def _run_pilot_contamination(config: ExperimentConfig):
     p = config.params
     seed = Seed(config.seed)
     m_values = list(p["m_list"])
-    groups = []
-    trial = np.arange(config.trials)
-    mean_desired = []
-    mean_directed = []
-    for mi, m in enumerate(m_values + [p["m_limit"]]):
-        sample = pilots.simulate_contamination(
-            m,
-            p["beta_home"],
-            p["betas_contaminating"],
-            p["rho_pilot"],
-            p["tau"],
-            config.trials,
-            seed.child(mi),
+    ladder = m_values + [p["m_limit"]]
+    samples = [
+        pilots.simulate_contamination(
+            m, p["beta_home"], p["betas_contaminating"], p["rho_pilot"], p["tau"], config.trials, seed.child(mi)
         )
-        groups.append((m, trial, sample.desired, sample.directed, sample.noise))
-        if mi < len(m_values):
-            mean_desired.append(_mean_power(sample.desired))
-            mean_directed.append(_mean_power(sample.directed))
-        else:
-            sir_at_limit = _sir_db(_mean_power(sample.desired), _mean_power(sample.directed))
+        for mi, m in enumerate(ladder)
+    ]
+    mean_desired = [_mean_power(sample.desired) for sample in samples[:-1]]
+    mean_directed = [_mean_power(sample.directed) for sample in samples[:-1]]
+    sir_at_limit = _sir_db(_mean_power(samples[-1].desired), _mean_power(samples[-1].directed))
     log_m = np.log(np.asarray(m_values, dtype=float))
     fits = (("beta_home", "desired", mean_desired), ("betas_contaminating", "directed", mean_directed))
     for key, kind, means in fits:
@@ -431,15 +386,21 @@ def _run_pilot_contamination(config: ExperimentConfig):
                 f"{m_values[means.index(0.0)]} underflows to 0, so its log-log slope is undefined"
             )
     desired_slope, directed_slope = (float(np.polyfit(log_m, np.log(means), 1)[0]) for _, _, means in fits)
-    limit = pilots.contamination_sir_limit_db(p["beta_home"], p["betas_contaminating"])
     summary = {
         "desired_power_loglog_slope": desired_slope,
         "directed_power_loglog_slope": directed_slope,
-        "sir_limit_db": limit if math.isfinite(limit) else "unbounded",
+        "sir_limit_db": pilots.contamination_sir_limit_db(p["beta_home"], p["betas_contaminating"]),
         "sir_at_m_limit_db": sir_at_limit if math.isfinite(sir_at_limit) else "unbounded",
         "m_limit": p["m_limit"],
     }
-    table = Table(("M", "trial", "desired_power", "directed_power", "noise_power"), groups)
+    columns = (
+        np.repeat(ladder, config.trials),
+        np.tile(np.arange(config.trials), len(ladder)),
+        np.concatenate([sample.desired for sample in samples]),
+        np.concatenate([sample.directed for sample in samples]),
+        np.concatenate([sample.noise for sample in samples]),
+    )
+    table = Table(("M", "trial", "desired_power", "directed_power", "noise_power"), columns)
     return summary, {"contamination": table}
 
 
@@ -467,16 +428,16 @@ def _sir_db(desired: float, directed: float) -> float:
 
 
 def _check_pilot_contamination(*, m_list, m_limit, beta_home, betas_contaminating, rho_pilot, tau) -> None:
-    """Reject a ladder of fewer than two distinct antenna counts, and column
-    gains whose projections overflow. `pilots._contamination_sample` squares
+    """Reject a ladder of fewer than two antenna counts, and column gains
+    whose projections overflow. `pilots._contamination_sample` squares
     g^T W_:l, with g the column gains and W = Z^H Z, and |g^T W_:l| is at
     most (sum of g) max_j W_jj. Each W_jj is a Gamma(M, 1) draw, which passes
     M + sqrt(84 M) + 42 with probability at most e^-42 (its sub-gamma tail),
     so that bound times the gain sum must square to a float."""
-    if len(set(m_list)) < 2:
+    if len(m_list) < 2:
         raise ConfigError(
-            f"key 'pilot-contamination.m_list': the log-log slope fit needs at least two distinct "
-            f"antenna counts, got {m_list}"
+            f"key 'pilot-contamination.m_list': the log-log slope fit needs at least two antenna counts, "
+            f"got {m_list}"
         )
     squares = {  # each key's largest column gain squared; a float, perhaps inf
         "beta_home": beta_home,
@@ -502,8 +463,14 @@ def _run_rural(config: ExperimentConfig):
     rural_config = capacity.RuralConfig(**config.params)
     result = capacity.rural_broadband(rural_config, Seed(config.seed), config.trials)
     sinr_db = 10.0 * np.log10(result.sinr)
-    group = (np.arange(config.trials), result.served, sinr_db, result.equal_rate_mbps, result.sum_throughput_gbps)
-    table = Table(("drop", "served", "sinr_db", "throughput_mbps", "sum_gbps"), [group])
+    columns = (
+        np.arange(config.trials),
+        np.full(config.trials, result.served),
+        sinr_db,
+        result.equal_rate_mbps,
+        result.sum_throughput_gbps,
+    )
+    table = Table(("drop", "served", "sinr_db", "throughput_mbps", "sum_gbps"), columns)
     return result.summary(), {"rural": table}
 
 
@@ -577,6 +544,15 @@ def _list_of(parse: Callable[[str], Any]) -> Callable[[str], list]:
     return parse_list
 
 
+def _parse_ladder(text: str) -> list[int]:
+    """An antenna ladder: a non-empty list of positive ints, none repeated,
+    since each summary entry is keyed by its antenna count."""
+    values = _list_of(_parse_positive_int)(text)
+    if len(set(values)) < len(values):
+        raise ValueError(f"must not repeat an antenna count, got {values}")
+    return values
+
+
 def _parse_scheme(text: str) -> str:
     if text not in ("mrt", "zf", "both"):
         raise ValueError(f"must be mrt, zf, or both, got {text!r}")
@@ -627,14 +603,14 @@ EXPERIMENTS: dict[str, Experiment] = {
     ),
     "svd-spread": Experiment(
         {
-            "m_list": Option(_list_of(_parse_positive_int), [4, 32, 128]),
+            "m_list": Option(_parse_ladder, [4, 32, 128]),
             "k": Option(_parse_positive_int, 4),
         },
         (2000, 10_000), _run_svd_spread, block_drawn=True, measured=True,
     ),
     "mrt-sumrate": Experiment(
         {
-            "m_list": Option(_list_of(_parse_positive_int), [4, 8, 16, 32, 64, 128]),
+            "m_list": Option(_parse_ladder, [4, 8, 16, 32, 64, 128]),
             "k": Option(_parse_positive_int, 4),
             "target_snr_db": Option(_parse_db, 10.0),
         },
@@ -654,7 +630,7 @@ EXPERIMENTS: dict[str, Experiment] = {
     ),
     "pilot-contamination": Experiment(
         {
-            "m_list": Option(_list_of(_parse_positive_int), [16, 64, 256, 1024]),
+            "m_list": Option(_parse_ladder, [16, 64, 256, 1024]),
             "m_limit": Option(_parse_positive_int, 10_000),
             "beta_home": Option(_parse_positive_float, 1.0),
             "betas_contaminating": Option(_list_of(_parse_positive_float), [1.0]),

@@ -188,7 +188,7 @@ class TestRunAndEmit:
         result = ExperimentResult(
             experiment="svd-spread",
             summary={"median_spread_db": {"4": value}},
-            tables={"spread": Table(("M",), [(4,)])},
+            tables={"spread": Table(("M",), (np.array([4]),))},
             resolved_config={},
             config_hash="0",
             seed=0,
@@ -199,29 +199,29 @@ class TestRunAndEmit:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "groups, error",
+        "columns, error",
         [
-            ([(1,), (2.0,)], ValueError),
-            ([(True,), (False,)], KeyError),
-            ([(np.float64(1.0),), (np.float64(2.0),)], KeyError),
-            ([(1, np.zeros(2)), (2.0, np.zeros(2))], ValueError),
-            ([(1, np.zeros(2, dtype=np.float32))], KeyError),
-            ([(1, np.zeros(2, dtype=bool))], KeyError),
-            ([(np.arange(2), np.zeros(3))], ValueError),
-            ([(1, np.zeros((2, 2)))], ValueError),
+            (([1, 2],), TypeError),
+            ((True,), TypeError),
+            ((np.float64(1.0),), TypeError),
+            ((np.zeros(2, dtype=bool),), TypeError),
+            ((np.zeros(2, dtype=np.float32),), TypeError),
+            ((np.array([1.0, "a"], dtype=object),), TypeError),
+            ((np.array(1.0),), ValueError),
+            ((np.zeros((2, 2)),), ValueError),
+            ((np.arange(2), np.zeros(3)), ValueError),
         ],
         ids=[
-            "mixed", "bool", "numpy-float", "group-int-float", "float32-array", "bool-array", "unequal-lengths",
-            "2d-array",
+            "list", "bool", "numpy-float", "bool-array", "float32-array", "object-array", "0d-array", "2d-array",
+            "unequal-lengths",
         ],
     )
-    def test_column_without_one_formatter_rejected(self, tmp_path, groups, error):
-        # Every column, across its groups, holds one cell type of `_COLUMN_FORMATS`, an array's
-        # by its dtype (`_ARRAY_KINDS`); no cell is formatted on its own.
+    def test_column_without_one_formatter_rejected(self, tmp_path, columns, error):
+        # Every column is a 1-D float64, int64 or str array, and all have one length.
         result = ExperimentResult(
             experiment="svd-spread",
             summary={},
-            tables={"spread": Table(("M", "value")[: len(groups[0])], groups)},
+            tables={"spread": Table(("M", "value")[: len(columns)], columns)},
             resolved_config={},
             config_hash="0",
             seed=0,
@@ -233,18 +233,20 @@ class TestRunAndEmit:
         "config, measured",
         [(name, False) for name in EXPERIMENTS] + [(name, True) for name, spec in EXPERIMENTS.items() if spec.measured],
     )
-    def test_groups_emit_the_bytes_of_their_rows(self, tmp_path, config, measured):
-        # A table written from its groups equals the same table written from its rows, each a one-row group.
+    def test_columns_emit_the_bytes_of_their_rows(self, tmp_path, config, measured):
+        # A table written from its columns equals the same table written row by row, each value by
+        # `repr`, and each label as itself.
         channels = None
         if measured:
             channels = str(tmp_path / "set.cfcsv")
             save_measured_channels(draw_complex_gaussian(Seed(5), 16, 4, 3), channels)
         result = run(parse_config(str(CONFIGS_DIR / f"{config}.ini"), trials=3, channels_path=channels))
-        by_rows = replace(result, tables={name: Table(t.header, t.rows) for name, t in result.tables.items()})
-        files = [Path(f).name for f in emit_tables(result, str(tmp_path / "groups"))]
-        assert [Path(f).name for f in emit_tables(by_rows, str(tmp_path / "rows"))] == files
-        for name in files:
-            assert (tmp_path / "groups" / name).read_bytes() == (tmp_path / "rows" / name).read_bytes(), name
+        files = [Path(f).name for f in emit_tables(result, str(tmp_path / "out"))]
+        assert files == [f"{name}.csv" for name in result.tables] + ["summary.json"]
+        for name, table in result.tables.items():
+            rows = [",".join(v if isinstance(v, str) else repr(v) for v in row) for row in table.rows]
+            expected = "\n".join([",".join(table.header), *rows]) + "\n"
+            assert (tmp_path / "out" / f"{name}.csv").read_bytes() == expected.encode(), name
 
     # Zero, the edges of [1e-4, 1e16) where orjson's layout and repr's part, the extremes and
     # integral floats; each with its negation.
@@ -750,7 +752,9 @@ class TestCliProcess:
             ("focusing-map", 1, "grid_extent_lambda=1e300"),
             ("focusing-map", 1, "bs_distance_lambda=1e200"),
             ("svd-spread", 1, "m_list=4,0"),
+            ("svd-spread", 1, "m_list=4,4"),
             ("mrt-sumrate", 1, "m_list=-4"),
+            ("mrt-sumrate", 1, "m_list=8,4,8"),
             ("mrt-sumrate", 1, "target_snr_db=nan"),
             ("mrt-sumrate", 1, "target_snr_db=4000"),
             ("mrt-sumrate", 1, "target_snr_db=3079"),
@@ -1125,7 +1129,7 @@ class TestCliProcess:
 
     def test_non_finite_summary_exit_code_3_without_files(self, tmp_path, monkeypatch):
         def runner(config):
-            return {"x": math.nan}, {"t": Table(("a",), [(1,)])}
+            return {"x": math.nan}, {"t": Table(("a",), (np.array([1]),))}
 
         monkeypatch.setitem(EXPERIMENTS, "svd-spread", replace(EXPERIMENTS["svd-spread"], runner=runner))
         path = write_config(tmp_path / "c.ini", "[experiment]\nexperiment = svd-spread\ntrials = 2\n")

@@ -52,7 +52,7 @@ ALLOWED = {
     "channel.build_large_scale_profile": f"{SPANS_TARGET}: one drop's betas, as the rural blocks form them",
     "transceiver.LinkReport.sum_rate": "the Library block and the criterion-2 reference read it",
     "errors.ParseError.__init__": "an error path: only a malformed measured set raises it",
-    "experiments.Table.rows": "the benchmark's checks and the tests read a table's rows; emission reads its groups",
+    "experiments.Table.rows": "the benchmark's checks and the tests read a table's rows; emission reads its columns",
 }
 
 
